@@ -13,6 +13,7 @@ from .core import (
     Channel,
     CoherentDrive,
     GridTooCoarse,
+    GridTooLarge,
     LossyNotSupported,
     NegativeRate,
     NonFinite,
@@ -64,6 +65,7 @@ __all__ = [
     "CheckResult",
     "CoherentDrive",
     "GridTooCoarse",
+    "GridTooLarge",
     "LossyNotSupported",
     "NegativeRate",
     "NonFinite",

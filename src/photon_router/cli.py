@@ -6,6 +6,13 @@ general scattering map otherwise); `packet` routes two Gaussian packets
 on ports 1 and 2 with a relative phase; `sweep` grids one or two scenario
 variables; `verify` runs the self-validation suites.
 
+A monochromatic sweep is evaluated as one array computation per set of
+rates (gamma2, gamma_c), so a grid that sweeps neither is a single call of
+the closed form or of the scattering map; a point command is a one-point
+grid on the same path. Packet sweeps call the quadrature once per point.
+ROUTER_SIM_THREADS is still validated (an integer >= 1) but no longer
+changes anything: sweeps run on one thread.
+
 All data commands emit CSV (header always present) to --out or stdout.
 Floats are written as shortest round-trip decimals so identical
 invocations produce identical bytes. A --config file with key=value lines
@@ -13,27 +20,30 @@ invocations produce identical bytes. A --config file with key=value lines
 the file, the file wins over built-in defaults.
 
 Exit codes: 0 success, 2 argument or validation error (one-line message on
-stderr), 3 when a result would be numerically under-resolved; `verify`
-returns 1 if any suite fails.
+stderr; non-finite inputs and results that overflow included), 3 when a
+result would be numerically under-resolved; `verify` returns 1 if any
+suite fails.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .core import (
     Channel,
     GridTooCoarse,
+    NonFinite,
+    OutputReport,
     ParameterError,
     QuadratureUnderResolved,
     RouterError,
@@ -78,6 +88,11 @@ _CASE_VARS = {
 }
 # scenario-dict key a swept variable writes to; identity unless listed
 _VAR_KEY = {"Omega": "bandwidth"}
+_PHASES = ("phi", "theta", "theta_prime")
+# rows of the numbers array an evaluation returns
+_RESULTS = ("N_r1", "N_l1", "N_r2", "N_l2", "N_total", "loss", "n_in")
+# grid points formatted per batch, which bounds the memory of the row strings
+_CHUNK = 4096
 
 
 class _UsageError(Exception):
@@ -99,6 +114,9 @@ class SweepAxis:
     def __post_init__(self):
         if self.variable not in _SWEEP_VARS:
             raise ParameterError(f"unknown sweep variable {self.variable!r}")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise NonFinite(
+                f"sweep bounds must be finite, got [{self.start}, {self.stop}]")
         if not self.start < self.stop:
             raise ParameterError(
                 f"sweep start must be < stop, got [{self.start}, {self.stop}]")
@@ -161,72 +179,132 @@ def _merge_scenario(args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             scn[key] = value
+    for key, value in scn.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise NonFinite(f"{key} must be finite, got {value}")
     return scn
 
 
-def _format_row(case: str, scn: dict, delta: float, phi, theta, theta_prime,
-                Omega, rep) -> list[str]:
-    def opt(x):
-        return "" if x is None else _num(x)
-
-    return [case, _num(scn["gamma1"]), _num(scn["gamma2"]), _num(scn["gamma_c"]),
-            _num(delta), opt(phi), opt(theta), opt(theta_prime), opt(Omega),
-            _num(scn["mean_n"]),
-            _num(rep.n_r1), _num(rep.n_l1), _num(rep.n_r2), _num(rep.n_l2),
-            _num(rep.n_total), _num(rep.loss)]
+def _grid(axes: Sequence[SweepAxis]) -> dict[str, np.ndarray]:
+    """Swept scenario values, one flat array per scenario key, first axis outer."""
+    mesh = np.meshgrid(*(ax.values() for ax in axes), indexing="ij")
+    return {_VAR_KEY.get(ax.variable, ax.variable): m.ravel()
+            for ax, m in zip(axes, mesh)}
 
 
-def _monochromatic_row(case: str, scn: dict) -> list[str]:
-    params = RouterParams(gamma1=scn["gamma1"], gamma2=scn["gamma2"],
-                          gamma_c=scn["gamma_c"])
-    n, delta = scn["mean_n"], scn["delta"]
-    if n < 0:
-        raise ParameterError(f"mean_n must be >= 0, got {n}")
+def _rate_groups(scn: dict, grid: dict,
+                 size: int) -> list[tuple[tuple[float, float], np.ndarray]]:
+    """(gamma2, gamma_c) and the indices of the grid points that share them.
+
+    Rates stay scalars, as RouterParams holds them, so each group is one
+    array call doing a point command's arithmetic. Groups come in the order
+    of their first point, so a rate that fails validation is reported for
+    the first such point of the grid.
+    """
+    if "gamma2" not in grid and "gamma_c" not in grid:
+        return [((scn["gamma2"], scn["gamma_c"]), np.arange(size))]
+    rates = [np.broadcast_to(grid.get(key, scn[key]), (size,)).tolist()
+             for key in ("gamma2", "gamma_c")]
+    groups: dict = {}
+    for i, key in enumerate(zip(*rates)):
+        groups.setdefault(key, []).append(i)
+    return [(key, np.array(idx)) for key, idx in groups.items()]
+
+
+def _report_values(rep: OutputReport) -> tuple:
+    return (rep.n_r1, rep.n_l1, rep.n_r2, rep.n_l2, rep.n_total, rep.loss, rep.n_in)
+
+
+def _mono_report(case: str, params: RouterParams, n: float, at: dict) -> OutputReport:
+    """One report over the points `at` (delta and phase arrays) of one rate set."""
+    delta = at["delta"]
     lossless = params.gamma_c == 0.0
     a = math.sqrt(n)
 
     if case == "single":
-        rep = mean_output_single(params, n, delta) if lossless else \
+        return mean_output_single(params, n, delta) if lossless else \
             report_from_scatter(params, ChannelAmplitudes(r1=a), delta)
-        return _format_row(case, scn, delta, None, None, None, None, rep)
     if case == "two":
-        phi = scn["phi"]
-        rep = mean_output_two(params, n, delta, phi) if lossless else \
+        phi = at["phi"]
+        return mean_output_two(params, n, delta, phi) if lossless else \
             report_from_scatter(
                 params, ChannelAmplitudes(r1=a, l1=a * np.exp(1j * phi)), delta)
-        return _format_row(case, scn, delta, phi, None, None, None, rep)
-    theta, theta_prime = scn["theta"], scn["theta_prime"]
-    rep = mean_output_three(params, n, delta, theta, theta_prime) if lossless else \
+    theta, theta_prime = at["theta"], at["theta_prime"]
+    return mean_output_three(params, n, delta, theta, theta_prime) if lossless else \
         report_from_scatter(
             params, ChannelAmplitudes(r1=a, r2=a * np.exp(1j * theta),
                                       l2=a * np.exp(1j * theta_prime)), delta)
-    return _format_row(case, scn, delta, None, theta, theta_prime, None, rep)
 
 
-def _packet_scenario(scn: dict) -> tuple[RouterParams, list[WavePacket], float]:
-    delta_bar = scn["omega0_detuning"]
-    if delta_bar is None:
-        delta_bar = scn["delta"]
+def _mono_numbers(case: str, scn: dict, grid: dict, size: int) -> np.ndarray:
+    n = scn["mean_n"]
+    if n < 0:
+        raise ParameterError(f"mean_n must be >= 0, got {n}")
+    numbers = np.empty((len(_RESULTS), size))
+    for (gamma2, gamma_c), idx in _rate_groups(scn, grid, size):
+        params = RouterParams(gamma1=scn["gamma1"], gamma2=gamma2, gamma_c=gamma_c)
+        at = {key: grid[key][idx] if key in grid else np.full(idx.size, scn[key])
+              for key in ("delta",) + _PHASES if key in _CASE_VARS[case]}
+        rep = _mono_report(case, params, n, at)
+        for row, value in zip(numbers, _report_values(rep)):
+            row[idx] = value
+    return numbers
+
+
+def _packet_scenario(scn: dict) -> tuple[RouterParams, list[WavePacket]]:
     params = RouterParams(gamma1=scn["gamma1"], gamma2=scn["gamma2"],
-                          gamma_c=scn["gamma_c"], omega_c=delta_bar)
+                          gamma_c=scn["gamma_c"], omega_c=scn["delta"])
     Om = scn["bandwidth"]
     packets = [
         WavePacket(Channel.R1, scn["mean_n"], omega0=0.0, Omega=Om),
         WavePacket(Channel.L1, scn["mean_n"], omega0=0.0, Omega=Om,
                    phase=scn["phi"]),
     ]
-    return params, packets, delta_bar
+    return params, packets
 
 
-def _packet_row(scn: dict) -> list[str]:
-    params, packets, delta_bar = _packet_scenario(scn)
-    rep = packet_output_numbers(params, packets,
-                                QuadratureSpec(points=int(scn["points"])))
-    return _format_row("packet", scn, delta_bar, scn["phi"], None, None,
-                       scn["bandwidth"], rep)
+def _packet_numbers(scn: dict, grid: dict, size: int) -> np.ndarray:
+    numbers = np.empty((len(_RESULTS), size))
+    for i in range(size):
+        local = dict(scn)
+        local.update((key, float(values[i])) for key, values in grid.items())
+        params, packets = _packet_scenario(local)
+        rep = packet_output_numbers(params, packets,
+                                    QuadratureSpec(points=int(local["points"])))
+        numbers[:, i] = _report_values(rep)
+    return numbers
 
 
-def _emit(out_path: str | None, rows: Sequence[Sequence[str]]) -> None:
+def _require_finite(numbers: np.ndarray) -> None:
+    bad = ~np.isfinite(numbers)
+    if bad.any():
+        point = int(bad.any(axis=0).argmax())
+        field = int(bad[:, point].argmax())
+        raise NonFinite(
+            f"{_RESULTS[field]} = {numbers[field, point]} at grid point {point + 1} "
+            "is not finite; the inputs overflow double precision")
+
+
+def _rows(case: str, scn: dict, grid: dict, numbers: np.ndarray) -> Iterator[tuple]:
+    """CSV rows of an evaluated grid, formatted one chunk of points at a time."""
+    def column(key):
+        return grid[key] if key in grid else _num(scn[key])
+
+    columns = [case, column("gamma1"), column("gamma2"), column("gamma_c"),
+               column("delta")]
+    columns += [column(key) if key in _CASE_VARS[case] else "" for key in _PHASES]
+    columns += [column("bandwidth") if case == "packet" else "", column("mean_n")]
+    columns += list(numbers[:6])
+    size = numbers.shape[1]
+    for start in range(0, size, _CHUNK):
+        count = min(_CHUNK, size - start)
+        yield from zip(*(
+            [col] * count if isinstance(col, str)
+            else list(map(repr, col[start:start + count].tolist()))
+            for col in columns))
+
+
+def _emit(out_path: str | None, rows) -> None:
     def write(fh):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
@@ -242,24 +320,17 @@ def _emit(out_path: str | None, rows: Sequence[Sequence[str]]) -> None:
         raise _UsageError(f"cannot write {out_path}: {exc}")
 
 
-def _worker_count(n_jobs: int) -> int:
+def _check_thread_setting() -> None:
+    """Validate ROUTER_SIM_THREADS, which sweeps accept but no longer use."""
     raw = os.environ.get("ROUTER_SIM_THREADS")
     if raw is None:
-        cap = min(4, os.cpu_count() or 1)
-    else:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise _UsageError(f"ROUTER_SIM_THREADS must be an integer, got {raw!r}")
-        if cap < 1:
-            raise _UsageError(f"ROUTER_SIM_THREADS must be >= 1, got {cap}")
-    return max(1, min(cap, n_jobs))
-
-
-def _cmd_point(args: argparse.Namespace) -> int:
-    scn = _merge_scenario(args)
-    _emit(args.out, [_monochromatic_row(args.case_name, scn)])
-    return 0
+        return
+    try:
+        threads = int(raw)
+    except ValueError:
+        raise _UsageError(f"ROUTER_SIM_THREADS must be an integer, got {raw!r}")
+    if threads < 1:
+        raise _UsageError(f"ROUTER_SIM_THREADS must be >= 1, got {threads}")
 
 
 def _dump_trajectory(path: str, params: RouterParams,
@@ -278,19 +349,33 @@ def _dump_trajectory(path: str, params: RouterParams,
         raise _UsageError(f"cannot write {path}: {exc}")
 
 
-def _cmd_packet(args: argparse.Namespace) -> int:
+def _run(args: argparse.Namespace, case: str, axes: Sequence[SweepAxis]) -> int:
+    """Evaluate `case` over the grid of `axes` (none: one point) and write the CSV."""
     scn = _merge_scenario(args)
-    row = _packet_row(scn)
-    if args.dump_trajectory is not None:
-        params, packets, _ = _packet_scenario(scn)
-        _dump_trajectory(args.dump_trajectory, params, packets)
-    _emit(args.out, [row])
+    if case == "packet" and scn["omega0_detuning"] is not None:
+        # packet rows report the cavity detuning from the packet centre
+        scn["delta"] = scn["omega0_detuning"]
+    grid = _grid(axes)
+    size = math.prod(ax.count for ax in axes)
+    # overflow and invalid operations surface as non-finite numbers, which
+    # _require_finite turns into one error line instead of numpy warnings
+    with np.errstate(all="ignore"):
+        if case == "packet":
+            numbers = _packet_numbers(scn, grid, size)
+        else:
+            numbers = _mono_numbers(case, scn, grid, size)
+    _require_finite(numbers)
+    if getattr(args, "dump_trajectory", None) is not None:
+        _dump_trajectory(args.dump_trajectory, *_packet_scenario(scn))
+    _emit(args.out, _rows(case, scn, grid, numbers))
     return 0
 
 
+def _cmd_point(args: argparse.Namespace) -> int:
+    return _run(args, args.case_name, ())
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    case = args.case
-    scn = _merge_scenario(args)
     axis2 = None
     if args.var2 is not None:
         if None in (args.start2, args.stop2, args.count2):
@@ -298,37 +383,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         axis2 = SweepAxis(args.var2, args.start2, args.stop2, args.count2)
     spec = SweepSpec(SweepAxis(args.var, args.start, args.stop, args.count), axis2)
     for ax in spec.axes:
-        if ax.variable not in _CASE_VARS[case]:
+        if ax.variable not in _CASE_VARS[args.case]:
             raise _UsageError(
-                f"variable {ax.variable!r} does not apply to case {case!r}")
-
-    points: list[tuple[tuple[str, float], ...]] = []
-    for v1 in spec.axis.values():
-        if spec.axis2 is None:
-            points.append(((spec.axis.variable, float(v1)),))
-        else:
-            points.extend((((spec.axis.variable, float(v1)),
-                            (spec.axis2.variable, float(v2))))
-                          for v2 in spec.axis2.values())
-
-    def job(assignments: tuple[tuple[str, float], ...]) -> list[str]:
-        local = dict(scn)
-        for var, value in assignments:
-            local[_VAR_KEY.get(var, var)] = value
-            if case == "packet" and var == "delta":
-                local["omega0_detuning"] = value
-        if case == "packet":
-            return _packet_row(local)
-        return _monochromatic_row(case, local)
-
-    workers = _worker_count(len(points))
-    if workers == 1:
-        rows = [job(p) for p in points]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            rows = list(ex.map(job, points))
-    _emit(args.out, rows)
-    return 0
+                f"variable {ax.variable!r} does not apply to case {args.case!r}")
+    _check_thread_setting()
+    return _run(args, args.case, spec.axes)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -389,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_scenario(p, phases=("phi",), packet_flags=True)
     p.add_argument("--dump-trajectory", metavar="PATH",
                    help="also write the cavity trajectory CSV (t,re_c,im_c,abs2_c)")
-    p.set_defaults(func=_cmd_packet)
+    p.set_defaults(func=_cmd_point, case_name="packet")
 
     p = sub.add_parser("sweep", help="grid over one or two scenario variables")
     p.add_argument("--case", required=True, choices=("single", "two", "three",
@@ -412,8 +471,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # building the parser costs more than evaluating a point; parse_args
+    # returns a fresh Namespace per call, so nothing carries over
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -24,6 +24,8 @@ from enum import Enum
 from types import MappingProxyType
 from typing import Mapping
 
+import numpy as np
+
 
 class RouterError(Exception):
     """Base class for router simulation errors."""
@@ -55,6 +57,10 @@ class QuadratureUnderResolved(RouterError):
 
 class GridTooCoarse(RouterError):
     """Time grid violates the step or length requirements."""
+
+
+class GridTooLarge(RouterError):
+    """Time grid needs more RK4 steps than the oracle's ceiling."""
 
 
 class PulseNotContained(RouterError):
@@ -180,7 +186,8 @@ class OutputReport:
 
     n_total is the sum over the four channels; loss = n_in - n_total is the
     flux absorbed by the cavity decay gamma_c (zero for lossless setups up
-    to rounding/quadrature error).
+    to rounding/quadrature error). A report over a grid of points holds
+    equal-shaped numpy arrays in place of the floats.
     """
 
     n_out: Mapping[Channel, float]
@@ -190,15 +197,23 @@ class OutputReport:
 
     @classmethod
     def from_channel_numbers(cls, n_out: Mapping[Channel, float], n_in: float) -> "OutputReport":
-        clean = {}
-        for ch in CHANNELS:
-            v = float(n_out.get(ch, 0.0))
-            if -1e-12 * max(n_in, 1.0) < v < 0.0:
-                v = 0.0  # rounding noise below the conservation tolerance
-            clean[ch] = v
+        if type(n_in) is np.ndarray or np.ndarray in map(type, n_out.values()):
+            floor = -1e-12 * np.maximum(n_in, 1.0)
+            clean = {}
+            for ch in CHANNELS:
+                v = np.asarray(n_out.get(ch, 0.0), dtype=float)
+                clean[ch] = np.where((floor < v) & (v < 0.0), 0.0, v)
+        else:
+            n_in = float(n_in)
+            clean = {}
+            for ch in CHANNELS:
+                v = float(n_out.get(ch, 0.0))
+                if -1e-12 * max(n_in, 1.0) < v < 0.0:
+                    v = 0.0  # rounding noise below the conservation tolerance
+                clean[ch] = v
         total = clean[Channel.R1] + clean[Channel.L1] + clean[Channel.R2] + clean[Channel.L2]
-        return cls(n_out=MappingProxyType(clean), n_in=float(n_in),
-                   n_total=total, loss=float(n_in) - total)
+        return cls(n_out=MappingProxyType(clean), n_in=n_in,
+                   n_total=total, loss=n_in - total)
 
     @property
     def n_r1(self) -> float:

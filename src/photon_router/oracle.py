@@ -31,6 +31,7 @@ from .core import (
     CHANNELS,
     Channel,
     GridTooCoarse,
+    GridTooLarge,
     NonFinite,
     OutputReport,
     ParameterError,
@@ -46,6 +47,10 @@ Drive = tuple[Channel, Callable]
 _EDGE_RATIO = 1e-4          # drive amplitude allowed at window edges, vs peak
 _TAIL_MASS = 1e-10          # allowed envelope mass outside the window
 _RINGDOWN_RATIO = 1e-8      # |c(t_end)| allowed vs max |c|
+# RK4 steps allowed on one grid: about 4x the longest grid the tests, the
+# verify battery and the benchmark integrate (482 000 steps). The forcing
+# alone takes 32 bytes per step, and the loop about 1.4 us per step.
+MAX_STEPS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -53,7 +58,8 @@ class TimeGrid:
     """Uniform integration grid; dt is an upper bound on the actual step.
 
     The number of steps is ceil((t_end - t_start) / dt), so halving dt
-    exactly doubles the step count.
+    exactly doubles the step count. Grids of more than MAX_STEPS steps are
+    refused with GridTooLarge before anything is allocated.
     """
 
     t_start: float
@@ -65,6 +71,10 @@ class TimeGrid:
             raise NonFinite(f"non-finite entry in {self}")
         if self.t_end <= self.t_start or self.dt <= 0.0:
             raise ParameterError(f"need t_end > t_start and dt > 0, got {self}")
+        if self.n_steps > MAX_STEPS:
+            raise GridTooLarge(
+                f"{self} needs {self.n_steps} RK4 steps, more than the "
+                f"ceiling of {MAX_STEPS}")
 
     @property
     def n_steps(self) -> int:

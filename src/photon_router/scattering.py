@@ -19,8 +19,14 @@ and 4 with relative phases theta and theta'. The closed forms require
 gamma_c = 0; lossy monochromatic cases go through `scatter`, whose response
 denominator includes gamma_c.
 
-Amplitudes and detunings may be scalars or equal-shaped numpy arrays; all
-operations broadcast elementwise so frequency sweeps stay vectorized.
+Amplitudes, detunings and (in the closed forms) phases may be scalars or
+equal-shaped numpy arrays; all operations broadcast elementwise, so a whole
+frequency or phase grid is one call. Per element, an array evaluation gives
+the same bits as the scalar closed forms, and as a scalar report_from_scatter
+whose amplitudes are numpy scalars: numpy's elementwise cos, sin, exp and
+complex division agree with the scalar routines, and |b|^2 is formed per
+element with the scalar abs(). (CPython's own complex division rounds
+differently in the last bit.)
 """
 
 from __future__ import annotations
@@ -28,6 +34,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .core import (
     CHANNELS,
@@ -59,7 +67,29 @@ class ChannelAmplitudes:
 
     def total_flux(self):
         """Sum of |amplitude|^2 over the four channels."""
-        return abs(self.r1) ** 2 + abs(self.l1) ** 2 + abs(self.r2) ** 2 + abs(self.l2) ** 2
+        return _abs2(self.r1) + _abs2(self.l1) + _abs2(self.r2) + _abs2(self.l2)
+
+
+def _abs2(z):
+    """|z|^2 formed by the scalar abs(), elementwise for arrays.
+
+    numpy's array abs uses a vectorized hypot that differs from the scalar
+    one in the last bit, which would make grid rows differ from point rows.
+    Overflow gives inf, as in numpy, rather than an OverflowError.
+    """
+    if isinstance(z, np.ndarray):
+        return np.array([_abs2(v) for v in z.ravel().tolist()]).reshape(z.shape)
+    try:
+        return abs(z) ** 2
+    except OverflowError:
+        return math.inf
+
+
+def _cos_sin(x):
+    """(cos x, sin x): math's for scalars, numpy's (bit-identical) for arrays."""
+    if isinstance(x, np.ndarray):
+        return np.cos(x), np.sin(x)
+    return math.cos(x), math.sin(x)
 
 
 def amplitudes_of_drives(drives: Sequence[CoherentDrive]) -> tuple[ChannelAmplitudes, float]:
@@ -103,10 +133,14 @@ def scatter(params: RouterParams, inputs: ChannelAmplitudes, delta) -> ChannelAm
 
 
 def report_from_scatter(params: RouterParams, inputs: ChannelAmplitudes, delta) -> OutputReport:
-    """OutputReport with per-channel fluxes |scatter(...)|^2 (scalar inputs)."""
+    """OutputReport with per-channel fluxes |scatter(...)|^2.
+
+    With array amplitudes or detunings the report holds arrays, one element
+    per point; each equals the scalar call at that point.
+    """
     out = scatter(params, inputs, delta)
     return OutputReport.from_channel_numbers(
-        {ch: abs(out[ch]) ** 2 for ch in CHANNELS}, n_in=inputs.total_flux())
+        {ch: _abs2(out[ch]) for ch in CHANNELS}, n_in=inputs.total_flux())
 
 
 def _require_lossless(params: RouterParams, what: str) -> None:
@@ -162,8 +196,9 @@ def mean_output_two(params: RouterParams, mean_n: float, delta: float, phi: floa
     _require_mean_n(mean_n)
     g1, g2 = params.gamma1, params.gamma2
     d = delta * delta + (g1 + g2) ** 2
-    cross = (1.0 + math.cos(phi)) * g1 * g2
-    tilt = g1 * delta * math.sin(phi)
+    cos_phi, sin_phi = _cos_sin(phi)
+    cross = (1.0 + cos_phi) * g1 * g2
+    tilt = g1 * delta * sin_phi
     return OutputReport.from_channel_numbers(
         {
             Channel.R1: (1.0 - 2.0 * (cross + tilt) / d) * mean_n,
@@ -215,10 +250,9 @@ def mean_output_three(params: RouterParams, mean_n: float, delta: float,
     g1, g2 = params.gamma1, params.gamma2
     s = math.sqrt(g1 * g2)
     d = delta * delta + (g1 + g2) ** 2
-    ct, st = math.cos(theta), math.sin(theta)
-    cp, sp = math.cos(theta_prime), math.sin(theta_prime)
-    cd = math.cos(theta - theta_prime)
-    sd = math.sin(theta - theta_prime)
+    ct, st = _cos_sin(theta)
+    cp, sp = _cos_sin(theta_prime)
+    cd, sd = _cos_sin(theta - theta_prime)
 
     n_r1 = (delta * delta + g2 * g2 + 2.0 * g1 * g2
             - 2.0 * delta * s * (st + sp)

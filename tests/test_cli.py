@@ -75,6 +75,11 @@ class TestPointCommands:
         assert row["theta"] == ""
         assert float(row["N_total"]) == pytest.approx(2.0, abs=1e-6)
 
+    def test_consecutive_calls_do_not_share_values(self, capsys):
+        run_cli(capsys, ["three", "--theta", "1"])
+        _, out, _ = run_cli(capsys, ["three"])
+        assert rows_of(out)[0]["theta"] == "0.0"
+
     def test_total_column_is_exact_sum(self, capsys):
         _, out, _ = run_cli(capsys, ["two", "--phi", "0.7", "--gamma2", "0.6",
                                      "--delta", "0.5"])
@@ -124,6 +129,75 @@ class TestSweep:
         assert [r["Omega"] for r in rows] == ["0.2", "0.30000000000000004", "0.4"]
         for row in rows:
             assert float(row["N_total"]) == pytest.approx(2.0, abs=1e-6)
+
+    def test_destructive_null_in_phase_sweep(self, capsys):
+        _, out, _ = run_cli(capsys, ["sweep", "--case", "two", "--var", "phi",
+                                     "--start", "0", "--stop", str(2 * PI),
+                                     "--count", "3"])
+        row = rows_of(out)[1]
+        assert row["phi"] == "3.141592653589793"
+        assert row["N_r2"] == "0.0" and row["N_l2"] == "0.0"
+
+    # (case, scenario flags, sweep flags): every sweepable variable of each
+    # case, lossless and lossy, one and two axes
+    GRIDS = [
+        ("single", [], ["--var", "delta", "--start", "-3", "--stop", "3", "--count", "7"]),
+        ("single", ["--gamma-c", "0.3", "--mean-n", "1.7"],
+         ["--var", "delta", "--start", "-3", "--stop", "3", "--count", "7"]),
+        ("single", ["--delta", "0.4"],
+         ["--var", "gamma2", "--start", "0", "--stop", "2", "--count", "5"]),
+        ("single", ["--mean-n", "2.3", "--delta", "0.7"],
+         ["--var", "gamma_c", "--start", "0", "--stop", "1", "--count", "5"]),
+        ("single", ["--gamma-c", "0.2"],
+         ["--var", "delta", "--start", "-2", "--stop", "2", "--count", "3",
+          "--var2", "gamma2", "--start2", "0.5", "--stop2", "1.5", "--count2", "3"]),
+        ("two", ["--gamma2", "0.6", "--delta", "0.5"],
+         ["--var", "phi", "--start", "0", "--stop", "6", "--count", "7"]),
+        ("two", ["--gamma-c", "0.2", "--mean-n", "0.8", "--phi", "1.1"],
+         ["--var", "delta", "--start", "-3", "--stop", "3", "--count", "5"]),
+        ("two", ["--phi", "2.0", "--delta", "0.3"],
+         ["--var", "gamma2", "--start", "0", "--stop", "2", "--count", "5"]),
+        ("two", ["--phi", "2.0", "--delta", "0.3"],
+         ["--var", "gamma_c", "--start", "0", "--stop", "1", "--count", "5"]),
+        ("two", ["--gamma-c", "0.2", "--gamma2", "0.8"],
+         ["--var", "phi", "--start", "0", "--stop", "6", "--count", "4",
+          "--var2", "delta", "--start2", "-3", "--stop2", "3", "--count2", "3"]),
+        ("two", ["--delta", "0.9"],
+         ["--var", "phi", "--start", "0", "--stop", "6", "--count", "3",
+          "--var2", "gamma_c", "--start2", "0", "--stop2", "0.5", "--count2", "3"]),
+        ("three", ["--theta-prime", "0.4", "--gamma2", "0.7"],
+         ["--var", "theta", "--start", "0", "--stop", "6", "--count", "5"]),
+        ("three", ["--theta", "0.4", "--gamma-c", "0.25"],
+         ["--var", "theta_prime", "--start", "0", "--stop", "6", "--count", "5"]),
+        ("three", ["--theta", "1.3", "--theta-prime", "2.1", "--gamma-c", "0.1"],
+         ["--var", "delta", "--start", "-3", "--stop", "3", "--count", "5"]),
+        ("three", ["--theta", "1.3", "--theta-prime", "2.1", "--mean-n", "1.9"],
+         ["--var", "gamma2", "--start", "0", "--stop", "2", "--count", "5"]),
+        ("three", ["--theta", "1.3", "--theta-prime", "2.1", "--delta", "-0.6"],
+         ["--var", "gamma_c", "--start", "0", "--stop", "1", "--count", "5"]),
+        ("three", ["--gamma-c", "0.15", "--delta", "0.5"],
+         ["--var", "theta", "--start", "0", "--stop", "6", "--count", "3",
+          "--var2", "theta_prime", "--start2", "0", "--stop2", "6", "--count2", "3"]),
+        ("three", [],
+         ["--var", "theta", "--start", "0", "--stop", "6", "--count", "3",
+          "--var2", "theta_prime", "--start2", "0", "--stop2", "6", "--count2", "3"]),
+    ]
+    FLAGS = {"delta": "--delta", "phi": "--phi", "theta": "--theta",
+             "theta_prime": "--theta-prime", "gamma2": "--gamma2", "gamma_c": "--gamma-c"}
+
+    @pytest.mark.parametrize("case,scenario,sweep", GRIDS)
+    def test_sweep_rows_equal_point_rows(self, capsys, case, scenario, sweep):
+        code, out, _ = run_cli(capsys, ["sweep", "--case", case] + scenario + sweep)
+        assert code == 0
+        lines = out.splitlines()[1:]
+        swept = [sweep[sweep.index(flag) + 1] for flag in ("--var", "--var2")
+                 if flag in sweep]
+        for line, row in zip(lines, rows_of(out)):
+            point = [case] + scenario
+            for var in swept:
+                point += [self.FLAGS[var], row[var]]
+            _, single, _ = run_cli(capsys, point)
+            assert single.splitlines()[1] == line
 
     def test_repeat_runs_identical(self, capsys):
         _, first, _ = run_cli(capsys, self.SCAN)
@@ -209,6 +283,15 @@ class TestErrorPaths:
          "--start", "0", "--stop", "1", "--count", "5", "--var2", "delta"],
         ["sweep", "--case", "single", "--var", "phi",
          "--start", "0", "--stop", "1", "--count", "5"],
+        ["sweep", "--case", "two", "--var", "phi",
+         "--start", "0", "--stop", "inf", "--count", "5"],
+        ["sweep", "--case", "two", "--var", "gamma2",
+         "--start", "-1", "--stop", "1", "--count", "5"],
+        ["single", "--delta", "nan"],
+        ["two", "--mean-n", "1e308"],
+        ["two", "--gamma2", "0", "--gamma-c", "1e-9", "--delta", "1",
+         "--phi", "-1.5707963", "--mean-n", "1e308"],
+        ["three", "--theta", "inf"],
     ])
     def test_usage_errors_are_one_line(self, capsys, argv):
         code, out, err = run_cli(capsys, argv)

@@ -9,6 +9,7 @@ from photon_router import (
     Channel,
     ChannelAmplitudes,
     GridTooCoarse,
+    GridTooLarge,
     NonFinite,
     ParameterError,
     PulseNotContained,
@@ -83,6 +84,11 @@ class TestGridGuards:
             WavePacket(Channel.R1, 1.0, Omega=20.0), t, t0=0.45))]
         with pytest.raises(GridTooCoarse):
             integrate_cavity(RouterParams(), drives, TimeGrid(0.0, 0.9, 0.001))
+
+    def test_step_ceiling(self):
+        # a far-detuned cavity forces dt <= 0.02 / 50 across a 2400-long window
+        with pytest.raises(GridTooLarge, match="6027500 RK4 steps"):
+            default_grid(RouterParams(omega_c=50.0), _pair(0.0, Omega=0.01))
 
 
 class TestTimePulse:

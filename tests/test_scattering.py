@@ -196,6 +196,56 @@ class TestScatterVectorised:
                 # ndarray and scalar complex arithmetic differ in the last ulp
                 assert vec[ch][i] == pytest.approx(one[ch], rel=1e-14)
 
+    # The CLI evaluates sweeps through these array calls; each element must
+    # carry the same bits as the scalar call at that point.
+    rng = np.random.default_rng(7)
+    DELTA = rng.uniform(-6.0, 6.0, 300)
+    PHASE = rng.uniform(-7.0, 7.0, 300)
+    PHASE2 = rng.uniform(-7.0, 7.0, 300)
+
+    @staticmethod
+    def _same_bits(vec, one, i):
+        for ch in Channel:
+            assert vec.n_out[ch][i] == one.n_out[ch]
+        assert vec.n_total[i] == one.n_total
+        assert vec.loss[i] == one.loss
+
+    @pytest.mark.parametrize("gamma2", [0.0, 0.6, 1.7])
+    def test_closed_forms_on_arrays_match_scalars(self, gamma2):
+        params = RouterParams(gamma1=1.3, gamma2=gamma2)
+        d, ph, ph2 = self.DELTA, self.PHASE, self.PHASE2
+        single = mean_output_single(params, 1.9, d)
+        two = mean_output_two(params, 1.9, d, ph)
+        three = mean_output_three(params, 1.9, d, ph, ph2)
+        for i in range(d.size):
+            self._same_bits(single, mean_output_single(params, 1.9, float(d[i])), i)
+            self._same_bits(two, mean_output_two(params, 1.9, float(d[i]), float(ph[i])), i)
+            self._same_bits(three, mean_output_three(params, 1.9, float(d[i]),
+                                                     float(ph[i]), float(ph2[i])), i)
+
+    def test_phase_reports_on_arrays_match_scalars(self):
+        params = RouterParams(gamma2=0.8, gamma_c=0.3)
+        a = math.sqrt(1.9)
+        d, ph, ph2 = self.DELTA, self.PHASE, self.PHASE2
+        two = report_from_scatter(
+            params, ChannelAmplitudes(r1=a, l1=a * np.exp(1j * ph)), d)
+        three = report_from_scatter(
+            params, ChannelAmplitudes(r1=a, r2=a * np.exp(1j * ph),
+                                      l2=a * np.exp(1j * ph2)), d)
+        for i in range(d.size):
+            # numpy-scalar amplitudes, as a point command builds them
+            one = report_from_scatter(
+                params, ChannelAmplitudes(r1=a, l1=a * np.exp(1j * float(ph[i]))),
+                float(d[i]))
+            self._same_bits(two, one, i)
+            assert two.n_in[i] == one.n_in
+            one = report_from_scatter(
+                params, ChannelAmplitudes(r1=a, r2=a * np.exp(1j * float(ph[i])),
+                                          l2=a * np.exp(1j * float(ph2[i]))),
+                float(d[i]))
+            self._same_bits(three, one, i)
+            assert three.n_in[i] == one.n_in
+
 
 class TestInvariants:
     @given(gamma1=gamma1s, gamma2=gammas, delta=deltas,
