@@ -14,7 +14,6 @@ from .core import (
     CoherentDrive,
     GridTooCoarse,
     GridTooLarge,
-    LossyNotSupported,
     NegativeRate,
     NonFinite,
     NonPositiveGamma1,
@@ -66,7 +65,6 @@ __all__ = [
     "CoherentDrive",
     "GridTooCoarse",
     "GridTooLarge",
-    "LossyNotSupported",
     "NegativeRate",
     "NonFinite",
     "NonPositiveGamma1",

@@ -1,15 +1,15 @@
 """Command-line front end for the router simulator.
 
 Subcommands: `single`, `two`, `three` evaluate monochromatic coherent
-inputs on ports 1, 1+2, or 1+3+4 (closed forms when gamma_c = 0, the
-general scattering map otherwise); `packet` routes two Gaussian packets
-on ports 1 and 2 with a relative phase; `sweep` grids one or two scenario
-variables; `verify` runs the self-validation suites.
+inputs on ports 1, 1+2, or 1+3+4 through the closed forms, which cover
+every gamma_c >= 0; `packet` routes two Gaussian packets on ports 1 and 2
+with a relative phase; `sweep` grids one or two scenario variables;
+`verify` runs the self-validation suites.
 
 A monochromatic sweep is evaluated as one array computation per set of
 rates (gamma2, gamma_c), so a grid that sweeps neither is a single call of
-the closed form or of the scattering map; a point command is a one-point
-grid on the same path. Packet sweeps call the quadrature once per point.
+the closed form; a point command is a one-point grid on the same path.
+Packet sweeps call the quadrature once per point.
 ROUTER_SIM_THREADS is still validated (an integer >= 1) but no longer
 changes anything: sweeps run on one thread.
 
@@ -52,11 +52,10 @@ from .core import (
 )
 from .oracle import default_grid, integrate_cavity, time_pulse
 from .scattering import (
-    ChannelAmplitudes,
     mean_output_single,
     mean_output_three,
     mean_output_two,
-    report_from_scatter,
+    report_from_scatter,  # unused here; perfbench/tracing.py patches it by this name
 )
 from .verify import SUITE_NAMES, format_table, run_suites
 from .wavepacket import QuadratureSpec, packet_output_numbers
@@ -217,35 +216,20 @@ def _report_values(rep: OutputReport) -> tuple:
 
 def _mono_report(case: str, params: RouterParams, n: float, at: dict) -> OutputReport:
     """One report over the points `at` (delta and phase arrays) of one rate set."""
-    delta = at["delta"]
-    lossless = params.gamma_c == 0.0
-    a = math.sqrt(n)
-
     if case == "single":
-        return mean_output_single(params, n, delta) if lossless else \
-            report_from_scatter(params, ChannelAmplitudes(r1=a), delta)
+        return mean_output_single(params, n, at["delta"])
     if case == "two":
-        phi = at["phi"]
-        return mean_output_two(params, n, delta, phi) if lossless else \
-            report_from_scatter(
-                params, ChannelAmplitudes(r1=a, l1=a * np.exp(1j * phi)), delta)
-    theta, theta_prime = at["theta"], at["theta_prime"]
-    return mean_output_three(params, n, delta, theta, theta_prime) if lossless else \
-        report_from_scatter(
-            params, ChannelAmplitudes(r1=a, r2=a * np.exp(1j * theta),
-                                      l2=a * np.exp(1j * theta_prime)), delta)
+        return mean_output_two(params, n, at["delta"], at["phi"])
+    return mean_output_three(params, n, at["delta"], at["theta"], at["theta_prime"])
 
 
 def _mono_numbers(case: str, scn: dict, grid: dict, size: int) -> np.ndarray:
-    n = scn["mean_n"]
-    if n < 0:
-        raise ParameterError(f"mean_n must be >= 0, got {n}")
     numbers = np.empty((len(_RESULTS), size))
     for (gamma2, gamma_c), idx in _rate_groups(scn, grid, size):
         params = RouterParams(gamma1=scn["gamma1"], gamma2=gamma2, gamma_c=gamma_c)
         at = {key: grid[key][idx] if key in grid else np.full(idx.size, scn[key])
               for key in ("delta",) + _PHASES if key in _CASE_VARS[case]}
-        rep = _mono_report(case, params, n, at)
+        rep = _mono_report(case, params, scn["mean_n"], at)
         for row, value in zip(numbers, _report_values(rep)):
             row[idx] = value
     return numbers

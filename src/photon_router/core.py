@@ -47,10 +47,6 @@ class NonFinite(ParameterError):
     """All rates and frequencies must be finite."""
 
 
-class LossyNotSupported(RouterError):
-    """Closed-form mean numbers are derived for gamma_c = 0 only."""
-
-
 class QuadratureUnderResolved(RouterError):
     """Frequency quadrature did not converge under step halving."""
 

@@ -15,9 +15,12 @@ The map is unitary whenever gamma_c = 0. On top of this general map sit the
 closed-form mean output numbers for the standard drive scenarios: a single
 driven port, equal-amplitude drives on ports 1 and 2 with relative phase phi,
 the two-port reduction gamma2 = 0, and equal-amplitude drives on ports 1, 3
-and 4 with relative phases theta and theta'. The closed forms require
-gamma_c = 0; lossy monochromatic cases go through `scatter`, whose response
-denominator includes gamma_c.
+and 4 with relative phases theta and theta'. The closed forms are |S a|^2 of
+the same map worked out by hand, so they hold for every gamma_c >= 0, and
+each is written so that at gamma_c = 0 it reduces, operation for operation,
+to the lossless expression. `scatter` is the general map and the cross-check
+of the forms. The closed forms reject non-finite photon numbers, detunings
+and phases with NonFinite.
 
 Amplitudes, detunings and (in the closed forms) phases may be scalars or
 equal-shaped numpy arrays; all operations broadcast elementwise, so a whole
@@ -41,8 +44,8 @@ from .core import (
     CHANNELS,
     Channel,
     CoherentDrive,
-    LossyNotSupported,
     NegativeRate,
+    NonFinite,
     OutputReport,
     ParameterError,
     RouterParams,
@@ -143,33 +146,41 @@ def report_from_scatter(params: RouterParams, inputs: ChannelAmplitudes, delta) 
         {ch: _abs2(out[ch]) for ch in CHANNELS}, n_in=inputs.total_flux())
 
 
-def _require_lossless(params: RouterParams, what: str) -> None:
-    if params.gamma_c != 0.0:
-        raise LossyNotSupported(
-            f"{what} is derived for gamma_c = 0 (got gamma_c = {params.gamma_c}); "
-            "use scatter() for lossy monochromatic inputs")
-
-
 def _require_mean_n(mean_n: float) -> None:
     if mean_n < 0.0:
         raise NegativeRate(f"mean photon number must be >= 0, got {mean_n}")
 
 
+def _require_finite(**values) -> None:
+    """Raise NonFinite for the first named scalar or array holding a NaN or inf."""
+    for name, value in values.items():
+        if isinstance(value, np.ndarray):
+            bad = value[~np.isfinite(value)]
+            if bad.size:
+                raise NonFinite(
+                    f"{name} must be finite, got {bad[0]} among {value.size} points")
+        elif not math.isfinite(value):
+            raise NonFinite(f"{name} must be finite, got {value}")
+
+
 def mean_output_single(params: RouterParams, mean_n: float, delta: float) -> OutputReport:
     """Mean output numbers for photons injected into input port 1 only.
 
-    N_r1 = (delta^2 + gamma2^2) / D, N_l1 = gamma1^2 / D,
-    N_r2 = N_l2 = gamma1 gamma2 / D, with D = delta^2 + (gamma1 + gamma2)^2,
-    each times mean_n. Independent of the input phase.
+    N_r1 = (delta^2 + (gamma2 + gamma_c)^2) / D, N_l1 = gamma1^2 / D,
+    N_r2 = N_l2 = gamma1 gamma2 / D, with D = delta^2 + (gamma1 + gamma2 + gamma_c)^2,
+    each times mean_n; the cavity absorbs 2 gamma1 gamma_c / D mean_n.
+    Independent of the input phase.
     """
     validate(params)
-    _require_lossless(params, "mean_output_single")
+    _require_finite(mean_n=mean_n, delta=delta)
     _require_mean_n(mean_n)
     g1, g2 = params.gamma1, params.gamma2
-    d = delta * delta + (g1 + g2) ** 2
+    a = g2 + params.gamma_c
+    # D from a, so the numerator and the denominator share the rounding of a
+    d = delta * delta + (g1 + a) ** 2
     return OutputReport.from_channel_numbers(
         {
-            Channel.R1: (delta * delta + g2 * g2) / d * mean_n,
+            Channel.R1: (delta * delta + a * a) / d * mean_n,
             Channel.L1: g1 * g1 / d * mean_n,
             Channel.R2: g1 * g2 / d * mean_n,
             Channel.L2: g1 * g2 / d * mean_n,
@@ -182,29 +193,34 @@ def mean_output_two(params: RouterParams, mean_n: float, delta: float, phi: floa
     """Mean output numbers for equal drives on input ports 1 and 2.
 
     phi is the phase of the port-2 drive relative to port 1, i.e. input
-    amplitudes (alpha, alpha e^{i phi}):
+    amplitudes (alpha, alpha e^{i phi}). Writing a = g2 + gamma_c and
+    D = delta^2 + (g1 + g2 + gamma_c)^2:
 
-      N_r1 = [1 - 2((1+cos phi) g1 g2 + g1 delta sin phi)/D] mean_n
-      N_l1 = [1 - 2((1+cos phi) g1 g2 - g1 delta sin phi)/D] mean_n
+      N_r1 = [1 - 2((1+cos phi) g1 a + g1 delta sin phi)/D] mean_n
+      N_l1 = [1 - 2((1+cos phi) g1 a - g1 delta sin phi)/D] mean_n
       N_r2 = N_l2 = 2 (1+cos phi) g1 g2 / D mean_n
 
     2*pi-periodic in phi; the (1+cos phi) factor kills the waveguide-2
-    output identically at phi = pi regardless of the other parameters.
+    output identically at phi = pi regardless of the other parameters,
+    gamma_c included.
     """
     validate(params)
-    _require_lossless(params, "mean_output_two")
+    _require_finite(mean_n=mean_n, delta=delta, phi=phi)
     _require_mean_n(mean_n)
     g1, g2 = params.gamma1, params.gamma2
-    d = delta * delta + (g1 + g2) ** 2
+    a = g2 + params.gamma_c
+    d = delta * delta + (g1 + a) ** 2
     cos_phi, sin_phi = _cos_sin(phi)
-    cross = (1.0 + cos_phi) * g1 * g2
+    # interference of the two drives through the cavity, seen by guides 1 and 2
+    cross1 = (1.0 + cos_phi) * g1 * a
+    cross2 = (1.0 + cos_phi) * g1 * g2
     tilt = g1 * delta * sin_phi
     return OutputReport.from_channel_numbers(
         {
-            Channel.R1: (1.0 - 2.0 * (cross + tilt) / d) * mean_n,
-            Channel.L1: (1.0 - 2.0 * (cross - tilt) / d) * mean_n,
-            Channel.R2: 2.0 * cross / d * mean_n,
-            Channel.L2: 2.0 * cross / d * mean_n,
+            Channel.R1: (1.0 - 2.0 * (cross1 + tilt) / d) * mean_n,
+            Channel.L1: (1.0 - 2.0 * (cross1 - tilt) / d) * mean_n,
+            Channel.R2: 2.0 * cross2 / d * mean_n,
+            Channel.L2: 2.0 * cross2 / d * mean_n,
         },
         n_in=2.0 * mean_n,
     )
@@ -217,11 +233,12 @@ def two_port_reduction(gamma1: float, mean_n: float, delta: float, phi: float) -
     N_l1 the same with +sin phi; each times mean_n. At |delta| = gamma1 the
     swing covers the full range 0 .. 2 mean_n.
     """
+    _require_finite(gamma1=gamma1, mean_n=mean_n, delta=delta, phi=phi)
     if gamma1 <= 0.0:
         raise ParameterError(f"gamma1 must be > 0, got {gamma1}")
     _require_mean_n(mean_n)
     d = delta * delta + gamma1 * gamma1
-    swing = 2.0 * gamma1 * delta * math.sin(phi)
+    swing = 2.0 * gamma1 * delta * _cos_sin(phi)[1]
     return ((d - swing) / d * mean_n, (d + swing) / d * mean_n)
 
 
@@ -231,43 +248,45 @@ def mean_output_three(params: RouterParams, mean_n: float, delta: float,
 
     theta and theta_prime are the phases of the port-3 and port-4 drives
     relative to port 1: input amplitudes (alpha, 0, alpha e^{i theta},
-    alpha e^{i theta'}). Writing s = sqrt(g1 g2) and D = delta^2 + (g1+g2)^2:
+    alpha e^{i theta'}). Writing s = sqrt(g1 g2), a = g2 + gamma_c,
+    b = g1 + gamma_c and D = delta^2 + (g1 + g2 + gamma_c)^2:
 
-      N_r1 = [delta^2 + g2^2 + 2 g1 g2 - 2 delta s (sin th + sin th')
-              - 2 s g2 (cos th + cos th') + 2 cos(th - th') g1 g2] / D
+      N_r1 = [delta^2 + a^2 + 2 g1 g2 - 2 delta s (sin th + sin th')
+              - 2 s a (cos th + cos th') + 2 cos(th - th') g1 g2] / D
       N_l1 = [g1^2 + 2 (1 + cos(th - th')) g1 g2
               + 2 (cos th + cos th') g1 s] / D
-      N_r2 = [delta^2 + (g1+g2)^2 - g1 g2 + 2 sin th s delta
-              + 2 sin(th - th') g2 delta - 2 cos th g1 s
-              + 2 cos th' g2 s - 2 cos(th - th') g1 g2] / D
+      N_r2 = [D - g2 (g1 + 2 gamma_c) + 2 sin th s delta
+              + 2 sin(th - th') g2 delta - 2 cos th b s
+              + 2 cos th' g2 s - 2 cos(th - th') b g2] / D
       N_l2 = N_r2 with th <-> th' swapped,
 
     each times mean_n.
     """
     validate(params)
-    _require_lossless(params, "mean_output_three")
+    _require_finite(mean_n=mean_n, delta=delta, theta=theta, theta_prime=theta_prime)
     _require_mean_n(mean_n)
-    g1, g2 = params.gamma1, params.gamma2
+    g1, g2, gc = params.gamma1, params.gamma2, params.gamma_c
+    a, b = g2 + gc, g1 + gc
     s = math.sqrt(g1 * g2)
-    d = delta * delta + (g1 + g2) ** 2
+    d = delta * delta + (g1 + a) ** 2
     ct, st = _cos_sin(theta)
     cp, sp = _cos_sin(theta_prime)
     cd, sd = _cos_sin(theta - theta_prime)
 
-    n_r1 = (delta * delta + g2 * g2 + 2.0 * g1 * g2
+    n_r1 = (delta * delta + a * a + 2.0 * g1 * g2
             - 2.0 * delta * s * (st + sp)
-            - 2.0 * s * g2 * (ct + cp)
+            - 2.0 * s * a * (ct + cp)
             + 2.0 * cd * g1 * g2) / d * mean_n
     n_l1 = (g1 * g1 + 2.0 * (1.0 + cd) * g1 * g2
             + 2.0 * (ct + cp) * g1 * s) / d * mean_n
-    n_r2 = (delta * delta + (g1 + g2) ** 2 - g1 * g2
+    n_r2 = (d - g2 * (g1 + 2.0 * gc)
             + 2.0 * st * s * delta + 2.0 * sd * g2 * delta
-            - 2.0 * ct * g1 * s + 2.0 * cp * g2 * s
-            - 2.0 * cd * g1 * g2) / d * mean_n
-    n_l2 = (delta * delta + (g1 + g2) ** 2 - g1 * g2
+            - 2.0 * ct * b * s + 2.0 * cp * g2 * s
+            - 2.0 * cd * b * g2) / d * mean_n
+    n_l2 = (d - g2 * (g1 + 2.0 * gc)
             + 2.0 * sp * s * delta - 2.0 * sd * g2 * delta
-            - 2.0 * cp * g1 * s + 2.0 * ct * g2 * s
-            - 2.0 * cd * g1 * g2) / d * mean_n
+            - 2.0 * cp * b * s + 2.0 * ct * g2 * s
+            - 2.0 * cd * b * g2) / d * mean_n
 
     return OutputReport.from_channel_numbers(
         {Channel.R1: n_r1, Channel.L1: n_l1, Channel.R2: n_r2, Channel.L2: n_l2},

@@ -95,9 +95,10 @@ def _suite_core() -> list[CheckResult]:
 # ---------------------------------------------------------------- scattering
 
 
-def _random_params(rng) -> RouterParams:
+def _random_params(rng, lossy: bool = False) -> RouterParams:
     g1 = rng.uniform(0.2, 3.0)
-    return RouterParams(gamma1=g1, gamma2=g1 * rng.uniform(0.0, 5.0))
+    return RouterParams(gamma1=g1, gamma2=g1 * rng.uniform(0.0, 5.0),
+                        gamma_c=rng.uniform(0.0, 1.0) if lossy else 0.0)
 
 
 def _suite_scattering() -> list[CheckResult]:
@@ -114,8 +115,8 @@ def _suite_scattering() -> list[CheckResult]:
                            "1000 random lossless four-input draws"))
 
     dev3 = dev4 = dev5 = 0.0
-    for _ in range(1000):
-        params = _random_params(rng)
+    for i in range(1000):
+        params = _random_params(rng, lossy=i % 2 == 1)
         delta = rng.uniform(-10, 10)
         n = rng.uniform(0.01, 4.0)
         a = math.sqrt(n)
@@ -134,12 +135,13 @@ def _suite_scattering() -> list[CheckResult]:
                                       l2=a * np.exp(1j * ph[1])), delta)
         dev5 = max(dev5, _report_dev(
             mean_output_three(params, n, delta, ph[0], ph[1]), brute, 3 * n))
+    lossy = "1000 draws, half with gamma_c in [0, 1]"
     out.append(CheckResult("scattering", "single-input-form-vs-scatter", dev3, 1e-10,
-                           dev3 <= 1e-10, "1000 draws"))
+                           dev3 <= 1e-10, lossy))
     out.append(CheckResult("scattering", "two-input-form-vs-scatter", dev4, 1e-10,
-                           dev4 <= 1e-10, "1000 draws"))
+                           dev4 <= 1e-10, lossy))
     out.append(CheckResult("scattering", "three-input-form-vs-scatter", dev5, 1e-10,
-                           dev5 <= 1e-10, "1000 draws"))
+                           dev5 <= 1e-10, lossy))
 
     dev = 0.0
     for _ in range(200):

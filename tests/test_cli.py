@@ -47,6 +47,18 @@ class TestPointCommands:
         assert row["theta"] == "" and row["theta_prime"] == ""
         assert row["Omega"] == ""
 
+    def test_two_antisymmetric_lossy(self, capsys):
+        # the antisymmetric pair leaves the lossy cavity dark: guide 2 gets
+        # exactly nothing and nothing is absorbed
+        code, out, _ = run_cli(capsys, [
+            "two", "--gamma-c", "0.3", "--delta", "0.7",
+            "--phi", "3.141592653589793"])
+        assert code == 0
+        row = rows_of(out)[0]
+        assert row["N_r2"] == "0.0"
+        assert row["N_l2"] == "0.0"
+        assert float(row["loss"]) == pytest.approx(0.0, abs=1e-15)
+
     def test_single_default_split(self, capsys):
         _, out, _ = run_cli(capsys, ["single"])
         row = rows_of(out)[0]

@@ -17,7 +17,7 @@ from photon_router import (
     Channel,
     ChannelAmplitudes,
     CoherentDrive,
-    LossyNotSupported,
+    NonFinite,
     ParameterError,
     RouterParams,
     amplitudes_of_drives,
@@ -99,9 +99,16 @@ class TestFrozenSingleInput:
         rep = mean_output_single(LOSSLESS, 1.0, 1e6)
         assert rep.n_r1 == pytest.approx(1.0, abs=1e-5)
 
-    def test_lossy_rejected(self):
-        with pytest.raises(LossyNotSupported):
-            mean_output_single(RouterParams(gamma_c=0.1), 1.0, 0.0)
+    def test_lossy_frozen_value(self):
+        # gamma2 = 0.6, gamma_c = 0.2, delta = 0.5 (matrix reference)
+        rep = mean_output_single(RouterParams(gamma2=0.6, gamma_c=0.2), 1.0, 0.5)
+        expected = (0.2550143266475644, 0.28653295128939826,
+                    0.17191977077363899, 0.17191977077363899)
+        for got, want in zip((rep.n_r1, rep.n_l1, rep.n_r2, rep.n_l2), expected):
+            assert got == pytest.approx(want, rel=1e-12)
+        assert rep.loss == pytest.approx(0.4 / 3.49, rel=1e-12)  # 2 g1 gamma_c / D
+        assert rep.loss > 0.0
+        assert rep.n_total + rep.loss == pytest.approx(rep.n_in, rel=1e-12)
 
 
 class TestFrozenTwoInput:
@@ -212,16 +219,18 @@ class TestScatterVectorised:
 
     @pytest.mark.parametrize("gamma2", [0.0, 0.6, 1.7])
     def test_closed_forms_on_arrays_match_scalars(self, gamma2):
-        params = RouterParams(gamma1=1.3, gamma2=gamma2)
         d, ph, ph2 = self.DELTA, self.PHASE, self.PHASE2
-        single = mean_output_single(params, 1.9, d)
-        two = mean_output_two(params, 1.9, d, ph)
-        three = mean_output_three(params, 1.9, d, ph, ph2)
-        for i in range(d.size):
-            self._same_bits(single, mean_output_single(params, 1.9, float(d[i])), i)
-            self._same_bits(two, mean_output_two(params, 1.9, float(d[i]), float(ph[i])), i)
-            self._same_bits(three, mean_output_three(params, 1.9, float(d[i]),
-                                                     float(ph[i]), float(ph2[i])), i)
+        for gamma_c in (0.0, 0.35):
+            params = RouterParams(gamma1=1.3, gamma2=gamma2, gamma_c=gamma_c)
+            single = mean_output_single(params, 1.9, d)
+            two = mean_output_two(params, 1.9, d, ph)
+            three = mean_output_three(params, 1.9, d, ph, ph2)
+            for i in range(d.size):
+                self._same_bits(single, mean_output_single(params, 1.9, float(d[i])), i)
+                self._same_bits(two, mean_output_two(params, 1.9, float(d[i]),
+                                                     float(ph[i])), i)
+                self._same_bits(three, mean_output_three(params, 1.9, float(d[i]),
+                                                         float(ph[i]), float(ph2[i])), i)
 
     def test_phase_reports_on_arrays_match_scalars(self):
         params = RouterParams(gamma2=0.8, gamma_c=0.3)
@@ -259,40 +268,40 @@ class TestInvariants:
         n_out = outputs.total_flux()
         assert abs(n_out - n_in) <= 1e-12 * max(n_in, 1.0)
 
-    @given(gamma1=gamma1s, gamma2=gammas, delta=deltas, mean_n=mean_ns)
+    @given(gamma1=gamma1s, gamma2=gammas, gamma_c=gammas, delta=deltas, mean_n=mean_ns)
     @relaxed
-    def test_single_form_matches_matrix(self, gamma1, gamma2, delta, mean_n):
-        params = RouterParams(gamma1=gamma1, gamma2=gamma2)
+    def test_single_form_matches_matrix(self, gamma1, gamma2, gamma_c, delta, mean_n):
+        params = RouterParams(gamma1=gamma1, gamma2=gamma2, gamma_c=gamma_c)
         rep = mean_output_single(params, mean_n, delta)
-        ref = output_fluxes(gamma1, gamma2, 0.0, delta,
+        ref = output_fluxes(gamma1, gamma2, gamma_c, delta,
                             np.array([math.sqrt(mean_n), 0.0, 0.0, 0.0]))
         scale = max(mean_n, 1.0)
         for got, want in zip((rep.n_r1, rep.n_l1, rep.n_r2, rep.n_l2), ref):
             assert abs(got - want) <= 1e-10 * scale
 
-    @given(gamma1=gamma1s, gamma2=gammas, delta=deltas,
+    @given(gamma1=gamma1s, gamma2=gammas, gamma_c=gammas, delta=deltas,
            phi=phases, mean_n=mean_ns)
     @relaxed
-    def test_two_form_matches_matrix(self, gamma1, gamma2, delta, phi, mean_n):
-        params = RouterParams(gamma1=gamma1, gamma2=gamma2)
+    def test_two_form_matches_matrix(self, gamma1, gamma2, gamma_c, delta, phi, mean_n):
+        params = RouterParams(gamma1=gamma1, gamma2=gamma2, gamma_c=gamma_c)
         rep = mean_output_two(params, mean_n, delta, phi)
         r = math.sqrt(mean_n)
-        ref = output_fluxes(gamma1, gamma2, 0.0, delta,
+        ref = output_fluxes(gamma1, gamma2, gamma_c, delta,
                             np.array([r, r * np.exp(1j * phi), 0.0, 0.0]))
         scale = max(mean_n, 1.0)
         for got, want in zip((rep.n_r1, rep.n_l1, rep.n_r2, rep.n_l2), ref):
             assert abs(got - want) <= 1e-10 * scale
 
-    @given(gamma1=gamma1s, gamma2=gammas, delta=deltas,
+    @given(gamma1=gamma1s, gamma2=gammas, gamma_c=gammas, delta=deltas,
            theta=phases, theta_prime=phases, mean_n=mean_ns)
     @relaxed
-    def test_three_form_matches_matrix(self, gamma1, gamma2, delta,
+    def test_three_form_matches_matrix(self, gamma1, gamma2, gamma_c, delta,
                                        theta, theta_prime, mean_n):
-        params = RouterParams(gamma1=gamma1, gamma2=gamma2)
+        params = RouterParams(gamma1=gamma1, gamma2=gamma2, gamma_c=gamma_c)
         rep = mean_output_three(params, mean_n, delta, theta, theta_prime)
         r = math.sqrt(mean_n)
         ref = output_fluxes(
-            gamma1, gamma2, 0.0, delta,
+            gamma1, gamma2, gamma_c, delta,
             np.array([r, 0.0, r * np.exp(1j * theta),
                       r * np.exp(1j * theta_prime)]))
         scale = max(mean_n, 1.0)
@@ -318,10 +327,12 @@ class TestInvariants:
         rep = mean_output_two(RouterParams(gamma2=gamma2), mean_n, delta, phi)
         assert rep.n_r2 == rep.n_l2
 
-    @given(gamma2=gammas, delta=deltas, mean_n=mean_ns)
+    @given(gamma2=gammas, gamma_c=gammas, delta=deltas, mean_n=mean_ns)
     @relaxed
-    def test_antisymmetric_null_is_exact(self, gamma2, delta, mean_n):
-        rep = mean_output_two(RouterParams(gamma2=gamma2), mean_n, delta, PI)
+    def test_antisymmetric_null_is_exact(self, gamma2, gamma_c, delta, mean_n):
+        # the antisymmetric pair never excites the cavity, loss or not
+        rep = mean_output_two(RouterParams(gamma2=gamma2, gamma_c=gamma_c),
+                              mean_n, delta, PI)
         assert rep.n_r2 == 0.0
         assert rep.n_l2 == 0.0
 
@@ -360,6 +371,29 @@ class TestInvariants:
         scale = max(base.n_in, 1.0)
         for ch in Channel:
             assert abs(base.n_out[ch] - rot.n_out[ch]) <= 1e-12 * scale
+
+
+NAN_ROW = np.array([0.0, math.nan, 1.0])
+INF_ROW = np.array([0.0, 1.0, -math.inf])
+ZEROS = np.zeros(3)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("call", [
+        lambda: mean_output_single(LOSSLESS, math.nan, 0.0),
+        lambda: mean_output_two(LOSSLESS, 1.0, math.nan, 0.0),
+        lambda: mean_output_three(LOSSLESS, 1.0, 0.0, math.inf, 0.0),
+        lambda: two_port_reduction(1.0, 1.0, 0.0, math.inf),
+        lambda: mean_output_single(LOSSLESS, 1.0, NAN_ROW),
+        lambda: mean_output_two(LOSSLESS, 1.0, ZEROS, NAN_ROW),
+        lambda: mean_output_three(LOSSLESS, 1.0, ZEROS, ZEROS, INF_ROW),
+        lambda: two_port_reduction(1.0, 1.0, INF_ROW, ZEROS),
+    ], ids=["single-mean_n", "two-delta", "three-theta", "reduction-phi",
+            "single-delta-array", "two-phi-array", "three-theta_prime-array",
+            "reduction-delta-array"])
+    def test_rejected(self, call):
+        with pytest.raises(NonFinite):
+            call()
 
 
 class TestReportFromScatter:
