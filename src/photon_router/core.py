@@ -152,6 +152,10 @@ class CoherentDrive:
     amplitude: complex
     delta: float = 0.0
 
+    def __post_init__(self):
+        if not (np.isfinite(self.amplitude) and math.isfinite(self.delta)):
+            raise NonFinite(f"non-finite entry in {self}")
+
 
 @dataclass(frozen=True)
 class WavePacket:

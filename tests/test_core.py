@@ -7,6 +7,7 @@ import pytest
 from photon_router import (
     CHANNELS,
     Channel,
+    CoherentDrive,
     NegativeRate,
     NonFinite,
     NonPositiveGamma1,
@@ -109,6 +110,19 @@ class TestWavePacket:
     def test_non_finite(self):
         with pytest.raises(NonFinite):
             WavePacket(Channel.R1, mean_n=math.nan)
+
+
+class TestCoherentDrive:
+    @pytest.mark.parametrize("amplitude, delta", [
+        (math.nan, 0.0), (complex(1.0, math.inf), 0.0), (1.0, math.inf), (1.0, math.nan),
+    ])
+    def test_non_finite(self, amplitude, delta):
+        with pytest.raises(NonFinite):
+            CoherentDrive(Channel.R1, amplitude, delta=delta)
+
+    def test_finite_kept(self):
+        drive = CoherentDrive(Channel.L2, 0.5 - 2j, delta=-1.5)
+        assert drive.amplitude == 0.5 - 2j and drive.delta == -1.5
 
 
 class TestOutputReport:

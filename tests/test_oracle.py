@@ -1,11 +1,16 @@
 """Time-domain integrator: grid rules, RK4 convergence, cross-checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _reference import integrate_cavity_loop
 from photon_router import (
+    CHANNELS,
     Channel,
     ChannelAmplitudes,
     GridTooCoarse,
@@ -27,6 +32,10 @@ from photon_router import (
 )
 
 PI = math.pi
+
+
+def _drives(packets: list[WavePacket]) -> list:
+    return [(p.channel, lambda t, _p=p: time_pulse(_p, t)) for p in packets]
 
 
 def _pair(phi: float, mean_n: float = 1.0, Omega: float = 0.3) -> list[WavePacket]:
@@ -85,6 +94,23 @@ class TestGridGuards:
         with pytest.raises(GridTooCoarse):
             integrate_cavity(RouterParams(), drives, TimeGrid(0.0, 0.9, 0.001))
 
+    @pytest.mark.parametrize("omega_c, gain", [(1000.0, "7.58888"), (1e200, "nan")])
+    def test_rk4_unstable_step(self, omega_c, gain):
+        # the step passes 0.01 / total_decay, but h * omega_c = 4 puts RK4
+        # outside its stability region, which ended in NaN; at 1e200 R itself
+        # overflows to NaN
+        drives = _drives([WavePacket(Channel.R1, 1.0, Omega=0.3)])
+        want = f"|R| = {gain} >= 1 at step 4.000e-03 with omega_c = {omega_c}"
+        with pytest.raises(GridTooCoarse, match=re.escape(want)):
+            integrate_cavity(RouterParams(omega_c=omega_c), drives,
+                             TimeGrid(-40.0, 40.0, 0.004))
+
+    def test_rk4_unstable_user_grid_in_report(self):
+        with pytest.raises(GridTooCoarse, match=r"\|R\| = .*omega_c = 1000"):
+            time_domain_report(RouterParams(omega_c=1000.0),
+                               [WavePacket(Channel.R1, 1.0, Omega=0.3)],
+                               grid=TimeGrid(-40.0, 45.0, 0.004))
+
     def test_step_ceiling(self):
         # a far-detuned cavity forces dt <= 0.02 / 50 across a 2400-long window
         with pytest.raises(GridTooLarge, match="6027500 RK4 steps"):
@@ -110,6 +136,25 @@ class TestTimePulse:
     def test_zero_packet(self):
         packet = WavePacket(Channel.R1, mean_n=0.0, Omega=0.3)
         assert complex(time_pulse(packet, 0.3)) == 0j
+
+    @pytest.mark.parametrize("packet", [
+        WavePacket(Channel.R1, mean_n=1.3, Omega=0.3, phase=0.7),
+        WavePacket(Channel.L2, mean_n=0.4, Omega=2.0, phase=-2.1),
+    ])
+    def test_zero_carrier_matches_formula(self, packet):
+        # the omega0 = 0 shortcut drops a factor exp(-1j * 0 * tau) = 1
+        t = np.linspace(-50.0, 50.0, 100_001)
+        tau = t - 0.4
+        alpha = math.sqrt(packet.mean_n) * np.exp(1j * packet.phase)
+        envelope = (2.0 * packet.Omega ** 2 / np.pi) ** 0.25 * np.exp(-(packet.Omega * tau) ** 2)
+        want = alpha * envelope * np.exp(-1j * packet.omega0 * tau)
+        got = time_pulse(packet, t, t0=0.4)
+        assert np.array_equal(got, want)
+        # bit for bit, up to the sign of zero parts where the envelope underflows
+        got_parts, want_parts = got.view(np.float64), want.view(np.float64)
+        nonzero = want_parts != 0.0
+        assert np.array_equal(got_parts[nonzero].view(np.int64),
+                              want_parts[nonzero].view(np.int64))
 
     def test_carrier(self):
         base = WavePacket(Channel.R1, mean_n=1.0, Omega=0.3)
@@ -161,6 +206,48 @@ class TestIntegrateCavity:
         e1 = float(np.max(np.abs(c_h - c_ref[::8])))
         e2 = float(np.max(np.abs(c_h2[::2] - c_ref[::8])))
         assert math.log2(e1 / e2) >= 3.8
+
+
+class TestRecurrenceMatchesLoop:
+    """integrate_cavity solves the RK4 recurrence in numpy; the reference
+    steps the same RK4 algebra in a Python loop."""
+
+    @pytest.mark.parametrize("params, packets, grid", [
+        (RouterParams(), [WavePacket(Channel.R1, 1.0, Omega=0.3)],
+         TimeGrid(-40.0, 51.0, 0.004)),
+        (RouterParams(gamma2=0.6, gamma_c=0.2),
+         [WavePacket(Channel.R1, 1.0, Omega=0.3),
+          WavePacket(Channel.L1, 2.0, Omega=0.3, phase=1.0)],
+         TimeGrid(-40.0, 51.0, 0.004)),
+        (RouterParams(gamma1=0.7, gamma2=1.4, omega_c=2.5),
+         [WavePacket(Channel.R1, 1.0, Omega=0.5, phase=0.3),
+          WavePacket(Channel.R2, 0.5, Omega=0.5, phase=2.0),
+          WavePacket(Channel.L2, 1.5, Omega=0.5, phase=-1.0)],
+         TimeGrid(-24.0, 35.0, 0.003)),
+        (RouterParams(gamma1=1.2, gamma2=0.3, gamma_c=0.4, omega_c=-1.7),
+         [WavePacket(ch, 0.5 + i, Omega=0.8, phase=1.1 * i)
+          for i, ch in enumerate(CHANNELS)],
+         TimeGrid(-15.0, 25.0, 0.002)),
+        # a slow cavity still ringing at t_end: R^(n/2) is far from 0, so
+        # every doubling pass counts
+        (RouterParams(gamma1=0.05, gamma2=0.0, omega_c=0.4),
+         [WavePacket(Channel.R1, 1.0, Omega=0.5)],
+         TimeGrid(-20.0, 20.0, 0.005)),
+        # more than 100 000 steps, the cavity detuned from a slow pulse
+        (RouterParams(gamma2=0.0, omega_c=0.3),
+         [WavePacket(Channel.L1, 1.0, Omega=0.025)],
+         TimeGrid(-500.0, 511.0, 0.01)),
+    ], ids=["lossless", "lossy-pair", "detuned-three", "lossy-detuned-four",
+            "ringing-at-end", "101100-steps"])
+    def test_matches_python_loop(self, params, packets, grid):
+        drives = _drives(packets)
+        want = integrate_cavity_loop(params, drives, grid)
+        got = integrate_cavity(params, drives, grid)
+        assert got.shape == (grid.n_steps + 1,)
+        assert got[0] == 0j
+        peak = float(np.max(np.abs(want)))
+        assert peak > 0.0
+        assert float(np.max(np.abs(got - want))) <= 1e-12 * peak
 
 
 class TestOutputFlux:
@@ -229,3 +316,32 @@ class TestTimeDomainReport:
             time_domain_report(
                 params, [WavePacket(Channel.R1, mean_n=1.0, Omega=0.3)],
                 grid=TimeGrid(-40.0, 45.0, 0.05))
+
+
+class TestTimeDomainProperty:
+    """Time-domain oracle against packet quadrature across the domain of
+    library packet calls: 1-4 packets on distinct channels."""
+
+    @given(gamma1=st.floats(0.5, 2.0), gamma2=st.floats(0.0, 2.0),
+           gamma_c=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+           omega0=st.floats(-2.0, 2.0), detuning=st.floats(-3.0, 3.0),
+           log_Omega=st.floats(math.log(0.05), math.log(1.0)),
+           channels=st.lists(st.sampled_from(CHANNELS), min_size=1, max_size=4,
+                             unique=True),
+           data=st.data())
+    @settings(deadline=None, derandomize=True, max_examples=40)
+    def test_matches_packet_quadrature(self, gamma1, gamma2, gamma_c, omega0,
+                                       detuning, log_Omega, channels, data):
+        params = RouterParams(gamma1=gamma1, gamma2=gamma2, gamma_c=gamma_c,
+                              omega_c=omega0 + detuning)
+        Omega = math.exp(log_Omega)
+        packets = [WavePacket(ch, mean_n=data.draw(st.floats(0.1, 3.0)),
+                              omega0=omega0, Omega=Omega,
+                              phase=data.draw(st.floats(0.0, 2.0 * PI)))
+                   for ch in channels]
+        td = time_domain_report(params, packets)
+        fd = packet_output_numbers(params, packets)
+        for ch in Channel:
+            assert abs(td.n_out[ch] - fd.n_out[ch]) <= 1e-4 * td.n_in
+        if gamma_c == 0.0:
+            assert abs(td.loss) <= 1e-6 * td.n_in
