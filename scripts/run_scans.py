@@ -3,7 +3,7 @@
 
 Every file is produced through the `route` CLI, so rerunning this script
 reproduces the data byte for byte. Pass --outdir to change the target
-directory (default: results/ next to the repository root).
+directory (default: ./results, relative to the current directory).
 """
 
 import argparse

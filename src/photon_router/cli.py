@@ -6,10 +6,10 @@ every gamma_c >= 0; `packet` routes two Gaussian packets on ports 1 and 2
 with a relative phase; `sweep` grids one or two scenario variables;
 `verify` runs the self-validation suites.
 
-A monochromatic sweep is evaluated as one array computation per set of
-rates (gamma2, gamma_c), so a grid that sweeps neither is a single call of
-the closed form; a point command is a one-point grid on the same path.
-Packet sweeps call the quadrature once per point.
+A monochromatic sweep is one call of the closed form on arrays, rates
+included; a point command is the same call on scalars, which gives the same
+bits as the matching sweep element. Packet sweeps call the quadrature once
+per point.
 ROUTER_SIM_THREADS is still validated (an integer >= 1) but no longer
 changes anything: sweeps run on one thread.
 
@@ -191,31 +191,12 @@ def _grid(axes: Sequence[SweepAxis]) -> dict[str, np.ndarray]:
             for ax, m in zip(axes, mesh)}
 
 
-def _rate_groups(scn: dict, grid: dict,
-                 size: int) -> list[tuple[tuple[float, float], np.ndarray]]:
-    """(gamma2, gamma_c) and the indices of the grid points that share them.
-
-    Rates stay scalars, as RouterParams holds them, so each group is one
-    array call doing a point command's arithmetic. Groups come in the order
-    of their first point, so a rate that fails validation is reported for
-    the first such point of the grid.
-    """
-    if "gamma2" not in grid and "gamma_c" not in grid:
-        return [((scn["gamma2"], scn["gamma_c"]), np.arange(size))]
-    rates = [np.broadcast_to(grid.get(key, scn[key]), (size,)).tolist()
-             for key in ("gamma2", "gamma_c")]
-    groups: dict = {}
-    for i, key in enumerate(zip(*rates)):
-        groups.setdefault(key, []).append(i)
-    return [(key, np.array(idx)) for key, idx in groups.items()]
-
-
 def _report_values(rep: OutputReport) -> tuple:
     return (rep.n_r1, rep.n_l1, rep.n_r2, rep.n_l2, rep.n_total, rep.loss, rep.n_in)
 
 
 def _mono_report(case: str, params: RouterParams, n: float, at: dict) -> OutputReport:
-    """One report over the points `at` (delta and phase arrays) of one rate set."""
+    """One report over the points `at` (delta and phase values or arrays)."""
     if case == "single":
         return mean_output_single(params, n, at["delta"])
     if case == "two":
@@ -224,14 +205,12 @@ def _mono_report(case: str, params: RouterParams, n: float, at: dict) -> OutputR
 
 
 def _mono_numbers(case: str, scn: dict, grid: dict, size: int) -> np.ndarray:
+    at = {key: grid.get(key, scn[key]) for key in _CASE_VARS[case]}
+    params = RouterParams(gamma1=scn["gamma1"], gamma2=at["gamma2"], gamma_c=at["gamma_c"])
+    rep = _mono_report(case, params, scn["mean_n"], at)
     numbers = np.empty((len(_RESULTS), size))
-    for (gamma2, gamma_c), idx in _rate_groups(scn, grid, size):
-        params = RouterParams(gamma1=scn["gamma1"], gamma2=gamma2, gamma_c=gamma_c)
-        at = {key: grid[key][idx] if key in grid else np.full(idx.size, scn[key])
-              for key in ("delta",) + _PHASES if key in _CASE_VARS[case]}
-        rep = _mono_report(case, params, scn["mean_n"], at)
-        for row, value in zip(numbers, _report_values(rep)):
-            row[idx] = value
+    for row, value in zip(numbers, _report_values(rep)):
+        row[:] = value  # a scalar result (point command or n_in) fills its row
     return numbers
 
 
@@ -257,16 +236,6 @@ def _packet_numbers(scn: dict, grid: dict, size: int) -> np.ndarray:
                                     QuadratureSpec(points=int(local["points"])))
         numbers[:, i] = _report_values(rep)
     return numbers
-
-
-def _require_finite(numbers: np.ndarray) -> None:
-    bad = ~np.isfinite(numbers)
-    if bad.any():
-        point = int(bad.any(axis=0).argmax())
-        field = int(bad[:, point].argmax())
-        raise NonFinite(
-            f"{_RESULTS[field]} = {numbers[field, point]} at grid point {point + 1} "
-            "is not finite; the inputs overflow double precision")
 
 
 def _rows(case: str, scn: dict, grid: dict, numbers: np.ndarray) -> Iterator[tuple]:
@@ -342,13 +311,12 @@ def _run(args: argparse.Namespace, case: str, axes: Sequence[SweepAxis]) -> int:
     grid = _grid(axes)
     size = math.prod(ax.count for ax in axes)
     # overflow and invalid operations surface as non-finite numbers, which
-    # _require_finite turns into one error line instead of numpy warnings
+    # the reports turn into one NonFinite line instead of numpy warnings
     with np.errstate(all="ignore"):
         if case == "packet":
             numbers = _packet_numbers(scn, grid, size)
         else:
             numbers = _mono_numbers(case, scn, grid, size)
-    _require_finite(numbers)
     if getattr(args, "dump_trajectory", None) is not None:
         _dump_trajectory(args.dump_trajectory, *_packet_scenario(scn))
     _emit(args.out, _rows(case, scn, grid, numbers))

@@ -108,6 +108,14 @@ class RouterParams:
     gamma1, gamma2: cavity decay rates into waveguides 1 and 2.
     gamma_c: cavity decay into non-waveguide modes (0 = lossless).
     omega_c: cavity resonance frequency (only differences matter).
+
+    Each field is a float or a numpy array; arrays broadcast against each
+    other and against the other inputs of a call, one rate set per element.
+    The monochromatic layer (`validate`, the closed forms,
+    `two_port_reduction`, `cavity_amplitude`, `scatter`,
+    `report_from_scatter`) accepts array rates. The packet quadrature and
+    the time-domain oracle take one rate set per call and raise
+    ParameterError for arrays.
     """
 
     gamma1: float = 1.0
@@ -125,20 +133,73 @@ class RouterParams:
         return self.gamma1 if channel.waveguide == 1 else self.gamma2
 
 
+def holds(ok) -> bool:
+    """Whether every element of the bool or bool array `ok` is True.
+
+    A 0-d `ok`, as comparisons of scalars give, needs no numpy reduction,
+    whose fixed cost would dominate a scalar call.
+    """
+    return bool(ok) if getattr(ok, "shape", ()) == () else bool(ok.all())
+
+
+def require(ok, error: type[RouterError], what: str, value) -> None:
+    """Raise `error` unless `ok` holds for every element of `value`.
+
+    `ok` is a bool or a bool array of the shape of `value`; the one-line
+    message names the first failing element and, for arrays, its flat index.
+    """
+    if holds(ok):
+        return
+    value = np.asarray(value)
+    if value.ndim == 0:
+        raise error(f"{what}, got {value.item()!r}")
+    index = int(np.argmin(ok))
+    raise error(f"{what}, got {value.ravel()[index].item()!r} at index {index}")
+
+
+def require_finite(**values) -> None:
+    """Raise NonFinite for the first named value holding a NaN or inf.
+
+    Values are scalars or arrays of any broadcastable shapes.
+    """
+    ok = True
+    for value in values.values():
+        ok = ok & (abs(value) < math.inf)  # False for NaN too
+    if not holds(ok):
+        for name, value in values.items():
+            require(np.isfinite(value), NonFinite, f"{name} must be finite", value)
+
+
 def validate(params: RouterParams) -> RouterParams:
     """Check RouterParams invariants; returns the params unchanged.
 
     Idempotent and side-effect-free. gamma2 == 0 is the valid two-port
-    reduction, so only gamma1 must be strictly positive.
+    reduction, so only gamma1 must be strictly positive. With array rates
+    the error names the first offending element.
     """
-    fields = (params.gamma1, params.gamma2, params.gamma_c, params.omega_c)
-    if not all(math.isfinite(x) for x in fields):
-        raise NonFinite(f"non-finite entry in {params}")
-    if params.gamma1 <= 0.0:
-        raise NonPositiveGamma1(f"gamma1 must be > 0, got {params.gamma1}")
-    if params.gamma2 < 0.0 or params.gamma_c < 0.0:
-        raise NegativeRate(f"negative decay rate in {params}")
+    g1, g2, gc, wc = params.gamma1, params.gamma2, params.gamma_c, params.omega_c
+    # one pass for the common case; the named checks find what failed
+    ok = ((0.0 < g1) & (g1 < math.inf) & (0.0 <= g2) & (g2 < math.inf)
+          & (0.0 <= gc) & (gc < math.inf) & (abs(wc) < math.inf))
+    if not holds(ok):
+        require_finite(gamma1=g1, gamma2=g2, gamma_c=gc, omega_c=wc)
+        require(g1 > 0.0, NonPositiveGamma1, "gamma1 must be > 0", g1)
+        require(g2 >= 0.0, NegativeRate, "gamma2 must be >= 0", g2)
+        require(gc >= 0.0, NegativeRate, "gamma_c must be >= 0", gc)
     return params
+
+
+def validate_scalar(params: RouterParams) -> RouterParams:
+    """validate() for the routes that take one rate set per call.
+
+    Raises ParameterError when any field of `params` is an array.
+    """
+    for name in ("gamma1", "gamma2", "gamma_c", "omega_c"):
+        shape = getattr(getattr(params, name), "shape", ())
+        if shape:
+            raise ParameterError(
+                f"{name} must be a scalar on this route, got an array of shape {shape}")
+    return validate(params)
 
 
 @dataclass(frozen=True)
@@ -187,7 +248,7 @@ class OutputReport:
     n_total is the sum over the four channels; loss = n_in - n_total is the
     flux absorbed by the cavity decay gamma_c (zero for lossless setups up
     to rounding/quadrature error). A report over a grid of points holds
-    equal-shaped numpy arrays in place of the floats.
+    numpy arrays in place of the floats, one element per point.
     """
 
     n_out: Mapping[Channel, float]
@@ -197,23 +258,27 @@ class OutputReport:
 
     @classmethod
     def from_channel_numbers(cls, n_out: Mapping[Channel, float], n_in: float) -> "OutputReport":
-        if type(n_in) is np.ndarray or np.ndarray in map(type, n_out.values()):
-            floor = -1e-12 * np.maximum(n_in, 1.0)
-            clean = {}
-            for ch in CHANNELS:
-                v = np.asarray(n_out.get(ch, 0.0), dtype=float)
-                clean[ch] = np.where((floor < v) & (v < 0.0), 0.0, v)
-        else:
-            n_in = float(n_in)
-            clean = {}
-            for ch in CHANNELS:
-                v = float(n_out.get(ch, 0.0))
-                if -1e-12 * max(n_in, 1.0) < v < 0.0:
-                    v = 0.0  # rounding noise below the conservation tolerance
-                clean[ch] = v
-        total = clean[Channel.R1] + clean[Channel.L1] + clean[Channel.R2] + clean[Channel.L2]
-        return cls(n_out=MappingProxyType(clean), n_in=n_in,
-                   n_total=total, loss=n_in - total)
+        """Report from per-channel numbers, scalars or arrays of one shape.
+
+        A missing channel counts 0. Negative rounding noise above
+        -1e-12 max(n_in, 1) clamps to 0.
+        Raises NonFinite, naming the quantity and its first bad element,
+        when n_in, a channel, the total or the loss is not finite.
+        """
+        # one (4, ...) array: a single clamp for all channels
+        v = np.array([n_out.get(ch, 0.0) for ch in CHANNELS], dtype=float)
+        v[(-1e-12 * np.maximum(n_in, 1.0) < v) & (v < 0.0)] = 0.0
+        clean = list(v)
+        total = clean[0] + clean[1] + clean[2] + clean[3]
+        loss = n_in - total
+        # loss is finite exactly when n_in, every channel and the total are
+        if not holds(abs(loss) < math.inf):
+            names = ["n_in", "N_r1", "N_l1", "N_r2", "N_l2", "N_total", "loss"]
+            for name, value in zip(names, [n_in, *clean, total, loss]):
+                require(np.isfinite(value), NonFinite,
+                        f"{name} is not finite; the inputs overflow double precision", value)
+        return cls(n_out=MappingProxyType(dict(zip(CHANNELS, clean))), n_in=n_in,
+                   n_total=total, loss=loss)
 
     @property
     def n_r1(self) -> float:

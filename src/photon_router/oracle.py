@@ -41,7 +41,7 @@ from .core import (
     PulseNotContained,
     RouterParams,
     WavePacket,
-    validate,
+    validate_scalar,
 )
 from .wavepacket import shared_packet_frame
 
@@ -97,7 +97,7 @@ class TimeGrid:
 def default_grid(params: RouterParams, packets: Sequence[WavePacket],
                  t0: float = 0.0) -> TimeGrid:
     """Grid covering 12/Omega on both sides of the pulse peak plus ring-down."""
-    validate(params)
+    validate_scalar(params)
     omega0, Omega = shared_packet_frame(packets)
     gtot = params.total_decay
     rotation = abs(params.omega_c - omega0)
@@ -166,7 +166,7 @@ def integrate_cavity(params: RouterParams, drives: Sequence[Drive],
     amplitudes; drive envelopes must vanish at the window edges.
     Returns c at the grid.times nodes.
     """
-    validate(params)
+    validate_scalar(params)
     _check_grid(grid, params)
     n = grid.n_steps
     h = grid.step
@@ -212,7 +212,7 @@ def output_flux(params: RouterParams, drives: Sequence[Drive],
     N_ch = integral |<o_ch_in(t)> - i sqrt(gamma_j) c(t)|^2 dt, trapezoid on
     the same grid; n_in is the integrated input flux.
     """
-    validate(params)
+    validate_scalar(params)
     times = grid.times
     if trajectory.shape != times.shape:
         raise ParameterError(
@@ -241,7 +241,7 @@ def time_domain_report(params: RouterParams, packets: Sequence[WavePacket],
     mass outside the window exceeds 1e-10 or the cavity has not rung down by
     t_end.
     """
-    validate(params)
+    validate_scalar(params)
     omega0, Omega = shared_packet_frame(packets)
     if grid is None:
         grid = default_grid(params, packets, t0)

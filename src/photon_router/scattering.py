@@ -22,19 +22,17 @@ to the lossless expression. `scatter` is the general map and the cross-check
 of the forms. The closed forms reject non-finite photon numbers, detunings
 and phases with NonFinite.
 
-Amplitudes, detunings and (in the closed forms) phases may be scalars or
-equal-shaped numpy arrays; all operations broadcast elementwise, so a whole
-frequency or phase grid is one call. Per element, an array evaluation gives
-the same bits as the scalar closed forms, and as a scalar report_from_scatter
-whose amplitudes are numpy scalars: numpy's elementwise cos, sin, exp and
-complex division agree with the scalar routines, and |b|^2 is formed per
-element with the scalar abs(). (CPython's own complex division rounds
-differently in the last bit.)
+Every input may be a scalar or a numpy array: the rates in RouterParams,
+amplitudes, detunings, phases and photon numbers all broadcast elementwise,
+so a whole grid, rates included, is one call. A scalar runs through the same
+numpy operations as an array (a 0-d case of them), so each element of an
+array call carries the same bits as the scalar call at that point. Squares
+are written as products: Python's float `x ** 2` rounds differently from
+numpy's square on some inputs.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -49,6 +47,8 @@ from .core import (
     OutputReport,
     ParameterError,
     RouterParams,
+    require,
+    require_finite,
     validate,
 )
 
@@ -66,33 +66,16 @@ class ChannelAmplitudes:
         return getattr(self, channel.name.lower())
 
     def items(self):
-        return [(ch, self[ch]) for ch in CHANNELS]
+        return list(zip(CHANNELS, (self.r1, self.l1, self.r2, self.l2)))
+
+    def fluxes(self) -> dict:
+        """|amplitude|^2 per channel, as re^2 + im^2."""
+        return {ch: z.real * z.real + z.imag * z.imag for ch, z in self.items()}
 
     def total_flux(self):
         """Sum of |amplitude|^2 over the four channels."""
-        return _abs2(self.r1) + _abs2(self.l1) + _abs2(self.r2) + _abs2(self.l2)
-
-
-def _abs2(z):
-    """|z|^2 formed by the scalar abs(), elementwise for arrays.
-
-    numpy's array abs uses a vectorized hypot that differs from the scalar
-    one in the last bit, which would make grid rows differ from point rows.
-    Overflow gives inf, as in numpy, rather than an OverflowError.
-    """
-    if isinstance(z, np.ndarray):
-        return np.array([_abs2(v) for v in z.ravel().tolist()]).reshape(z.shape)
-    try:
-        return abs(z) ** 2
-    except OverflowError:
-        return math.inf
-
-
-def _cos_sin(x):
-    """(cos x, sin x): math's for scalars, numpy's (bit-identical) for arrays."""
-    if isinstance(x, np.ndarray):
-        return np.cos(x), np.sin(x)
-    return math.cos(x), math.sin(x)
+        r1, l1, r2, l2 = self.fluxes().values()
+        return r1 + l1 + r2 + l2
 
 
 def amplitudes_of_drives(drives: Sequence[CoherentDrive]) -> tuple[ChannelAmplitudes, float]:
@@ -114,19 +97,29 @@ def amplitudes_of_drives(drives: Sequence[CoherentDrive]) -> tuple[ChannelAmplit
 
 
 def cavity_amplitude(params: RouterParams, inputs: ChannelAmplitudes, delta):
-    """Steady-state cavity amplitude under monochromatic driving."""
+    """Steady-state cavity amplitude under monochromatic driving.
+
+    Raises NonFinite for a non-finite amplitude or detuning.
+    """
     validate(params)
-    s1 = math.sqrt(params.gamma1)
-    s2 = math.sqrt(params.gamma2)
-    drive = s1 * (inputs.r1 + inputs.l1) + s2 * (inputs.r2 + inputs.l2)
-    return -1j * drive / (1j * delta + params.total_decay)
+    drive = (np.sqrt(params.gamma1) * (inputs.r1 + inputs.l1)
+             + np.sqrt(params.gamma2) * (inputs.r2 + inputs.l2))
+    c = -1j * drive / (1j * delta + params.total_decay)
+    # a NaN or inf among the amplitudes or detunings leaves c NaN or inf, and
+    # then sum |c|^2 too; that one BLAS sum is cheaper than an isfinite pass,
+    # and a false alarm (sum overflow) only costs the exact checks below
+    if not np.isfinite(np.vdot(c, c)):
+        require_finite(r1=inputs.r1, l1=inputs.l1, r2=inputs.r2, l2=inputs.l2, delta=delta)
+        require(np.isfinite(c), NonFinite,
+                "the cavity amplitude overflows double precision", c)
+    return c
 
 
 def scatter(params: RouterParams, inputs: ChannelAmplitudes, delta) -> ChannelAmplitudes:
     """Output amplitudes on all four channels for the given inputs."""
     c = cavity_amplitude(params, inputs, delta)
-    s1 = math.sqrt(params.gamma1)
-    s2 = math.sqrt(params.gamma2)
+    s1 = np.sqrt(params.gamma1)
+    s2 = np.sqrt(params.gamma2)
     return ChannelAmplitudes(
         r1=inputs.r1 - 1j * s1 * c,
         l1=inputs.l1 - 1j * s1 * c,
@@ -138,29 +131,15 @@ def scatter(params: RouterParams, inputs: ChannelAmplitudes, delta) -> ChannelAm
 def report_from_scatter(params: RouterParams, inputs: ChannelAmplitudes, delta) -> OutputReport:
     """OutputReport with per-channel fluxes |scatter(...)|^2.
 
-    With array amplitudes or detunings the report holds arrays, one element
-    per point; each equals the scalar call at that point.
+    With array rates, amplitudes or detunings the report holds arrays, one
+    element per point; each equals the scalar call at that point.
     """
     out = scatter(params, inputs, delta)
-    return OutputReport.from_channel_numbers(
-        {ch: _abs2(out[ch]) for ch in CHANNELS}, n_in=inputs.total_flux())
+    return OutputReport.from_channel_numbers(out.fluxes(), n_in=inputs.total_flux())
 
 
-def _require_mean_n(mean_n: float) -> None:
-    if mean_n < 0.0:
-        raise NegativeRate(f"mean photon number must be >= 0, got {mean_n}")
-
-
-def _require_finite(**values) -> None:
-    """Raise NonFinite for the first named scalar or array holding a NaN or inf."""
-    for name, value in values.items():
-        if isinstance(value, np.ndarray):
-            bad = value[~np.isfinite(value)]
-            if bad.size:
-                raise NonFinite(
-                    f"{name} must be finite, got {bad[0]} among {value.size} points")
-        elif not math.isfinite(value):
-            raise NonFinite(f"{name} must be finite, got {value}")
+def _require_mean_n(mean_n) -> None:
+    require(mean_n >= 0.0, NegativeRate, "mean photon number must be >= 0", mean_n)
 
 
 def mean_output_single(params: RouterParams, mean_n: float, delta: float) -> OutputReport:
@@ -172,12 +151,12 @@ def mean_output_single(params: RouterParams, mean_n: float, delta: float) -> Out
     Independent of the input phase.
     """
     validate(params)
-    _require_finite(mean_n=mean_n, delta=delta)
+    require_finite(mean_n=mean_n, delta=delta)
     _require_mean_n(mean_n)
     g1, g2 = params.gamma1, params.gamma2
     a = g2 + params.gamma_c
     # D from a, so the numerator and the denominator share the rounding of a
-    d = delta * delta + (g1 + a) ** 2
+    d = delta * delta + (g1 + a) * (g1 + a)
     return OutputReport.from_channel_numbers(
         {
             Channel.R1: (delta * delta + a * a) / d * mean_n,
@@ -205,12 +184,12 @@ def mean_output_two(params: RouterParams, mean_n: float, delta: float, phi: floa
     gamma_c included.
     """
     validate(params)
-    _require_finite(mean_n=mean_n, delta=delta, phi=phi)
+    require_finite(mean_n=mean_n, delta=delta, phi=phi)
     _require_mean_n(mean_n)
     g1, g2 = params.gamma1, params.gamma2
     a = g2 + params.gamma_c
-    d = delta * delta + (g1 + a) ** 2
-    cos_phi, sin_phi = _cos_sin(phi)
+    d = delta * delta + (g1 + a) * (g1 + a)
+    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
     # interference of the two drives through the cavity, seen by guides 1 and 2
     cross1 = (1.0 + cos_phi) * g1 * a
     cross2 = (1.0 + cos_phi) * g1 * g2
@@ -233,12 +212,11 @@ def two_port_reduction(gamma1: float, mean_n: float, delta: float, phi: float) -
     N_l1 the same with +sin phi; each times mean_n. At |delta| = gamma1 the
     swing covers the full range 0 .. 2 mean_n.
     """
-    _require_finite(gamma1=gamma1, mean_n=mean_n, delta=delta, phi=phi)
-    if gamma1 <= 0.0:
-        raise ParameterError(f"gamma1 must be > 0, got {gamma1}")
+    validate(RouterParams(gamma1=gamma1, gamma2=0.0))
+    require_finite(mean_n=mean_n, delta=delta, phi=phi)
     _require_mean_n(mean_n)
     d = delta * delta + gamma1 * gamma1
-    swing = 2.0 * gamma1 * delta * _cos_sin(phi)[1]
+    swing = 2.0 * gamma1 * delta * np.sin(phi)
     return ((d - swing) / d * mean_n, (d + swing) / d * mean_n)
 
 
@@ -263,15 +241,15 @@ def mean_output_three(params: RouterParams, mean_n: float, delta: float,
     each times mean_n.
     """
     validate(params)
-    _require_finite(mean_n=mean_n, delta=delta, theta=theta, theta_prime=theta_prime)
+    require_finite(mean_n=mean_n, delta=delta, theta=theta, theta_prime=theta_prime)
     _require_mean_n(mean_n)
     g1, g2, gc = params.gamma1, params.gamma2, params.gamma_c
     a, b = g2 + gc, g1 + gc
-    s = math.sqrt(g1 * g2)
-    d = delta * delta + (g1 + a) ** 2
-    ct, st = _cos_sin(theta)
-    cp, sp = _cos_sin(theta_prime)
-    cd, sd = _cos_sin(theta - theta_prime)
+    s = np.sqrt(g1 * g2)
+    d = delta * delta + (g1 + a) * (g1 + a)
+    ct, st = np.cos(theta), np.sin(theta)
+    cp, sp = np.cos(theta_prime), np.sin(theta_prime)
+    cd, sd = np.cos(theta - theta_prime), np.sin(theta - theta_prime)
 
     n_r1 = (delta * delta + a * a + 2.0 * g1 * g2
             - 2.0 * delta * s * (st + sp)

@@ -50,9 +50,10 @@ class CheckResult:
     detail: str = ""
 
 
-def _report_dev(a: OutputReport, b: OutputReport, scale: float) -> float:
-    scale = max(scale, 1e-300)
-    return max(abs(a.n_out[ch] - b.n_out[ch]) for ch in CHANNELS) / scale
+def _report_dev(a: OutputReport, b: OutputReport, scale) -> float:
+    """Largest |a - b| / scale over the channels and, for array reports, the points."""
+    scale = np.maximum(scale, 1e-300)
+    return float(max(np.max(np.abs(a.n_out[ch] - b.n_out[ch]) / scale) for ch in CHANNELS))
 
 
 def _two_packets(phi: float, mean_n: float = 1.0, Omega: float = 0.3) -> list[WavePacket]:
@@ -80,13 +81,12 @@ def _suite_core() -> list[CheckResult]:
     out.append(CheckResult("core", "pass-through-permutation", 0.0 if ok else 1.0,
                            0.0, ok, "undisturbed propagation maps 1->2, 2->1, 3->4, 4->3"))
 
-    # far off resonance the cavity decouples and every port passes through
+    # far off resonance the cavity decouples and every port passes through;
+    # element k of each channel's amplitudes drives channel k alone
     params = RouterParams(gamma1=1.0, gamma2=1.0)
-    dev = 0.0
-    for ch in CHANNELS:
-        inputs = ChannelAmplitudes(**{ch.name.lower(): 1.0 + 0j})
-        outs = scatter(params, inputs, delta=1e6)
-        dev = max(dev, max(abs(outs[c] - inputs[c]) for c in CHANNELS))
+    inputs = ChannelAmplitudes(*np.eye(4, dtype=complex))
+    outs = scatter(params, inputs, delta=1e6)
+    dev = float(max(np.max(np.abs(outs[c] - inputs[c])) for c in CHANNELS))
     out.append(CheckResult("core", "far-detuned-identity", dev, 1e-5, dev <= 1e-5,
                            "delta = 1e6: |out - in| per channel"))
     return out
@@ -95,46 +95,45 @@ def _suite_core() -> list[CheckResult]:
 # ---------------------------------------------------------------- scattering
 
 
-def _random_params(rng, lossy: bool = False) -> RouterParams:
-    g1 = rng.uniform(0.2, 3.0)
-    return RouterParams(gamma1=g1, gamma2=g1 * rng.uniform(0.0, 5.0),
-                        gamma_c=rng.uniform(0.0, 1.0) if lossy else 0.0)
+def _random_params(rng, size: int, lossy=False) -> RouterParams:
+    """`size` random rate sets, gamma_c in [0, 1] where `lossy` holds, else 0."""
+    g1 = rng.uniform(0.2, 3.0, size)
+    return RouterParams(gamma1=g1, gamma2=g1 * rng.uniform(0.0, 5.0, size),
+                        gamma_c=np.where(lossy, rng.uniform(0.0, 1.0, size), 0.0))
+
+
+def _random_amplitudes(rng, size: int) -> ChannelAmplitudes:
+    return ChannelAmplitudes(*(rng.normal(size=size) + 1j * rng.normal(size=size)
+                               for _ in CHANNELS))
 
 
 def _suite_scattering() -> list[CheckResult]:
+    """Each check is one array call over all of its random draws."""
     rng = np.random.default_rng(_SEED)
+    two_pi = 2.0 * math.pi
     out = []
 
-    dev = 0.0
-    for _ in range(1000):
-        params = _random_params(rng)
-        amps = ChannelAmplitudes(*(rng.normal() + 1j * rng.normal() for _ in range(4)))
-        rep = report_from_scatter(params, amps, delta=rng.uniform(-10, 10))
-        dev = max(dev, abs(rep.loss) / rep.n_in)
+    rep = report_from_scatter(_random_params(rng, 1000), _random_amplitudes(rng, 1000),
+                              delta=rng.uniform(-10, 10, 1000))
+    dev = float(np.max(np.abs(rep.loss) / rep.n_in))
     out.append(CheckResult("scattering", "flux-conservation", dev, 1e-12, dev <= 1e-12,
                            "1000 random lossless four-input draws"))
 
-    dev3 = dev4 = dev5 = 0.0
-    for i in range(1000):
-        params = _random_params(rng, lossy=i % 2 == 1)
-        delta = rng.uniform(-10, 10)
-        n = rng.uniform(0.01, 4.0)
-        a = math.sqrt(n)
-        ph = rng.uniform(0.0, 2.0 * math.pi, size=2)
+    params = _random_params(rng, 1000, lossy=np.arange(1000) % 2 == 1)
+    delta = rng.uniform(-10, 10, 1000)
+    n = rng.uniform(0.01, 4.0, 1000)
+    a = np.sqrt(n)
+    ph, ph2 = rng.uniform(0.0, two_pi, size=(2, 1000))
 
-        brute = report_from_scatter(params, ChannelAmplitudes(r1=a), delta)
-        dev3 = max(dev3, _report_dev(mean_output_single(params, n, delta), brute, n))
-
-        brute = report_from_scatter(
-            params, ChannelAmplitudes(r1=a, l1=a * np.exp(1j * ph[0])), delta)
-        dev4 = max(dev4, _report_dev(mean_output_two(params, n, delta, ph[0]),
-                                     brute, 2 * n))
-
-        brute = report_from_scatter(
-            params, ChannelAmplitudes(r1=a, r2=a * np.exp(1j * ph[0]),
-                                      l2=a * np.exp(1j * ph[1])), delta)
-        dev5 = max(dev5, _report_dev(
-            mean_output_three(params, n, delta, ph[0], ph[1]), brute, 3 * n))
+    brute = report_from_scatter(params, ChannelAmplitudes(r1=a), delta)
+    dev3 = _report_dev(mean_output_single(params, n, delta), brute, n)
+    brute = report_from_scatter(
+        params, ChannelAmplitudes(r1=a, l1=a * np.exp(1j * ph)), delta)
+    dev4 = _report_dev(mean_output_two(params, n, delta, ph), brute, 2 * n)
+    brute = report_from_scatter(
+        params, ChannelAmplitudes(r1=a, r2=a * np.exp(1j * ph), l2=a * np.exp(1j * ph2)),
+        delta)
+    dev5 = _report_dev(mean_output_three(params, n, delta, ph, ph2), brute, 3 * n)
     lossy = "1000 draws, half with gamma_c in [0, 1]"
     out.append(CheckResult("scattering", "single-input-form-vs-scatter", dev3, 1e-10,
                            dev3 <= 1e-10, lossy))
@@ -143,90 +142,71 @@ def _suite_scattering() -> list[CheckResult]:
     out.append(CheckResult("scattering", "three-input-form-vs-scatter", dev5, 1e-10,
                            dev5 <= 1e-10, lossy))
 
-    dev = 0.0
-    for _ in range(200):
-        g1 = rng.uniform(0.2, 3.0)
-        params = RouterParams(gamma1=g1, gamma2=0.0)
-        n = rng.uniform(0.01, 4.0)
-        delta = rng.uniform(-10, 10)
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        nr1, nl1 = two_port_reduction(g1, n, delta, phi)
-        rep = mean_output_two(params, n, delta, phi)
-        dev = max(dev, max(abs(nr1 - rep.n_r1), abs(nl1 - rep.n_l1)) / (2 * n))
+    g1 = rng.uniform(0.2, 3.0, 200)
+    n = rng.uniform(0.01, 4.0, 200)
+    delta = rng.uniform(-10, 10, 200)
+    phi = rng.uniform(0.0, two_pi, 200)
+    nr1, nl1 = two_port_reduction(g1, n, delta, phi)
+    rep = mean_output_two(RouterParams(gamma1=g1, gamma2=0.0), n, delta, phi)
+    dev = float(max(np.max(np.abs(nr1 - rep.n_r1) / (2 * n)),
+                    np.max(np.abs(nl1 - rep.n_l1) / (2 * n))))
     out.append(CheckResult("scattering", "two-port-reduction", dev, 1e-12, dev <= 1e-12,
                            "200 draws at gamma2 = 0"))
 
-    dev = 0.0
-    for _ in range(200):
-        params = _random_params(rng)
-        n = rng.uniform(0.01, 4.0)
-        delta = rng.uniform(-10, 10)
-        phi, th, thp = rng.uniform(0.0, 2.0 * math.pi, size=3)
-        two_pi = 2.0 * math.pi
-        dev = max(dev, _report_dev(mean_output_two(params, n, delta, phi),
-                                   mean_output_two(params, n, delta, phi + two_pi),
-                                   2 * n))
-        dev = max(dev, _report_dev(mean_output_three(params, n, delta, th, thp),
-                                   mean_output_three(params, n, delta, th + two_pi,
-                                                     thp - two_pi),
-                                   3 * n))
+    params = _random_params(rng, 200)
+    n = rng.uniform(0.01, 4.0, 200)
+    delta = rng.uniform(-10, 10, 200)
+    phi, th, thp = rng.uniform(0.0, two_pi, size=(3, 200))
+    dev = max(_report_dev(mean_output_two(params, n, delta, phi),
+                          mean_output_two(params, n, delta, phi + two_pi), 2 * n),
+              _report_dev(mean_output_three(params, n, delta, th, thp),
+                          mean_output_three(params, n, delta, th + two_pi, thp - two_pi),
+                          3 * n))
     out.append(CheckResult("scattering", "phase-periodicity", dev, 1e-12, dev <= 1e-12,
                            "shift phases by +-2*pi; exact up to trig rounding"))
 
-    dev = 0.0
-    for _ in range(200):
-        params = _random_params(rng)
-        rep = mean_output_two(params, rng.uniform(0.01, 4.0),
-                              rng.uniform(-10, 10), math.pi)
-        dev = max(dev, max(rep.n_r2, rep.n_l2))
+    rep = mean_output_two(_random_params(rng, 200), rng.uniform(0.01, 4.0, 200),
+                          rng.uniform(-10, 10, 200), math.pi)
+    dev = float(max(np.max(rep.n_r2), np.max(rep.n_l2)))
     out.append(CheckResult("scattering", "destructive-null-at-pi", dev, 0.0,
                            dev <= 0.0, "phi = pi empties waveguide 2 exactly"))
 
-    dev = 0.0
-    for _ in range(200):
-        g = rng.uniform(0.2, 3.0)
-        params = RouterParams(gamma1=g, gamma2=g)
-        a = math.sqrt(rng.uniform(0.01, 4.0))
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        delta = rng.uniform(-10, 10)
-        p12 = report_from_scatter(
-            params, ChannelAmplitudes(r1=a, l1=a * np.exp(1j * phi)), delta)
-        p13 = report_from_scatter(
-            params, ChannelAmplitudes(r1=a, r2=a * np.exp(1j * phi)), delta)
-        scale = 2 * a * a
-        dev = max(dev,
-                  abs(p13.n_r1 - p12.n_r1) / scale,
-                  abs(p13.n_l1 - p12.n_r2) / scale,
-                  abs(p13.n_r2 - p12.n_l1) / scale,
-                  abs(p13.n_l2 - p12.n_l2) / scale)
+    g = rng.uniform(0.2, 3.0, 200)
+    params = RouterParams(gamma1=g, gamma2=g)
+    a = np.sqrt(rng.uniform(0.01, 4.0, 200))
+    phi = rng.uniform(0.0, two_pi, 200)
+    delta = rng.uniform(-10, 10, 200)
+    p12 = report_from_scatter(params, ChannelAmplitudes(r1=a, l1=a * np.exp(1j * phi)), delta)
+    p13 = report_from_scatter(params, ChannelAmplitudes(r1=a, r2=a * np.exp(1j * phi)), delta)
+    scale = 2 * a * a
+    dev = float(max(np.max(np.abs(p13.n_r1 - p12.n_r1) / scale),
+                    np.max(np.abs(p13.n_l1 - p12.n_r2) / scale),
+                    np.max(np.abs(p13.n_r2 - p12.n_l1) / scale),
+                    np.max(np.abs(p13.n_l2 - p12.n_l2) / scale)))
     out.append(CheckResult("scattering", "ports-1-3-match-ports-1-2", dev, 1e-12,
                            dev <= 1e-12,
                            "gamma2 = gamma1: waveguide swap relabels outputs only"))
 
-    dev = 0.0
-    for _ in range(200):
-        params = _random_params(rng)
-        n = rng.uniform(0.01, 4.0)
-        s = rng.uniform(0.1, 3.0)
-        delta = rng.uniform(-10, 10)
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        base = mean_output_two(params, n, delta, phi)
-        scaled = mean_output_two(params, s * s * n, delta, phi)
-        dev = max(dev, max(abs(scaled.n_out[ch] - s * s * base.n_out[ch])
-                           for ch in CHANNELS) / (2 * n * s * s))
+    params = _random_params(rng, 200)
+    n = rng.uniform(0.01, 4.0, 200)
+    s = rng.uniform(0.1, 3.0, 200)
+    delta = rng.uniform(-10, 10, 200)
+    phi = rng.uniform(0.0, two_pi, 200)
+    base = mean_output_two(params, n, delta, phi)
+    scaled = mean_output_two(params, s * s * n, delta, phi)
+    dev = float(max(np.max(np.abs(scaled.n_out[ch] - s * s * base.n_out[ch])
+                           / (2 * n * s * s)) for ch in CHANNELS))
     out.append(CheckResult("scattering", "scaling-linearity", dev, 1e-12, dev <= 1e-12,
                            "outputs scale as |alpha|^2; fractions invariant"))
 
-    dev = 0.0
-    for _ in range(200):
-        params = _random_params(rng)
-        amps = ChannelAmplitudes(*(rng.normal() + 1j * rng.normal() for _ in range(4)))
-        delta = rng.uniform(-10, 10)
-        chi = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-        rot = ChannelAmplitudes(*(chi * amps[ch] for ch in CHANNELS))
-        a = report_from_scatter(params, amps, delta)
-        b = report_from_scatter(params, rot, delta)
-        dev = max(dev, _report_dev(a, b, a.n_in))
+    params = _random_params(rng, 200)
+    amps = _random_amplitudes(rng, 200)
+    delta = rng.uniform(-10, 10, 200)
+    chi = np.exp(1j * rng.uniform(0.0, two_pi, 200))
+    a = report_from_scatter(params, amps, delta)
+    b = report_from_scatter(params, ChannelAmplitudes(*(chi * amps[ch] for ch in CHANNELS)),
+                            delta)
+    dev = _report_dev(a, b, a.n_in)
     out.append(CheckResult("scattering", "global-phase-invariance", dev, 1e-12,
                            dev <= 1e-12, "common phase on all inputs is unobservable"))
     return out

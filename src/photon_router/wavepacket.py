@@ -33,7 +33,7 @@ from .core import (
     QuadratureUnderResolved,
     RouterParams,
     WavePacket,
-    validate,
+    validate_scalar,
 )
 from .scattering import ChannelAmplitudes, scatter
 
@@ -137,7 +137,7 @@ def packet_output_numbers(params: RouterParams, packets: Sequence[WavePacket],
     quadrature grid. Raises QuadratureUnderResolved if step halving keeps
     changing any channel by more than 1e-6 relative after four doublings.
     """
-    validate(params)
+    validate_scalar(params)
     omega0, Omega = shared_packet_frame(packets)
     window = _frequency_window(params, omega0, Omega, quad.window_halfwidth)
     n_in = sum(p.mean_n for p in packets)

@@ -193,6 +193,13 @@ class TestSweep:
         ("three", [],
          ["--var", "theta", "--start", "0", "--stop", "6", "--count", "3",
           "--var2", "theta_prime", "--start2", "0", "--stop2", "6", "--count2", "3"]),
+        # both rates swept: one array call with per-point gamma2 and gamma_c
+        ("two", ["--phi", "1.1", "--delta", "0.4"],
+         ["--var", "gamma2", "--start", "0", "--stop", "2", "--count", "4",
+          "--var2", "gamma_c", "--start2", "0", "--stop2", "1", "--count2", "3"]),
+        ("three", ["--theta", "0.9", "--theta-prime", "2.6", "--delta", "-1.2"],
+         ["--var", "gamma_c", "--start", "0", "--stop", "0.8", "--count", "3",
+          "--var2", "gamma2", "--start2", "0.1", "--stop2", "1.9", "--count2", "4"]),
     ]
     FLAGS = {"delta": "--delta", "phi": "--phi", "theta": "--theta",
              "theta_prime": "--theta-prime", "gamma2": "--gamma2", "gamma_c": "--gamma-c"}

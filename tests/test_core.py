@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from photon_router import (
@@ -75,16 +76,29 @@ class TestRouterParams:
         assert params.coupling(Channel.R2) == 3.0
         assert params.coupling(Channel.L2) == 3.0
 
+    @staticmethod
+    def _rejects_element(error, field, bad):
+        """validate() on an array field names its first bad element, in one line."""
+        with pytest.raises(error) as info:
+            validate(RouterParams(**{field: np.array([1.0, 0.5, bad, 2.0, bad])}))
+        message = str(info.value)
+        assert message.startswith(f"{field} must be ")
+        assert message.endswith(f", got {bad!r} at index 2")
+        assert "\n" not in message and "array" not in message
+
     @pytest.mark.parametrize("gamma1", [0.0, -1.0])
     def test_gamma1_must_be_positive(self, gamma1):
         with pytest.raises(NonPositiveGamma1):
             validate(RouterParams(gamma1=gamma1))
+        self._rejects_element(NonPositiveGamma1, "gamma1", gamma1)
 
     def test_negative_rates_rejected(self):
         with pytest.raises(NegativeRate):
             validate(RouterParams(gamma2=-0.1))
         with pytest.raises(NegativeRate):
             validate(RouterParams(gamma_c=-1e-9))
+        self._rejects_element(NegativeRate, "gamma2", -0.1)
+        self._rejects_element(NegativeRate, "gamma_c", -1e-9)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
@@ -92,6 +106,14 @@ class TestRouterParams:
             validate(RouterParams(gamma2=bad))
         with pytest.raises(NonFinite):
             validate(RouterParams(omega_c=bad))
+        self._rejects_element(NonFinite, "gamma2", bad)
+        self._rejects_element(NonFinite, "omega_c", bad)
+
+    def test_array_rates_validate(self):
+        params = RouterParams(gamma1=np.array([0.5, 2.0]), gamma2=np.array([0.0, 1.0]),
+                              gamma_c=0.1)
+        assert validate(params) is params
+        assert params.total_decay == pytest.approx([0.6, 3.1])
 
     def test_gamma2_zero_is_legal(self):
         validate(RouterParams(gamma2=0.0))
@@ -143,6 +165,21 @@ class TestOutputReport:
     def test_real_negative_not_masked(self):
         rep = OutputReport.from_channel_numbers({Channel.R1: -1e-6}, n_in=1.0)
         assert rep.n_r1 == -1e-6
+
+    @pytest.mark.parametrize("n_out, n_in, message", [
+        ({Channel.R1: 0.1, Channel.L1: 0.2, Channel.R2: 0.3, Channel.L2: 0.4}, math.inf,
+         "n_in is not finite; the inputs overflow double precision, got inf"),
+        ({Channel.R1: 0.1, Channel.L1: math.nan, Channel.R2: 0.3, Channel.L2: 0.4}, 1.0,
+         "N_l1 is not finite; the inputs overflow double precision, got nan"),
+        ({Channel.R1: 1e308, Channel.L1: 1e308, Channel.R2: 0.0, Channel.L2: 0.0}, 1.0,
+         "N_total is not finite; the inputs overflow double precision, got inf"),
+        ({ch: np.array([0.1, 0.2, 0.3]) for ch in CHANNELS}, np.array([1.0, 2.0, -math.inf]),
+         "n_in is not finite; the inputs overflow double precision, got -inf at index 2"),
+    ], ids=["n_in", "channel", "total", "array"])
+    def test_non_finite_rejected(self, n_out, n_in, message):
+        with pytest.raises(NonFinite) as info:
+            OutputReport.from_channel_numbers(n_out, n_in=n_in)
+        assert str(info.value) == message
 
     def test_by_output_port(self):
         rep = OutputReport.from_channel_numbers(

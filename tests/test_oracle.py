@@ -310,6 +310,13 @@ class TestTimeDomainReport:
             time_domain_report(RouterParams(), _pair(0.0),
                                grid=TimeGrid(-1.0, 30.0, 0.004))
 
+    @pytest.mark.parametrize("field", ["gamma1", "gamma2", "gamma_c", "omega_c"])
+    def test_array_rates_rejected(self, field):
+        # the oracle integrates one rate set per call
+        params = RouterParams(**{field: np.array([0.5, 1.0])})
+        with pytest.raises(ParameterError, match=f"^{field} must be a scalar"):
+            time_domain_report(params, _pair(0.0))
+
     def test_unfinished_ringdown_rejected(self):
         params = RouterParams(gamma1=0.05, gamma2=0.0)
         with pytest.raises(PulseNotContained):

@@ -200,15 +200,18 @@ class TestScatterVectorised:
         for i, d in enumerate(delta):
             one = scatter(params, inputs, float(d))
             for ch in Channel:
-                # ndarray and scalar complex arithmetic differ in the last ulp
-                assert vec[ch][i] == pytest.approx(one[ch], rel=1e-14)
+                assert vec[ch][i] == one[ch]
 
-    # The CLI evaluates sweeps through these array calls; each element must
-    # carry the same bits as the scalar call at that point.
+    # The CLI evaluates sweeps and point commands through these calls, on
+    # arrays and on scalars; each element must carry the same bits as the
+    # scalar call at that point, rates included.
     rng = np.random.default_rng(7)
     DELTA = rng.uniform(-6.0, 6.0, 300)
     PHASE = rng.uniform(-7.0, 7.0, 300)
     PHASE2 = rng.uniform(-7.0, 7.0, 300)
+    GAMMA1 = rng.uniform(0.2, 3.0, 300)
+    GAMMA2_SCALE = rng.uniform(0.0, 2.0, 300)
+    GAMMA_C = rng.uniform(0.0, 1.0, 300)
 
     @staticmethod
     def _same_bits(vec, one, i):
@@ -217,43 +220,55 @@ class TestScatterVectorised:
         assert vec.n_total[i] == one.n_total
         assert vec.loss[i] == one.loss
 
+    @staticmethod
+    def _point_params(rates, i):
+        """RouterParams of element i, as floats, of possibly-array `rates`."""
+        return RouterParams(*(float(np.broadcast_to(r, (300,))[i]) for r in rates))
+
     @pytest.mark.parametrize("gamma2", [0.0, 0.6, 1.7])
     def test_closed_forms_on_arrays_match_scalars(self, gamma2):
         d, ph, ph2 = self.DELTA, self.PHASE, self.PHASE2
-        for gamma_c in (0.0, 0.35):
-            params = RouterParams(gamma1=1.3, gamma2=gamma2, gamma_c=gamma_c)
+        # fixed rates, then rates drawn per element as an array RouterParams
+        for rates in ((1.3, gamma2, 0.0), (1.3, gamma2, 0.35),
+                      (self.GAMMA1, gamma2 * self.GAMMA2_SCALE, self.GAMMA_C)):
+            params = RouterParams(*rates)
             single = mean_output_single(params, 1.9, d)
             two = mean_output_two(params, 1.9, d, ph)
             three = mean_output_three(params, 1.9, d, ph, ph2)
             for i in range(d.size):
-                self._same_bits(single, mean_output_single(params, 1.9, float(d[i])), i)
-                self._same_bits(two, mean_output_two(params, 1.9, float(d[i]),
+                point = self._point_params(rates, i)
+                self._same_bits(single, mean_output_single(point, 1.9, float(d[i])), i)
+                self._same_bits(two, mean_output_two(point, 1.9, float(d[i]),
                                                      float(ph[i])), i)
-                self._same_bits(three, mean_output_three(params, 1.9, float(d[i]),
+                self._same_bits(three, mean_output_three(point, 1.9, float(d[i]),
                                                          float(ph[i]), float(ph2[i])), i)
 
     def test_phase_reports_on_arrays_match_scalars(self):
-        params = RouterParams(gamma2=0.8, gamma_c=0.3)
         a = math.sqrt(1.9)
         d, ph, ph2 = self.DELTA, self.PHASE, self.PHASE2
-        two = report_from_scatter(
-            params, ChannelAmplitudes(r1=a, l1=a * np.exp(1j * ph)), d)
-        three = report_from_scatter(
-            params, ChannelAmplitudes(r1=a, r2=a * np.exp(1j * ph),
-                                      l2=a * np.exp(1j * ph2)), d)
-        for i in range(d.size):
-            # numpy-scalar amplitudes, as a point command builds them
-            one = report_from_scatter(
-                params, ChannelAmplitudes(r1=a, l1=a * np.exp(1j * float(ph[i]))),
-                float(d[i]))
-            self._same_bits(two, one, i)
-            assert two.n_in[i] == one.n_in
-            one = report_from_scatter(
-                params, ChannelAmplitudes(r1=a, r2=a * np.exp(1j * float(ph[i])),
-                                          l2=a * np.exp(1j * float(ph2[i]))),
-                float(d[i]))
-            self._same_bits(three, one, i)
-            assert three.n_in[i] == one.n_in
+        for rates in ((1.0, 0.8, 0.3), (self.GAMMA1, self.GAMMA2_SCALE, self.GAMMA_C)):
+            params = RouterParams(*rates)
+            two = report_from_scatter(
+                params, ChannelAmplitudes(r1=a, l1=a * np.exp(1j * ph)), d)
+            three = report_from_scatter(
+                params, ChannelAmplitudes(r1=a, r2=a * np.exp(1j * ph),
+                                          l2=a * np.exp(1j * ph2)), d)
+            for i in range(d.size):
+                point = self._point_params(rates, i)
+                # plain Python complex amplitudes take the same numpy path
+                one = report_from_scatter(
+                    point,
+                    ChannelAmplitudes(r1=a, l1=complex(a * np.exp(1j * float(ph[i])))),
+                    float(d[i]))
+                self._same_bits(two, one, i)
+                assert two.n_in[i] == one.n_in
+                one = report_from_scatter(
+                    point,
+                    ChannelAmplitudes(r1=a, r2=complex(a * np.exp(1j * float(ph[i]))),
+                                      l2=complex(a * np.exp(1j * float(ph2[i])))),
+                    float(d[i]))
+                self._same_bits(three, one, i)
+                assert three.n_in[i] == one.n_in
 
 
 class TestInvariants:
@@ -388,9 +403,13 @@ class TestNonFiniteInputs:
         lambda: mean_output_two(LOSSLESS, 1.0, ZEROS, NAN_ROW),
         lambda: mean_output_three(LOSSLESS, 1.0, ZEROS, ZEROS, INF_ROW),
         lambda: two_port_reduction(1.0, 1.0, INF_ROW, ZEROS),
+        lambda: mean_output_two(LOSSLESS, 1e308, 0, 0),
+        lambda: scatter(LOSSLESS, ChannelAmplitudes(r1=1.0), math.inf),
+        lambda: report_from_scatter(LOSSLESS, ChannelAmplitudes(r1=math.nan), 0.0),
     ], ids=["single-mean_n", "two-delta", "three-theta", "reduction-phi",
             "single-delta-array", "two-phi-array", "three-theta_prime-array",
-            "reduction-delta-array"])
+            "reduction-delta-array", "two-overflow", "scatter-delta-inf",
+            "report-amplitude-nan"])
     def test_rejected(self, call):
         with pytest.raises(NonFinite):
             call()

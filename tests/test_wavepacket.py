@@ -192,6 +192,13 @@ class TestPacketRouting:
                 params, [WavePacket(Channel.R1, mean_n=1.0, omega0=0.0,
                                     Omega=1e-3)])
 
+    @pytest.mark.parametrize("field", ["gamma1", "gamma2", "gamma_c", "omega_c"])
+    def test_array_rates_rejected(self, field):
+        # the quadrature takes one rate set per call
+        params = RouterParams(**{field: np.array([0.5, 1.0])})
+        with pytest.raises(ParameterError, match=f"^{field} must be a scalar"):
+            packet_output_numbers(params, _pair(0.0))
+
     def test_zero_flux_packet(self):
         rep = packet_output_numbers(
             RouterParams(), [WavePacket(Channel.R1, mean_n=0.0, Omega=0.3)])
