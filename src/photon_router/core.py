@@ -177,15 +177,11 @@ def validate(params: RouterParams) -> RouterParams:
     reduction, so only gamma1 must be strictly positive. With array rates
     the error names the first offending element.
     """
-    g1, g2, gc, wc = params.gamma1, params.gamma2, params.gamma_c, params.omega_c
-    # one pass for the common case; the named checks find what failed
-    ok = ((0.0 < g1) & (g1 < math.inf) & (0.0 <= g2) & (g2 < math.inf)
-          & (0.0 <= gc) & (gc < math.inf) & (abs(wc) < math.inf))
-    if not holds(ok):
-        require_finite(gamma1=g1, gamma2=g2, gamma_c=gc, omega_c=wc)
-        require(g1 > 0.0, NonPositiveGamma1, "gamma1 must be > 0", g1)
-        require(g2 >= 0.0, NegativeRate, "gamma2 must be >= 0", g2)
-        require(gc >= 0.0, NegativeRate, "gamma_c must be >= 0", gc)
+    g1, g2, gc = params.gamma1, params.gamma2, params.gamma_c
+    require_finite(gamma1=g1, gamma2=g2, gamma_c=gc, omega_c=params.omega_c)
+    require(g1 > 0.0, NonPositiveGamma1, "gamma1 must be > 0", g1)
+    require(g2 >= 0.0, NegativeRate, "gamma2 must be >= 0", g2)
+    require(gc >= 0.0, NegativeRate, "gamma_c must be >= 0", gc)
     return params
 
 
@@ -258,15 +254,18 @@ class OutputReport:
 
     @classmethod
     def from_channel_numbers(cls, n_out: Mapping[Channel, float], n_in: float) -> "OutputReport":
-        """Report from per-channel numbers, scalars or arrays of one shape.
+        """Report from per-channel numbers, scalars or arrays that broadcast with n_in.
 
         A missing channel counts 0. Negative rounding noise above
         -1e-12 max(n_in, 1) clamps to 0.
         Raises NonFinite, naming the quantity and its first bad element,
         when n_in, a channel, the total or the loss is not finite.
         """
-        # one (4, ...) array: a single clamp for all channels
-        v = np.array([n_out.get(ch, 0.0) for ch in CHANNELS], dtype=float)
+        values = [n_out.get(ch, 0.0) for ch in CHANNELS]
+        # one (4, ...) array of the broadcast shape: a single clamp for all channels
+        v = np.empty((4,) + np.broadcast(n_in, *values).shape)
+        for i, value in enumerate(values):
+            v[i] = value
         v[(-1e-12 * np.maximum(n_in, 1.0) < v) & (v < 0.0)] = 0.0
         clean = list(v)
         total = clean[0] + clean[1] + clean[2] + clean[3]

@@ -166,6 +166,21 @@ class TestOutputReport:
         rep = OutputReport.from_channel_numbers({Channel.R1: -1e-6}, n_in=1.0)
         assert rep.n_r1 == -1e-6
 
+    def test_partial_array_channels_broadcast(self):
+        rep = OutputReport.from_channel_numbers(
+            {Channel.R1: np.array([0.1, 0.2]), Channel.L1: 0.5}, n_in=np.array([1.0, 1.0]))
+        np.testing.assert_array_equal(rep.n_r1, [0.1, 0.2])
+        np.testing.assert_array_equal(rep.n_l1, [0.5, 0.5])
+        np.testing.assert_array_equal(rep.n_r2, [0.0, 0.0])
+        np.testing.assert_array_equal(rep.n_total, [0.1 + 0.5, 0.2 + 0.5])
+
+    def test_scalar_channels_clamp_per_n_in_element(self):
+        # the clamp floor of each n_in element applies to every channel there
+        rep = OutputReport.from_channel_numbers(
+            {Channel.R1: -1e-9, Channel.L1: 1.0}, n_in=np.array([1.0, 1e4, 1.0, 1e4]))
+        np.testing.assert_array_equal(rep.n_r1, [-1e-9, 0.0, -1e-9, 0.0])
+        np.testing.assert_array_equal(rep.n_l1, [1.0, 1.0, 1.0, 1.0])
+
     @pytest.mark.parametrize("n_out, n_in, message", [
         ({Channel.R1: 0.1, Channel.L1: 0.2, Channel.R2: 0.3, Channel.L2: 0.4}, math.inf,
          "n_in is not finite; the inputs overflow double precision, got inf"),
