@@ -1,0 +1,162 @@
+#!/usr/bin/env python3
+"""Time photon_router layer by layer, in-process, and write the numbers as JSON.
+
+    PYTHONPATH=src python scripts/bench_layers.py [--out FILE]
+        Time the photon_router found on the import path and print (or
+        write) one JSON object: the machine and the median time per layer.
+
+    python scripts/bench_layers.py --base BASE_SRC [--rounds N] [--out FILE]
+        Compare the package under BASE_SRC (the `src` directory of another
+        checkout, such as a parent commit) with this checkout's `src`. Each
+        round times both in fresh interpreters, alternating which goes
+        first. Writes, per layer, the median over rounds of each side, the
+        head/base ratio, and the rounds the head was faster in.
+
+The layers: one closed-form point, `scatter` on a scalar and on 10 001
+detunings, one two-packet quadrature, one `time_domain_report`, each
+`verify` suite, and through the CLI the 101 x 101 `three` grid, the
+--dump-trajectory point and one point command. Times are medians of
+repeated calls after one warm-up call.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from importlib import metadata
+from pathlib import Path
+
+HEAD_SRC = Path(__file__).resolve().parent.parent / "src"
+TWO_PI = "6.283185307179586"
+
+
+def _median_time(fn, seconds: float, max_calls: int) -> float:
+    """Median seconds per call of fn() over up to max_calls calls or `seconds`."""
+    fn()
+    times = []
+    deadline = time.perf_counter() + seconds
+    while len(times) < max_calls and (len(times) < 5 or time.perf_counter() < deadline):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
+
+
+def _quiet(fn):
+    def call():
+        with contextlib.redirect_stdout(io.StringIO()):
+            fn()
+    return call
+
+
+def layer_times(tmp: str) -> dict:
+    """Median time of each layer, in ms, for the photon_router on sys.path.
+
+    The CLI layers write their CSV files into the directory `tmp`.
+    """
+    import numpy as np
+
+    from photon_router import cli, verify
+    from photon_router.core import Channel, RouterParams, WavePacket
+    from photon_router.oracle import time_domain_report
+    from photon_router.scattering import ChannelAmplitudes, mean_output_two, scatter
+    from photon_router.wavepacket import packet_output_numbers
+
+    params = RouterParams(gamma2=0.7, gamma_c=0.1)
+    amps = ChannelAmplitudes(r1=1.0, l1=1j)
+    deltas = np.linspace(-5.0, 5.0, 10001)
+    packets = [WavePacket(Channel.R1, 1.0, Omega=0.3),
+               WavePacket(Channel.L1, 1.0, Omega=0.3, phase=1.0)]
+    grid = ["sweep", "--case", "three", "--var", "theta", "--start", "0", "--stop", TWO_PI,
+            "--count", "101", "--var2", "theta_prime", "--start2", "0", "--stop2", TWO_PI,
+            "--count2", "101", "--out", os.path.join(tmp, "grid.csv")]
+    dump = ["packet", "--gamma-c", "0.1", "--phi", "1.5707963267948966",
+            "--dump-trajectory", os.path.join(tmp, "traj.csv"),
+            "--out", os.path.join(tmp, "row.csv")]
+    point = ["two", "--gamma2", "0.7", "--gamma-c", "0.1", "--delta", "0.3", "--phi", "1.1"]
+
+    # (name, call, seconds, max calls)
+    layers = [
+        ("closed_form_point", lambda: mean_output_two(params, 1.0, 0.3, 1.1), 0.5, 20000),
+        ("scatter_scalar", lambda: scatter(params, amps, 0.3), 0.5, 20000),
+        ("scatter_10001_points", lambda: scatter(params, amps, deltas), 0.5, 2000),
+        ("packet_output_numbers", lambda: packet_output_numbers(params, packets), 1.0, 500),
+        ("time_domain_report", lambda: time_domain_report(params, packets), 1.0, 200),
+    ]
+    layers += [(f"verify_{name}", _quiet(lambda name=name: verify.run_suites((name,))), 2.0, 50)
+               for name in verify.SUITE_NAMES]
+    layers += [
+        ("cli_three_101x101", lambda: cli.main(grid), 2.0, 50),
+        ("cli_trajectory_dump", lambda: cli.main(dump), 2.0, 50),
+        ("cli_point_command", _quiet(lambda: cli.main(point)), 1.0, 5000),
+    ]
+    return {name: 1e3 * _median_time(fn, seconds, calls) for name, fn, seconds, calls in layers}
+
+
+def machine() -> dict:
+    import numpy as np
+
+    try:
+        scipy_version = metadata.version("scipy")
+    except metadata.PackageNotFoundError:
+        scipy_version = None
+    return {"cpu_count": os.cpu_count(), "platform": platform.platform(),
+            "python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy_version}
+
+
+def _child(src: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, __file__], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def compare(base: Path, rounds: int) -> dict:
+    runs = {"base": [], "head": []}
+    for i in range(rounds):
+        order = [("base", base), ("head", HEAD_SRC)]
+        for side, src in (order if i % 2 == 0 else order[::-1]):
+            runs[side].append(_child(src)["layers_ms"])
+    layers = {}
+    for name in runs["head"][0]:
+        base_ms = [r[name] for r in runs["base"]]
+        head_ms = [r[name] for r in runs["head"]]
+        layers[name] = {
+            "base_ms": statistics.median(base_ms), "head_ms": statistics.median(head_ms),
+            "head_over_base": statistics.median(head_ms) / statistics.median(base_ms),
+            "head_faster_rounds": sum(h < b for h, b in zip(head_ms, base_ms)),
+        }
+    return {"machine": machine(), "rounds": rounds, "layers": layers}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", type=Path,
+                        help="src directory of the checkout to compare against")
+    parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--out", type=Path, help="JSON file (default stdout)")
+    args = parser.parse_args()
+    if args.base is None:
+        with tempfile.TemporaryDirectory() as tmp:
+            result = {"machine": machine(), "layers_ms": layer_times(tmp)}
+    else:
+        result = compare(args.base.resolve(), args.rounds)
+    text = json.dumps(result, indent=2) + "\n"
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        args.out.write_text(text)
+
+
+if __name__ == "__main__":
+    main()

@@ -268,8 +268,10 @@ class OutputReport:
             v[i] = value
         v[(-1e-12 * np.maximum(n_in, 1.0) < v) & (v < 0.0)] = 0.0
         clean = list(v)
-        total = clean[0] + clean[1] + clean[2] + clean[3]
-        loss = n_in - total
+        # an overflow here ends in NonFinite below, not in a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = clean[0] + clean[1] + clean[2] + clean[3]
+            loss = n_in - total
         # loss is finite exactly when n_in, every channel and the total are
         if not holds(abs(loss) < math.inf):
             names = ["n_in", "N_r1", "N_l1", "N_r2", "N_l2", "N_total", "loss"]

@@ -20,7 +20,9 @@ the same map worked out by hand, so they hold for every gamma_c >= 0, and
 each is written so that at gamma_c = 0 it reduces, operation for operation,
 to the lossless expression. `scatter` is the general map and the cross-check
 of the forms. The closed forms reject non-finite photon numbers, detunings
-and phases with NonFinite.
+and phases with NonFinite. Beyond |delta| + rates = 2^500 they first divide
+delta and the rates by a power of two, which changes no value, so a
+far-detuned cavity passes light straight through at any finite delta.
 
 Every input may be a scalar or a numpy array: the rates in RouterParams,
 amplitudes, detunings, phases and photon numbers all broadcast elementwise,
@@ -47,6 +49,7 @@ from .core import (
     OutputReport,
     ParameterError,
     RouterParams,
+    holds,
     require,
     require_finite,
     validate,
@@ -104,7 +107,8 @@ def cavity_amplitude(params: RouterParams, inputs: ChannelAmplitudes, delta):
     validate(params)
     drive = (np.sqrt(params.gamma1) * (inputs.r1 + inputs.l1)
              + np.sqrt(params.gamma2) * (inputs.r2 + inputs.l2))
-    c = -1j * drive / (1j * delta + params.total_decay)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        c = -1j * drive / (1j * delta + params.total_decay)
     # a NaN or inf among the amplitudes or detunings leaves c NaN or inf, and
     # then sum |c|^2 too; that one BLAS sum is cheaper than an isfinite pass,
     # and a false alarm (sum overflow) only costs the exact checks below
@@ -142,6 +146,22 @@ def _require_mean_n(mean_n) -> None:
     require(mean_n >= 0.0, NegativeRate, "mean photon number must be >= 0", mean_n)
 
 
+def _unit_scaled(delta, *rates):
+    """delta and the rates, divided by a power of two when they are so large
+    that a closed form's squares could overflow.
+
+    The scale puts the larger of |delta| and the rates' sum in [0.5, 1). The
+    closed forms are homogeneous of degree 0 in (delta, rates), and a
+    power-of-two scale changes no rounding unless something underflows, so
+    their values are unchanged, and far off resonance, at any finite delta,
+    they give the plain pass-through answer.
+    """
+    if holds(abs(delta) + sum(rates) < 2.0 ** 500):
+        return (delta, *rates)
+    scale = np.ldexp(1.0, -np.frexp(np.maximum(abs(delta), sum(rates)))[1])
+    return (delta * scale, *(rate * scale for rate in rates))
+
+
 def mean_output_single(params: RouterParams, mean_n: float, delta: float) -> OutputReport:
     """Mean output numbers for photons injected into input port 1 only.
 
@@ -153,8 +173,8 @@ def mean_output_single(params: RouterParams, mean_n: float, delta: float) -> Out
     validate(params)
     require_finite(mean_n=mean_n, delta=delta)
     _require_mean_n(mean_n)
-    g1, g2 = params.gamma1, params.gamma2
-    a = g2 + params.gamma_c
+    delta, g1, g2, gc = _unit_scaled(delta, params.gamma1, params.gamma2, params.gamma_c)
+    a = g2 + gc
     # D from a, so the numerator and the denominator share the rounding of a
     d = delta * delta + (g1 + a) * (g1 + a)
     return OutputReport.from_channel_numbers(
@@ -186,8 +206,8 @@ def mean_output_two(params: RouterParams, mean_n: float, delta: float, phi: floa
     validate(params)
     require_finite(mean_n=mean_n, delta=delta, phi=phi)
     _require_mean_n(mean_n)
-    g1, g2 = params.gamma1, params.gamma2
-    a = g2 + params.gamma_c
+    delta, g1, g2, gc = _unit_scaled(delta, params.gamma1, params.gamma2, params.gamma_c)
+    a = g2 + gc
     d = delta * delta + (g1 + a) * (g1 + a)
     cos_phi, sin_phi = np.cos(phi), np.sin(phi)
     # interference of the two drives through the cavity, seen by guides 1 and 2
@@ -215,6 +235,7 @@ def two_port_reduction(gamma1: float, mean_n: float, delta: float, phi: float) -
     validate(RouterParams(gamma1=gamma1, gamma2=0.0))
     require_finite(mean_n=mean_n, delta=delta, phi=phi)
     _require_mean_n(mean_n)
+    delta, gamma1 = _unit_scaled(delta, gamma1)
     d = delta * delta + gamma1 * gamma1
     swing = 2.0 * gamma1 * delta * np.sin(phi)
     return ((d - swing) / d * mean_n, (d + swing) / d * mean_n)
@@ -243,7 +264,7 @@ def mean_output_three(params: RouterParams, mean_n: float, delta: float,
     validate(params)
     require_finite(mean_n=mean_n, delta=delta, theta=theta, theta_prime=theta_prime)
     _require_mean_n(mean_n)
-    g1, g2, gc = params.gamma1, params.gamma2, params.gamma_c
+    delta, g1, g2, gc = _unit_scaled(delta, params.gamma1, params.gamma2, params.gamma_c)
     a, b = g2 + gc, g1 + gc
     s = np.sqrt(g1 * g2)
     d = delta * delta + (g1 + a) * (g1 + a)

@@ -13,7 +13,14 @@ so a transcription error there cannot cancel against the same error here.
 For the time-domain oracle, `integrate_cavity_loop` steps the cavity
 equation with classical RK4 one Python step at a time, the form the library
 replaced with a linear recurrence solved in numpy.
+
+For the CLI's CSV bytes, `csv_text_loop`, `cli_rows_loop` and
+`trajectory_csv_loop` write rows with `csv.writer`, one row and one `repr`
+per value at a time, the form the CLI's one-pass emitter replaced.
 """
+
+import csv
+import io
 
 import numpy as np
 
@@ -66,3 +73,49 @@ def integrate_cavity_loop(params, drives, grid) -> np.ndarray:
         cur = cur + h6 * (k1 + 2.0 * (k2 + k3) + k4)
         out[i + 1] = cur
     return np.asarray(out, dtype=complex)
+
+
+def csv_text_loop(header, columns) -> str:
+    """CSV text by csv.writer, one row at a time.
+
+    Each of `columns` is a string, written on every row, or a sequence of
+    floats with one value per row, written as its repr.
+    """
+    size = max(len(col) for col in columns if not isinstance(col, str))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for i in range(size):
+        writer.writerow([col if isinstance(col, str) else repr(float(col[i]))
+                         for col in columns])
+    return out.getvalue()
+
+
+_SCENARIO_COLUMNS = ("gamma1", "gamma2", "gamma_c", "delta", "phi", "theta",
+                     "theta_prime", "bandwidth", "mean_n")
+_CASE_COLUMNS = {"single": (), "two": ("phi",), "three": ("theta", "theta_prime"),
+                 "packet": ("phi", "bandwidth")}
+
+
+def cli_rows_loop(header, case: str, scn: dict, grid: dict, numbers) -> str:
+    """The CSV of an evaluated CLI grid: scenario columns from `grid` where
+    swept and from `scn` otherwise, empty where they do not apply to `case`,
+    then the first six rows of `numbers` (N_r1 .. loss)."""
+    def column(key):
+        if key in ("phi", "theta", "theta_prime", "bandwidth") and key not in _CASE_COLUMNS[case]:
+            return ""
+        return grid[key] if key in grid else repr(float(scn[key]))
+
+    return csv_text_loop(header, [case] + [column(key) for key in _SCENARIO_COLUMNS]
+                         + list(numbers[:6]))
+
+
+def trajectory_csv_loop(times, trajectory) -> str:
+    """The --dump-trajectory CSV, with abs2_c as abs(c) ** 2 per element."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("t", "re_c", "im_c", "abs2_c"))
+    for t, c in zip(times, trajectory):
+        writer.writerow((repr(float(t)), repr(float(c.real)), repr(float(c.imag)),
+                         repr(float(abs(c) ** 2))))
+    return out.getvalue()

@@ -4,9 +4,11 @@ import csv
 import io
 import math
 
+import numpy as np
 import pytest
 
-from photon_router import RouterParams, mean_output_two
+from _reference import cli_rows_loop, csv_text_loop, trajectory_csv_loop
+from photon_router import RouterParams, cli, mean_output_two
 from photon_router.cli import CSV_HEADER, main
 
 PI = math.pi
@@ -86,6 +88,11 @@ class TestPointCommands:
         assert row["Omega"] == "0.3"
         assert row["theta"] == ""
         assert float(row["N_total"]) == pytest.approx(2.0, abs=1e-6)
+
+    def test_far_detuned_passes_through(self, capsys):
+        code, out, _ = run_cli(capsys, ["single", "--delta", "1e200"])
+        assert code == 0
+        assert out.splitlines()[1] == "single,1.0,1.0,0.0,1e+200,,,,,1.0,1.0,0.0,0.0,0.0,1.0,0.0"
 
     def test_consecutive_calls_do_not_share_values(self, capsys):
         run_cli(capsys, ["three", "--theta", "1"])
@@ -358,6 +365,113 @@ class TestFileOutput:
         assert len(lines) > 1000
         t, re_c, im_c, abs2 = (float(x) for x in lines[len(lines) // 2].split(","))
         assert abs2 == pytest.approx(re_c**2 + im_c**2, rel=1e-12)
+
+
+def emitted_and_reference(capsys, monkeypatch, argv):
+    """stdout of `argv`, and the csv.writer reference CSV of the grid it evaluated."""
+    seen = []
+    real_rows = cli._rows
+
+    def spy(*args):
+        seen.append(args)
+        return real_rows(*args)
+
+    monkeypatch.setattr(cli, "_rows", spy)
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    (case, scn, grid, numbers), = seen
+    return out, cli_rows_loop(CSV_HEADER, case, scn, grid, numbers)
+
+
+class TestEmitterBytes:
+    """The emitter writes the bytes of the csv.writer rows it replaced."""
+
+    POINTS = [
+        ["single", "--gamma-c", "0.3", "--delta", "-0.7"],
+        ["two", "--gamma2", "0.6", "--phi", "1.1", "--mean-n", "2.5"],
+        ["three", "--theta", "0.3", "--theta-prime", "2.2", "--gamma2", "0.4"],
+        ["packet", "--phi", "1.0", "--gamma-c", "0.1"],
+    ]
+
+    @pytest.mark.parametrize("argv", POINTS, ids=lambda argv: argv[0])
+    def test_point_commands(self, capsys, monkeypatch, argv):
+        out, reference = emitted_and_reference(capsys, monkeypatch, argv)
+        assert out == reference
+
+    # sweep flags of one- and two-axis grids of 4095, 4096, 4097 and 8193
+    # points, at and either side of multiples of the chunk size
+    TWO_PI = ["--start", "0", "--stop", "6.283185307179586"]
+    GRIDS = [
+        ["--case", "two", "--var", "phi", *TWO_PI, "--count", "4095"],
+        ["--case", "two", "--gamma-c", "0.2", "--var", "phi", *TWO_PI, "--count", "64",
+         "--var2", "delta", "--start2", "-3", "--stop2", "3", "--count2", "64"],
+        ["--case", "single", "--var", "delta", "--start", "-5", "--stop", "5",
+         "--count", "4097"],
+        ["--case", "three", "--var", "theta", *TWO_PI, "--count", "3",
+         "--var2", "theta_prime", "--start2", "0", "--stop2", "6.283185307179586",
+         "--count2", "2731"],
+        ["--case", "two", "--phi", "0.7", "--var", "gamma2", "--start", "0", "--stop", "2",
+         "--count", "63", "--var2", "gamma_c", "--start2", "0", "--stop2", "1",
+         "--count2", "65"],
+        ["--case", "three", "--var", "theta_prime", *TWO_PI, "--count", "17",
+         "--var2", "theta", "--start2", "0", "--stop2", "6.283185307179586",
+         "--count2", "241"],
+        ["--case", "packet", "--gamma-c", "0.1", "--var", "Omega", "--start", "0.2",
+         "--stop", "0.6", "--count", "3"],
+    ]
+
+    @pytest.mark.parametrize("sweep", GRIDS, ids=lambda sweep: sweep[1])
+    def test_grids(self, capsys, monkeypatch, sweep):
+        out, reference = emitted_and_reference(capsys, monkeypatch, ["sweep"] + sweep)
+        assert out == reference
+
+    def test_stdout_dash_and_file_targets(self, capsys, monkeypatch, tmp_path):
+        argv = self.GRIDS[1]
+        out, reference = emitted_and_reference(
+            capsys, monkeypatch, ["sweep"] + argv + ["--out", "-"])
+        assert out == reference
+        target = tmp_path / "grid.csv"
+        code, out, _ = run_cli(capsys, ["sweep"] + argv + ["--out", str(target)])
+        assert code == 0
+        assert out == ""
+        assert target.read_bytes() == reference.encode()
+
+    # signed zeros, subnormals and values near the ends of the double range,
+    # cycled so that each chunk holds each of them many times; one line is
+    # formatted value by value, two or more through np.unique
+    EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+                -1.0000000000000001e-300, 1e300, -1.7976931348623157e308, 0.1, 1.0]
+
+    @pytest.mark.parametrize("size", [1, 2, cli._CHUNK - 1, cli._CHUNK, cli._CHUNK + 1,
+                                      4 * cli._CHUNK + 1])
+    def test_extreme_values(self, capsys, tmp_path, size):
+        first = np.resize(np.array(self.EXTREMES), size)
+        header = ("name", "a", "empty", "b", "c")
+        columns = ["x", first, "", first[::-1], -first]
+        reference = csv_text_loop(header, columns)
+        target = tmp_path / "extremes.csv"
+        cli._emit(str(target), header, columns)
+        assert target.read_bytes() == reference.encode()
+        cli._emit(None, header, columns)
+        assert capsys.readouterr().out == reference
+
+    def test_trajectory_dump(self, capsys, monkeypatch, tmp_path):
+        seen = []
+        real_integrate = cli.integrate_cavity
+
+        def spy(params, drives, grid):
+            trajectory = real_integrate(params, drives, grid)
+            seen.append((grid.times, trajectory))
+            return trajectory
+
+        monkeypatch.setattr(cli, "integrate_cavity", spy)
+        target = tmp_path / "traj.csv"
+        code, _, _ = run_cli(capsys, ["packet", "--gamma-c", "0.1",
+                                      "--phi", "1.5707963267948966",
+                                      "--dump-trajectory", str(target)])
+        assert code == 0
+        (times, trajectory), = seen
+        assert target.read_bytes() == trajectory_csv_loop(times, trajectory).encode()
 
 
 class TestVerifyCommand:

@@ -191,6 +191,7 @@ class TestOutputReport:
         ({ch: np.array([0.1, 0.2, 0.3]) for ch in CHANNELS}, np.array([1.0, 2.0, -math.inf]),
          "n_in is not finite; the inputs overflow double precision, got -inf at index 2"),
     ], ids=["n_in", "channel", "total", "array"])
+    @pytest.mark.filterwarnings("error")  # no numpy RuntimeWarning on the way
     def test_non_finite_rejected(self, n_out, n_in, message):
         with pytest.raises(NonFinite) as info:
             OutputReport.from_channel_numbers(n_out, n_in=n_in)

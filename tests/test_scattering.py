@@ -99,6 +99,11 @@ class TestFrozenSingleInput:
         rep = mean_output_single(LOSSLESS, 1.0, 1e6)
         assert rep.n_r1 == pytest.approx(1.0, abs=1e-5)
 
+    def test_pass_through_where_delta_squared_overflows(self):
+        rep = mean_output_single(LOSSLESS, 1.0, 1e200)
+        assert (rep.n_r1, rep.n_l1, rep.n_r2, rep.n_l2) == (1.0, 0.0, 0.0, 0.0)
+        assert rep.loss == 0.0
+
     def test_lossy_frozen_value(self):
         # gamma2 = 0.6, gamma_c = 0.2, delta = 0.5 (matrix reference)
         rep = mean_output_single(RouterParams(gamma2=0.6, gamma_c=0.2), 1.0, 0.5)
@@ -189,6 +194,10 @@ class TestFrozenThreeInput:
     def test_equal_phases_balance_second_guide(self):
         rep = mean_output_three(RouterParams(gamma2=0.7), 1.0, 0.4, 1.1, 1.1)
         assert rep.n_r2 == pytest.approx(rep.n_l2, abs=1e-15)
+
+    def test_pass_through_where_delta_squared_overflows(self):
+        rep = mean_output_three(RouterParams(gamma_c=0.3), 1.0, -1.7e308, 0.4, 2.0)
+        assert (rep.n_r1, rep.n_l1, rep.n_r2, rep.n_l2) == (1.0, 0.0, 1.0, 1.0)
 
 
 class TestScatterVectorised:
@@ -387,6 +396,28 @@ class TestInvariants:
         for ch in Channel:
             assert abs(base.n_out[ch] - rot.n_out[ch]) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("power", [600, 1000])
+    def test_power_of_two_scale_is_exact(self, power):
+        # the forms are homogeneous of degree 0 in (delta, rates); scaling by
+        # 2**power takes the large-argument branch, which must not move a bit
+        rng = np.random.default_rng(power)
+        g1, g2, gc = np.exp(rng.uniform(-3.0, 3.0, (3, 2000)))
+        gc[::2] = 0.0
+        delta = rng.uniform(-20.0, 20.0, 2000)
+        phi, theta, theta_prime = rng.uniform(-7.0, 7.0, (3, 2000))
+        scale = 2.0 ** power
+
+        def reports(k):
+            params = RouterParams(gamma1=g1 * k, gamma2=g2 * k, gamma_c=gc * k)
+            reps = [mean_output_single(params, 1.3, delta * k),
+                    mean_output_two(params, 1.3, delta * k, phi),
+                    mean_output_three(params, 1.3, delta * k, theta, theta_prime)]
+            return ([r.n_out[ch] for r in reps for ch in Channel]
+                    + list(two_port_reduction(g1 * k, 1.3, delta * k, phi)))
+
+        for plain, scaled in zip(reports(1.0), reports(scale)):
+            np.testing.assert_array_equal(scaled, plain)
+
 
 NAN_ROW = np.array([0.0, math.nan, 1.0])
 INF_ROW = np.array([0.0, 1.0, -math.inf])
@@ -394,6 +425,8 @@ ZEROS = np.zeros(3)
 
 
 class TestNonFiniteInputs:
+    # "error" turns a numpy RuntimeWarning raised on the way into a failure
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("call", [
         lambda: mean_output_single(LOSSLESS, math.nan, 0.0),
         lambda: mean_output_two(LOSSLESS, 1.0, math.nan, 0.0),
