@@ -13,8 +13,10 @@
         head/base ratio, and the rounds the head was faster in.
 
 The layers: one closed-form point, `scatter` on a scalar and on 10 001
-detunings, one two-packet quadrature, one `time_domain_report`, each
-`verify` suite, and through the CLI the 101 x 101 `three` grid, the
+detunings, one two-packet quadrature, one two-packet quadrature at
+Omega = 0.001 and cavity detuning 5 up to its QuadratureUnderResolved,
+one `time_domain_report`, each `verify` suite, and through the CLI the
+101 x 101 `three` grid, the 201-point packet phase sweep, the
 --dump-trajectory point and one point command. Times are medians of
 repeated calls after one warm-up call.
 """
@@ -66,7 +68,7 @@ def layer_times(tmp: str) -> dict:
     import numpy as np
 
     from photon_router import cli, verify
-    from photon_router.core import Channel, RouterParams, WavePacket
+    from photon_router.core import Channel, QuadratureUnderResolved, RouterParams, WavePacket
     from photon_router.oracle import time_domain_report
     from photon_router.scattering import ChannelAmplitudes, mean_output_two, scatter
     from photon_router.wavepacket import packet_output_numbers
@@ -76,9 +78,19 @@ def layer_times(tmp: str) -> dict:
     deltas = np.linspace(-5.0, 5.0, 10001)
     packets = [WavePacket(Channel.R1, 1.0, Omega=0.3),
                WavePacket(Channel.L1, 1.0, Omega=0.3, phase=1.0)]
+    narrow = [WavePacket(Channel.R1, 1.0, Omega=0.001),
+              WavePacket(Channel.L1, 1.0, Omega=0.001, phase=1.0)]
+
+    def under_resolved():
+        with contextlib.suppress(QuadratureUnderResolved):
+            packet_output_numbers(RouterParams(omega_c=5.0), narrow)
+
     grid = ["sweep", "--case", "three", "--var", "theta", "--start", "0", "--stop", TWO_PI,
             "--count", "101", "--var2", "theta_prime", "--start2", "0", "--stop2", TWO_PI,
             "--count2", "101", "--out", os.path.join(tmp, "grid.csv")]
+    phase_sweep = ["sweep", "--case", "packet", "--gamma-c", "0.1", "--var", "phi",
+                   "--start", "0", "--stop", TWO_PI, "--count", "201",
+                   "--out", os.path.join(tmp, "phase.csv")]
     dump = ["packet", "--gamma-c", "0.1", "--phi", "1.5707963267948966",
             "--dump-trajectory", os.path.join(tmp, "traj.csv"),
             "--out", os.path.join(tmp, "row.csv")]
@@ -90,12 +102,14 @@ def layer_times(tmp: str) -> dict:
         ("scatter_scalar", lambda: scatter(params, amps, 0.3), 0.5, 20000),
         ("scatter_10001_points", lambda: scatter(params, amps, deltas), 0.5, 2000),
         ("packet_output_numbers", lambda: packet_output_numbers(params, packets), 1.0, 500),
+        ("packet_under_resolved", under_resolved, 1.0, 200),
         ("time_domain_report", lambda: time_domain_report(params, packets), 1.0, 200),
     ]
     layers += [(f"verify_{name}", _quiet(lambda name=name: verify.run_suites((name,))), 2.0, 50)
                for name in verify.SUITE_NAMES]
     layers += [
         ("cli_three_101x101", lambda: cli.main(grid), 2.0, 50),
+        ("packet_sweep_phase_201", lambda: cli.main(phase_sweep), 2.0, 50),
         ("cli_trajectory_dump", lambda: cli.main(dump), 2.0, 50),
         ("cli_point_command", _quiet(lambda: cli.main(point)), 1.0, 5000),
     ]

@@ -18,6 +18,7 @@ follow the convention delta = omega_c - omega throughout.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -168,6 +169,20 @@ def require_finite(**values) -> None:
     if not holds(ok):
         for name, value in values.items():
             require(np.isfinite(value), NonFinite, f"{name} must be finite", value)
+
+
+_NO_GUARD = contextlib.nullcontext()
+
+
+def overflow_guard(safe):
+    """Context for arithmetic that may overflow to inf, which a finiteness
+    check after it turns into NonFinite.
+
+    `safe` is a cheap comparison that rules overflow out. When it holds, as
+    in every ordinary call, the context does nothing; otherwise it silences
+    numpy's overflow warning, which would come before the NonFinite.
+    """
+    return _NO_GUARD if holds(safe) else np.errstate(over="ignore")
 
 
 def validate(params: RouterParams) -> RouterParams:

@@ -20,7 +20,9 @@ the same map worked out by hand, so they hold for every gamma_c >= 0, and
 each is written so that at gamma_c = 0 it reduces, operation for operation,
 to the lossless expression. `scatter` is the general map and the cross-check
 of the forms. The closed forms reject non-finite photon numbers, detunings
-and phases with NonFinite. Beyond |delta| + rates = 2^500 they first divide
+and phases with NonFinite, and raise it too, with no numpy warning first,
+when the rates' sum or a photon number times an output fraction overflows
+double precision. Beyond |delta| + rates = 2^500 they first divide
 delta and the rates by a power of two, which changes no value, so a
 far-detuned cavity passes light straight through at any finite delta.
 
@@ -35,6 +37,7 @@ numpy's square on some inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -50,6 +53,7 @@ from .core import (
     ParameterError,
     RouterParams,
     holds,
+    overflow_guard,
     require,
     require_finite,
     validate,
@@ -72,13 +76,20 @@ class ChannelAmplitudes:
         return list(zip(CHANNELS, (self.r1, self.l1, self.r2, self.l2)))
 
     def fluxes(self) -> dict:
-        """|amplitude|^2 per channel, as re^2 + im^2."""
-        return {ch: z.real * z.real + z.imag * z.imag for ch, z in self.items()}
+        """|amplitude|^2 per channel, as re^2 + im^2; inf where that overflows."""
+        with self._overflow_guard():
+            return {ch: z.real * z.real + z.imag * z.imag for ch, z in self.items()}
 
     def total_flux(self):
-        """Sum of |amplitude|^2 over the four channels."""
-        r1, l1, r2, l2 = self.fluxes().values()
-        return r1 + l1 + r2 + l2
+        """Sum of |amplitude|^2 over the four channels; inf where that overflows."""
+        with self._overflow_guard():
+            r1, l1, r2, l2 = self.fluxes().values()
+            return r1 + l1 + r2 + l2
+
+    def _overflow_guard(self):
+        # magnitudes summing below 2^511 keep each flux and their sum below 2^1022
+        return overflow_guard(abs(self.r1) + abs(self.l1) + abs(self.r2) + abs(self.l2)
+                               < 2.0 ** 511)
 
 
 def amplitudes_of_drives(drives: Sequence[CoherentDrive]) -> tuple[ChannelAmplitudes, float]:
@@ -146,6 +157,15 @@ def _require_mean_n(mean_n) -> None:
     require(mean_n >= 0.0, NegativeRate, "mean photon number must be >= 0", mean_n)
 
 
+def _mean_n_guard(mean_n):
+    """overflow_guard for the products of mean_n with output fractions.
+
+    A passive cavity sends at most the whole input, 3 mean_n, to any
+    channel, so below 2^1020 no product and no n_in can overflow.
+    """
+    return overflow_guard(mean_n < 2.0 ** 1020)
+
+
 def _unit_scaled(delta, *rates):
     """delta and the rates, divided by a power of two when they are so large
     that a closed form's squares could overflow.
@@ -154,11 +174,16 @@ def _unit_scaled(delta, *rates):
     closed forms are homogeneous of degree 0 in (delta, rates), and a
     power-of-two scale changes no rounding unless something underflows, so
     their values are unchanged, and far off resonance, at any finite delta,
-    they give the plain pass-through answer.
+    they give the plain pass-through answer. Raises NonFinite when the rates'
+    sum itself overflows.
     """
     if holds(abs(delta) + sum(rates) < 2.0 ** 500):
         return (delta, *rates)
-    scale = np.ldexp(1.0, -np.frexp(np.maximum(abs(delta), sum(rates)))[1])
+    with np.errstate(over="ignore"):  # an overflowing sum raises below
+        total = sum(rates)
+    require(total < math.inf, NonFinite, "the total decay rate overflows double precision",
+            total)
+    scale = np.ldexp(1.0, -np.frexp(np.maximum(abs(delta), total))[1])
     return (delta * scale, *(rate * scale for rate in rates))
 
 
@@ -177,15 +202,16 @@ def mean_output_single(params: RouterParams, mean_n: float, delta: float) -> Out
     a = g2 + gc
     # D from a, so the numerator and the denominator share the rounding of a
     d = delta * delta + (g1 + a) * (g1 + a)
-    return OutputReport.from_channel_numbers(
-        {
-            Channel.R1: (delta * delta + a * a) / d * mean_n,
-            Channel.L1: g1 * g1 / d * mean_n,
-            Channel.R2: g1 * g2 / d * mean_n,
-            Channel.L2: g1 * g2 / d * mean_n,
-        },
-        n_in=mean_n,
-    )
+    with _mean_n_guard(mean_n):
+        return OutputReport.from_channel_numbers(
+            {
+                Channel.R1: (delta * delta + a * a) / d * mean_n,
+                Channel.L1: g1 * g1 / d * mean_n,
+                Channel.R2: g1 * g2 / d * mean_n,
+                Channel.L2: g1 * g2 / d * mean_n,
+            },
+            n_in=mean_n,
+        )
 
 
 def mean_output_two(params: RouterParams, mean_n: float, delta: float, phi: float) -> OutputReport:
@@ -214,15 +240,16 @@ def mean_output_two(params: RouterParams, mean_n: float, delta: float, phi: floa
     cross1 = (1.0 + cos_phi) * g1 * a
     cross2 = (1.0 + cos_phi) * g1 * g2
     tilt = g1 * delta * sin_phi
-    return OutputReport.from_channel_numbers(
-        {
-            Channel.R1: (1.0 - 2.0 * (cross1 + tilt) / d) * mean_n,
-            Channel.L1: (1.0 - 2.0 * (cross1 - tilt) / d) * mean_n,
-            Channel.R2: 2.0 * cross2 / d * mean_n,
-            Channel.L2: 2.0 * cross2 / d * mean_n,
-        },
-        n_in=2.0 * mean_n,
-    )
+    with _mean_n_guard(mean_n):
+        return OutputReport.from_channel_numbers(
+            {
+                Channel.R1: (1.0 - 2.0 * (cross1 + tilt) / d) * mean_n,
+                Channel.L1: (1.0 - 2.0 * (cross1 - tilt) / d) * mean_n,
+                Channel.R2: 2.0 * cross2 / d * mean_n,
+                Channel.L2: 2.0 * cross2 / d * mean_n,
+            },
+            n_in=2.0 * mean_n,
+        )
 
 
 def two_port_reduction(gamma1: float, mean_n: float, delta: float, phi: float) -> tuple[float, float]:
@@ -238,7 +265,10 @@ def two_port_reduction(gamma1: float, mean_n: float, delta: float, phi: float) -
     delta, gamma1 = _unit_scaled(delta, gamma1)
     d = delta * delta + gamma1 * gamma1
     swing = 2.0 * gamma1 * delta * np.sin(phi)
-    return ((d - swing) / d * mean_n, (d + swing) / d * mean_n)
+    with _mean_n_guard(mean_n):
+        n_r1, n_l1 = (d - swing) / d * mean_n, (d + swing) / d * mean_n
+    require_finite(N_r1=n_r1, N_l1=n_l1)
+    return n_r1, n_l1
 
 
 def mean_output_three(params: RouterParams, mean_n: float, delta: float,
@@ -272,22 +302,23 @@ def mean_output_three(params: RouterParams, mean_n: float, delta: float,
     cp, sp = np.cos(theta_prime), np.sin(theta_prime)
     cd, sd = np.cos(theta - theta_prime), np.sin(theta - theta_prime)
 
-    n_r1 = (delta * delta + a * a + 2.0 * g1 * g2
-            - 2.0 * delta * s * (st + sp)
-            - 2.0 * s * a * (ct + cp)
-            + 2.0 * cd * g1 * g2) / d * mean_n
-    n_l1 = (g1 * g1 + 2.0 * (1.0 + cd) * g1 * g2
-            + 2.0 * (ct + cp) * g1 * s) / d * mean_n
-    n_r2 = (d - g2 * (g1 + 2.0 * gc)
-            + 2.0 * st * s * delta + 2.0 * sd * g2 * delta
-            - 2.0 * ct * b * s + 2.0 * cp * g2 * s
-            - 2.0 * cd * b * g2) / d * mean_n
-    n_l2 = (d - g2 * (g1 + 2.0 * gc)
-            + 2.0 * sp * s * delta - 2.0 * sd * g2 * delta
-            - 2.0 * cp * b * s + 2.0 * ct * g2 * s
-            - 2.0 * cd * b * g2) / d * mean_n
+    with _mean_n_guard(mean_n):
+        n_r1 = (delta * delta + a * a + 2.0 * g1 * g2
+                - 2.0 * delta * s * (st + sp)
+                - 2.0 * s * a * (ct + cp)
+                + 2.0 * cd * g1 * g2) / d * mean_n
+        n_l1 = (g1 * g1 + 2.0 * (1.0 + cd) * g1 * g2
+                + 2.0 * (ct + cp) * g1 * s) / d * mean_n
+        n_r2 = (d - g2 * (g1 + 2.0 * gc)
+                + 2.0 * st * s * delta + 2.0 * sd * g2 * delta
+                - 2.0 * ct * b * s + 2.0 * cp * g2 * s
+                - 2.0 * cd * b * g2) / d * mean_n
+        n_l2 = (d - g2 * (g1 + 2.0 * gc)
+                + 2.0 * sp * s * delta - 2.0 * sd * g2 * delta
+                - 2.0 * cp * b * s + 2.0 * ct * g2 * s
+                - 2.0 * cd * b * g2) / d * mean_n
 
-    return OutputReport.from_channel_numbers(
-        {Channel.R1: n_r1, Channel.L1: n_l1, Channel.R2: n_r2, Channel.L2: n_l2},
-        n_in=3.0 * mean_n,
-    )
+        return OutputReport.from_channel_numbers(
+            {Channel.R1: n_r1, Channel.L1: n_l1, Channel.R2: n_r2, Channel.L2: n_l2},
+            n_in=3.0 * mean_n,
+        )

@@ -14,6 +14,10 @@ For the time-domain oracle, `integrate_cavity_loop` steps the cavity
 equation with classical RK4 one Python step at a time, the form the library
 replaced with a linear recurrence solved in numpy.
 
+For the packet quadrature, `packet_output_numbers_full_grid` evaluates
+every resolution of the step-halving on its full grid, the form the nested
+halving, which evaluates only the new midpoints, replaced.
+
 For the CLI's CSV bytes, `csv_text_loop`, `cli_rows_loop` and
 `trajectory_csv_loop` write rows with `csv.writer`, one row and one `repr`
 per value at a time, the form the CLI's one-pass emitter replaced.
@@ -119,3 +123,49 @@ def trajectory_csv_loop(times, trajectory) -> str:
         writer.writerow((repr(float(t)), repr(float(c.real)), repr(float(c.imag)),
                          repr(float(abs(c) ** 2))))
     return out.getvalue()
+
+
+def packet_output_numbers_full_grid(params, packets, quad):
+    """The packet quadrature with every resolution evaluated on its full grid.
+
+    Same contract as `photon_router.packet_output_numbers`: the composite
+    rule on np.linspace(lo, hi, points), the step halved up to four times
+    until every channel agrees to 1e-6 relative, each halving evaluating
+    `scatter` on all of its nodes in one call and each packet's spectrum
+    with its own Gaussian envelope.
+    """
+    from photon_router import OutputReport, QuadratureUnderResolved, scatter
+    from photon_router.core import CHANNELS
+    from photon_router.scattering import ChannelAmplitudes
+    from photon_router.wavepacket import _frequency_window, _weights, shared_packet_frame
+
+    def spectrum(p, omega):
+        alpha = np.sqrt(p.mean_n) * np.exp(1j * p.phase)
+        envelope = np.exp(-((omega - p.omega0) ** 2) / (4.0 * p.Omega ** 2))
+        return alpha * (2.0 * np.pi * p.Omega ** 2) ** (-0.25) * envelope
+
+    def fluxes(points):
+        omegas = np.linspace(window[0], window[1], points)
+        step = (window[1] - window[0]) / (points - 1)
+        fields = {ch: 0j for ch in CHANNELS}
+        for p in packets:
+            fields[p.channel] = spectrum(p, omegas)
+        inputs = ChannelAmplitudes(**{ch.name.lower(): fields[ch] for ch in CHANNELS})
+        out = scatter(params, inputs, params.omega_c - omegas)
+        w = _weights(points, step, quad.rule)
+        return {ch: float(np.dot(w, np.abs(out[ch]) ** 2)) for ch in CHANNELS}
+
+    omega0, Omega = shared_packet_frame(packets)
+    window = _frequency_window(params, omega0, Omega, quad.window_halfwidth)
+    n_in = sum(p.mean_n for p in packets)
+    floor = 1e-9 * max(n_in, 1e-300)
+    points = quad.points
+    current = fluxes(points)
+    for _ in range(4):
+        points = 2 * (points - 1) + 1
+        finer = fluxes(points)
+        if all(abs(finer[ch] - current[ch]) <= 1e-6 * max(abs(current[ch]), floor)
+               for ch in CHANNELS):
+            return OutputReport.from_channel_numbers(current, n_in=n_in)
+        current = finer
+    raise QuadratureUnderResolved("channel fluxes still moving after 4 grid doublings")

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -343,6 +344,13 @@ class TestErrorPaths:
         lines = err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("route: error:")
+        # the numbers that caused it: window, point counts, worst channel
+        assert "window [-11.0, 21.0]" in lines[0]
+        assert "4001 -> 64001 points" in lines[0]
+        worst = re.search(r"N_(r1|l1|r2|l2) changed by (\S+) relative", lines[0])
+        assert worst is not None
+        assert float(worst.group(2)) > 1e-6
+        assert lines[0].endswith("target 1e-06")
 
 
 class TestFileOutput:

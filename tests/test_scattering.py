@@ -439,10 +439,15 @@ class TestNonFiniteInputs:
         lambda: mean_output_two(LOSSLESS, 1e308, 0, 0),
         lambda: scatter(LOSSLESS, ChannelAmplitudes(r1=1.0), math.inf),
         lambda: report_from_scatter(LOSSLESS, ChannelAmplitudes(r1=math.nan), 0.0),
+        lambda: mean_output_three(LOSSLESS, 1e308, 0, 0, 0),
+        lambda: mean_output_single(RouterParams(gamma1=1e308, gamma2=1e308), 1.0, 0.0),
+        lambda: report_from_scatter(LOSSLESS, ChannelAmplitudes(r1=1e200), 0.0),
+        lambda: two_port_reduction(1.0, 1e308, 1.0, -math.pi / 2),
     ], ids=["single-mean_n", "two-delta", "three-theta", "reduction-phi",
             "single-delta-array", "two-phi-array", "three-theta_prime-array",
             "reduction-delta-array", "two-overflow", "scatter-delta-inf",
-            "report-amplitude-nan"])
+            "report-amplitude-nan", "three-overflow", "single-rate-sum-overflow",
+            "report-amplitude-overflow", "reduction-overflow"])
     def test_rejected(self, call):
         with pytest.raises(NonFinite):
             call()

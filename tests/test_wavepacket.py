@@ -1,14 +1,17 @@
 """Frequency-domain packet routing: spectra, quadrature, convergence."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _reference import packet_output_numbers_full_grid
 from photon_router import (
     Channel,
+    NonFinite,
     ParameterError,
     QuadratureSpec,
     QuadratureUnderResolved,
@@ -187,10 +190,27 @@ class TestPacketRouting:
         # far-detuned narrow-band packet: the widened window cannot be
         # resolved within the refinement budget, and that must be reported
         params = RouterParams(omega_c=5.0)
-        with pytest.raises(QuadratureUnderResolved):
+        with pytest.raises(QuadratureUnderResolved) as info:
             packet_output_numbers(
                 params, [WavePacket(Channel.R1, mean_n=1.0, omega0=0.0,
                                     Omega=1e-3)])
+        # the message carries the numbers: the window, widened to reach
+        # 8 Gamma past the cavity line, the point counts and the worst channel
+        message = str(info.value)
+        assert "window [-11.0, 21.0]" in message
+        assert "4001 -> 64001 points" in message
+        worst = re.search(r"N_(r1|l1|r2|l2) changed by (\S+) relative", message)
+        assert worst is not None
+        assert float(worst.group(2)) > 1e-6
+        assert message.endswith("target 1e-06")
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_density_is_non_finite(self):
+        # the density peaks near 4e310; the integral must not count that as
+        # a quadrature that keeps moving
+        with pytest.raises(NonFinite, match="flux density overflows"):
+            packet_output_numbers(
+                RouterParams(), [WavePacket(Channel.R1, mean_n=1e308, Omega=1e-3)])
 
     @pytest.mark.parametrize("field", ["gamma1", "gamma2", "gamma_c", "omega_c"])
     def test_array_rates_rejected(self, field):
@@ -226,3 +246,40 @@ class TestBandwidthEffect:
         assert max(n_r2) < 1.0
         rep = packet_output_numbers(params, _pair(PI))
         assert rep.n_r1 >= 0.98
+
+
+class TestNestedHalving:
+    """Each halving evaluates only the new midpoints, in blocks; the reports
+    must carry the bits of full-grid evaluations of every resolution."""
+
+    @staticmethod
+    def _assert_same_bits(params, packets, quad):
+        rep = packet_output_numbers(params, packets, quad)
+        ref = packet_output_numbers_full_grid(params, packets, quad)
+        assert [rep.n_out[ch] for ch in Channel] == [ref.n_out[ch] for ch in Channel]
+        assert (rep.n_in, rep.n_total, rep.loss) == (ref.n_in, ref.n_total, ref.loss)
+
+    @pytest.mark.parametrize("rule", ["simpson", "trapezoid"])
+    @pytest.mark.parametrize("points", [2001, 4001, 8001])
+    @pytest.mark.parametrize("gamma_c", [0.0, 0.15])
+    # narrower packets need more halvings: up to 32001 points, in 4096-node blocks
+    @pytest.mark.parametrize("count, Omega", [(1, 0.3), (2, 0.02), (3, 0.005), (4, 0.05)])
+    def test_matches_full_grid(self, rule, points, gamma_c, count, Omega):
+        rng = np.random.default_rng([points, count, int(gamma_c > 0)])
+        params = RouterParams(gamma2=0.7, gamma_c=gamma_c, omega_c=0.2)
+        packets = [WavePacket(ch, mean_n=float(rng.uniform(0.1, 3.0)), omega0=0.1,
+                              Omega=Omega, phase=float(rng.uniform(0.0, 2 * PI)))
+                   for ch in list(Channel)[:count]]
+        self._assert_same_bits(params, packets, QuadratureSpec(points=points, rule=rule))
+
+    def test_widened_window_matches_full_grid(self):
+        params = RouterParams(gamma2=0.5, gamma_c=0.1, omega_c=2.0)
+        self._assert_same_bits(params, _pair(0.9, Omega=0.1), QuadratureSpec())
+
+    def test_under_resolved_like_full_grid(self):
+        params = RouterParams(omega_c=5.0)
+        packets = [WavePacket(Channel.R1, mean_n=1.0, Omega=1e-3)]
+        with pytest.raises(QuadratureUnderResolved):
+            packet_output_numbers_full_grid(params, packets, QuadratureSpec())
+        with pytest.raises(QuadratureUnderResolved):
+            packet_output_numbers(params, packets)
