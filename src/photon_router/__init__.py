@@ -11,7 +11,6 @@ independent time-domain integrator used to cross-validate all of it.
 from .core import (
     CHANNELS,
     Channel,
-    CoherentDrive,
     GridTooCoarse,
     GridTooLarge,
     NegativeRate,
@@ -30,7 +29,6 @@ from .core import (
 )
 from .scattering import (
     ChannelAmplitudes,
-    amplitudes_of_drives,
     cavity_amplitude,
     mean_output_single,
     mean_output_three,
@@ -62,7 +60,6 @@ __all__ = [
     "Channel",
     "ChannelAmplitudes",
     "CheckResult",
-    "CoherentDrive",
     "GridTooCoarse",
     "GridTooLarge",
     "NegativeRate",
@@ -78,7 +75,6 @@ __all__ = [
     "SUITE_NAMES",
     "TimeGrid",
     "WavePacket",
-    "amplitudes_of_drives",
     "cavity_amplitude",
     "channel_of_input_port",
     "default_grid",

@@ -95,8 +95,8 @@ _CASE_VARS = {
 # scenario-dict key a swept variable writes to; identity unless listed
 _VAR_KEY = {"Omega": "bandwidth"}
 _PHASES = ("phi", "theta", "theta_prime")
-# rows of the numbers array an evaluation returns
-_RESULTS = ("N_r1", "N_l1", "N_r2", "N_l2", "N_total", "loss", "n_in")
+# rows of the numbers array an evaluation returns, the last CSV columns
+_RESULTS = ("N_r1", "N_l1", "N_r2", "N_l2", "N_total", "loss")
 # lines formatted per block, which bounds the memory of their text; larger
 # blocks, or one copy of all rows, raised the peak memory above that of the
 # row-by-row csv.writer this replaced
@@ -201,7 +201,7 @@ def _grid(axes: Sequence[SweepAxis]) -> dict[str, np.ndarray]:
 
 
 def _report_values(rep: OutputReport) -> tuple:
-    return (rep.n_r1, rep.n_l1, rep.n_r2, rep.n_l2, rep.n_total, rep.loss, rep.n_in)
+    return (rep.n_r1, rep.n_l1, rep.n_r2, rep.n_l2, rep.n_total, rep.loss)
 
 
 def _mono_report(case: str, params: RouterParams, n: float, at: dict) -> OutputReport:
@@ -219,7 +219,7 @@ def _mono_numbers(case: str, scn: dict, grid: dict, size: int) -> np.ndarray:
     rep = _mono_report(case, params, scn["mean_n"], at)
     numbers = np.empty((len(_RESULTS), size))
     for row, value in zip(numbers, _report_values(rep)):
-        row[:] = value  # a scalar result (point command or n_in) fills its row
+        row[:] = value  # a scalar result (a point command) fills its row
     return numbers
 
 
@@ -256,7 +256,7 @@ def _rows(case: str, scn: dict, grid: dict, numbers: np.ndarray) -> list:
                column("delta")]
     columns += [column(key) if key in _CASE_VARS[case] else "" for key in _PHASES]
     columns += [column("bandwidth") if case == "packet" else "", column("mean_n")]
-    return columns + list(numbers[:6])
+    return columns + list(numbers)
 
 
 def _strings(block: np.ndarray) -> list[list[str]]:
@@ -325,8 +325,9 @@ def _check_thread_setting() -> None:
 def _dump_trajectory(path: str, params: RouterParams,
                      packets: Sequence[WavePacket]) -> None:
     grid = default_grid(params, packets)
-    drives = [(p.channel, lambda t, _p=p: time_pulse(_p, t)) for p in packets]
-    trajectory = integrate_cavity(params, drives, grid)
+    nodes = grid.half_nodes
+    trajectory = integrate_cavity(params, {p.channel: time_pulse(p, nodes) for p in packets},
+                                  grid)
     # squared one element at a time: numpy's array square or power differs
     # from the per-element abs(c) ** 2 in the last digit of some values
     abs2 = np.fromiter((h ** 2 for h in np.hypot(trajectory.real, trajectory.imag)),

@@ -214,27 +214,13 @@ def validate_scalar(params: RouterParams) -> RouterParams:
 
 
 @dataclass(frozen=True)
-class CoherentDrive:
-    """Monochromatic coherent input on one channel.
-
-    |amplitude|^2 is the mean photon number; delta = omega_c - omega.
-    """
-
-    channel: Channel
-    amplitude: complex
-    delta: float = 0.0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.amplitude) and math.isfinite(self.delta)):
-            raise NonFinite(f"non-finite entry in {self}")
-
-
-@dataclass(frozen=True)
 class WavePacket:
     """Gaussian coherent wave packet on one channel.
 
     Spectrum ~ exp(-(omega - omega0)^2 / (4 Omega^2)), full bandwidth
     2*Omega, integrated mean photon number mean_n, carrier phase `phase`.
+    Omega lies in [2^-510, 2^510], where Omega^2 and 2 pi Omega^2 are
+    normal doubles.
     """
 
     channel: Channel
@@ -248,8 +234,9 @@ class WavePacket:
             raise NonFinite(f"non-finite entry in {self}")
         if self.mean_n < 0.0:
             raise NegativeRate(f"mean_n must be >= 0, got {self.mean_n}")
-        if self.Omega <= 0.0:
-            raise ParameterError(f"Omega must be > 0, got {self.Omega}")
+        if not 2.0 ** -510 <= self.Omega <= 2.0 ** 510:
+            raise ParameterError(
+                f"Omega must be in [2^-510, 2^510] (about 3e-154 to 3e153), got {self.Omega}")
 
 
 @dataclass(frozen=True)

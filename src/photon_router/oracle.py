@@ -20,13 +20,19 @@ because every integrand vanishes at the window edges. High-level packet
 scenarios run in a frame rotating at the packet center frequency omega0
 (omega_c -> omega_c - omega0, carrier dropped) so the step resolves only
 decay rates and bandwidths; interface values stay lab-frame.
+
+A drive is data: a mapping from each driven channel to its mean input field
+<o_ch_in(t)> sampled at the grid's half nodes (`TimeGrid.half_nodes`, the
+step ends and midpoints RK4 evaluates). The step ends are `TimeGrid.times`
+bit for bit, so the same samples serve the integration and the fluxes, and
+each pulse is evaluated once per report.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -44,8 +50,6 @@ from .core import (
     validate_scalar,
 )
 from .wavepacket import shared_packet_frame
-
-Drive = tuple[Channel, Callable]
 
 _EDGE_RATIO = 1e-4          # drive amplitude allowed at window edges, vs peak
 _TAIL_MASS = 1e-10          # allowed envelope mass outside the window
@@ -92,6 +96,12 @@ class TimeGrid:
     @property
     def times(self) -> np.ndarray:
         return np.linspace(self.t_start, self.t_end, self.n_steps + 1)
+
+    @property
+    def half_nodes(self) -> np.ndarray:
+        """The 2 n_steps + 1 step ends and midpoints; every other one is a node
+        of `times`, bit for bit."""
+        return np.linspace(self.t_start, self.t_end, 2 * self.n_steps + 1)
 
 
 def default_grid(params: RouterParams, packets: Sequence[WavePacket],
@@ -149,32 +159,39 @@ def _check_grid(grid: TimeGrid, params: RouterParams) -> None:
             f"{grid.step:.3e} with omega_c = {params.omega_c}")
 
 
-def _drive_arrays(drives: Sequence[Drive], t: np.ndarray) -> dict[Channel, np.ndarray]:
-    """Per-channel drive amplitudes on the given nodes; coherent sums per channel."""
-    out: dict[Channel, np.ndarray] = {}
-    for ch, fn in drives:
-        vals = np.broadcast_to(np.asarray(fn(t), dtype=complex), t.shape)
-        out[ch] = out.get(ch, 0) + vals
+def _samples(drives: Mapping[Channel, np.ndarray], grid: TimeGrid) -> dict:
+    """The drives as complex arrays; ParameterError unless each holds one
+    sample per node of grid.half_nodes."""
+    nodes = 2 * grid.n_steps + 1
+    out = {}
+    for ch, vals in drives.items():
+        out[ch] = np.asarray(vals, dtype=complex)
+        if out[ch].shape != (nodes,):
+            raise ParameterError(
+                f"drive on {ch} has shape {out[ch].shape}, need ({nodes},): "
+                "one sample per node of grid.half_nodes")
     return out
 
 
-def integrate_cavity(params: RouterParams, drives: Sequence[Drive],
+def integrate_cavity(params: RouterParams, drives: Mapping[Channel, np.ndarray],
                      grid: TimeGrid) -> np.ndarray:
     """RK4 trajectory of the cavity amplitude, c(t_start) = 0.
 
-    drives: (channel, fn) pairs, fn mapping an ndarray of times to complex
-    amplitudes; drive envelopes must vanish at the window edges.
-    Returns c at the grid.times nodes.
+    drives: channel -> mean input field <o_ch_in(t)> sampled at
+    grid.half_nodes; each must vanish at the window edges.
+    Returns c at the grid.times nodes. Raises NonFinite, naming the channel,
+    for a NaN or inf sample.
     """
     validate_scalar(params)
     _check_grid(grid, params)
     n = grid.n_steps
     h = grid.step
-    half_nodes = np.linspace(grid.t_start, grid.t_end, 2 * n + 1)
 
     forcing = np.zeros(2 * n + 1, dtype=complex)
-    for ch, vals in _drive_arrays(drives, half_nodes).items():
+    for ch, vals in _samples(drives, grid).items():
         peak = float(np.max(np.abs(vals)))
+        if not peak < math.inf:     # NaN too
+            raise NonFinite(f"drive on {ch} must be finite, got peak |sample| = {peak}")
         edge = max(abs(complex(vals[0])), abs(complex(vals[-1])))
         if peak > 0.0 and edge > _EDGE_RATIO * peak:
             raise PulseNotContained(
@@ -205,27 +222,29 @@ def integrate_cavity(params: RouterParams, drives: Sequence[Drive],
     return out
 
 
-def output_flux(params: RouterParams, drives: Sequence[Drive],
+def output_flux(params: RouterParams, drives: Mapping[Channel, np.ndarray],
                 trajectory: np.ndarray, grid: TimeGrid) -> OutputReport:
     """Integrated mean output numbers from a cavity trajectory.
 
+    drives are the samples integrate_cavity took, on grid.half_nodes; every
+    other one is the input at a node of grid.times.
     N_ch = integral |<o_ch_in(t)> - i sqrt(gamma_j) c(t)|^2 dt, trapezoid on
-    the same grid; n_in is the integrated input flux.
+    grid.times; n_in is the integrated input flux.
     """
     validate_scalar(params)
-    times = grid.times
-    if trajectory.shape != times.shape:
+    inputs = _samples(drives, grid)
+    nodes = grid.n_steps + 1
+    if trajectory.shape != (nodes,):
         raise ParameterError(
-            f"trajectory has {trajectory.shape[0]} nodes, grid has {times.shape[0]}")
-    w = np.full(times.shape, grid.step)
+            f"trajectory has shape {trajectory.shape}, need ({nodes},): one value per grid node")
+    w = np.full(nodes, grid.step)
     w[0] *= 0.5
     w[-1] *= 0.5
 
-    inputs = _drive_arrays(drives, times)
     n_in = 0.0
     fluxes = {}
     for ch in CHANNELS:
-        d = inputs.get(ch, np.zeros_like(trajectory))
+        d = inputs[ch][::2] if ch in inputs else np.zeros_like(trajectory)
         n_in += float(np.dot(w, np.abs(d) ** 2))
         out_t = d - 1j * math.sqrt(params.coupling(ch)) * trajectory
         fluxes[ch] = float(np.dot(w, np.abs(out_t) ** 2))
@@ -253,10 +272,8 @@ def time_domain_report(params: RouterParams, packets: Sequence[WavePacket],
             f"envelope mass {mass_out:.2e} outside [{grid.t_start}, {grid.t_end}]")
 
     rotated = replace(params, omega_c=params.omega_c - omega0)
-    envelopes = [replace(p, omega0=0.0) for p in packets]
-    drives: list[Drive] = [
-        (p.channel, lambda t, _p=p: time_pulse(_p, t, t0)) for p in envelopes
-    ]
+    nodes = grid.half_nodes
+    drives = {p.channel: time_pulse(replace(p, omega0=0.0), nodes, t0) for p in packets}
     trajectory = integrate_cavity(rotated, drives, grid)
 
     peak = float(np.max(np.abs(trajectory)))

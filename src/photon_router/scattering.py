@@ -39,18 +39,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .core import (
     CHANNELS,
     Channel,
-    CoherentDrive,
     NegativeRate,
     NonFinite,
     OutputReport,
-    ParameterError,
     RouterParams,
     holds,
     overflow_guard,
@@ -92,33 +89,15 @@ class ChannelAmplitudes:
                                < 2.0 ** 511)
 
 
-def amplitudes_of_drives(drives: Sequence[CoherentDrive]) -> tuple[ChannelAmplitudes, float]:
-    """Collect monochromatic drives into ChannelAmplitudes plus their detuning.
-
-    All drives in a scenario must share one frequency; amplitudes on the
-    same channel add coherently.
-    """
-    if not drives:
-        return ChannelAmplitudes(), 0.0
-    delta = drives[0].delta
-    amps = {ch: 0j for ch in CHANNELS}
-    for d in drives:
-        if d.delta != delta:
-            raise ParameterError(
-                f"drives must share one frequency: delta {d.delta} != {delta}")
-        amps[d.channel] += complex(d.amplitude)
-    return ChannelAmplitudes(**{ch.name.lower(): amps[ch] for ch in CHANNELS}), delta
-
-
 def cavity_amplitude(params: RouterParams, inputs: ChannelAmplitudes, delta):
     """Steady-state cavity amplitude under monochromatic driving.
 
     Raises NonFinite for a non-finite amplitude or detuning.
     """
     validate(params)
-    drive = (np.sqrt(params.gamma1) * (inputs.r1 + inputs.l1)
-             + np.sqrt(params.gamma2) * (inputs.r2 + inputs.l2))
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        drive = (np.sqrt(params.gamma1) * (inputs.r1 + inputs.l1)
+                 + np.sqrt(params.gamma2) * (inputs.r2 + inputs.l2))
         c = -1j * drive / (1j * delta + params.total_decay)
     # a NaN or inf among the amplitudes or detunings leaves c NaN or inf, and
     # then sum |c|^2 too; that one BLAS sum is cheaper than an isfinite pass,
@@ -177,7 +156,9 @@ def _unit_scaled(delta, *rates):
     they give the plain pass-through answer. Raises NonFinite when the rates'
     sum itself overflows.
     """
-    if holds(abs(delta) + sum(rates) < 2.0 ** 500):
+    # in quarters, so that the test cannot overflow: its sum stays below
+    # the largest double
+    if holds(0.25 * abs(delta) + sum(0.25 * rate for rate in rates) < 2.0 ** 498):
         return (delta, *rates)
     with np.errstate(over="ignore"):  # an overflowing sum raises below
         total = sum(rates)

@@ -316,10 +316,11 @@ def _suite_oracle() -> list[CheckResult]:
                            "integrated |pulse|^2 equals mean_n"))
 
     params = RouterParams(gamma1=1.0, gamma2=0.6, gamma_c=0.2)
-    drives = [(Channel.R1, lambda t: time_pulse(packet, t)),
-              (Channel.L1, lambda t: time_pulse(
-                  WavePacket(Channel.L1, 1.0, Omega=0.3, phase=math.pi), t))]
-    traj = integrate_cavity(params, drives, TimeGrid(-40.0, 40.0, 0.004))
+    nodes = grid.half_nodes
+    drives = {Channel.R1: time_pulse(packet, nodes),
+              Channel.L1: time_pulse(WavePacket(Channel.L1, 1.0, Omega=0.3, phase=math.pi),
+                                     nodes)}
+    traj = integrate_cavity(params, drives, grid)
     dev = float(np.max(np.abs(traj)))
     out.append(CheckResult("oracle", "destructive-drive-null", dev, 1e-12,
                            dev <= 1e-12, "opposite-phase pair never excites the cavity"))
@@ -327,7 +328,7 @@ def _suite_oracle() -> list[CheckResult]:
     params = RouterParams(gamma1=1.0, gamma2=1.0, omega_c=0.3)
     slow = WavePacket(Channel.R1, mean_n=1.0, Omega=0.01)
     grid = TimeGrid(-12.0 / 0.01, 12.0 / 0.01 + 11.0, 0.005)
-    traj = integrate_cavity(params, [(Channel.R1, lambda t: time_pulse(slow, t))], grid)
+    traj = integrate_cavity(params, {Channel.R1: time_pulse(slow, grid.half_nodes)}, grid)
     peak_idx = int(np.argmin(np.abs(grid.times)))
     peak_amp = complex(time_pulse(slow, 0.0))
     c_ss = cavity_amplitude(params, ChannelAmplitudes(r1=peak_amp), delta=0.3)
@@ -352,10 +353,9 @@ def _suite_oracle() -> list[CheckResult]:
 
     params = RouterParams(gamma1=1.0, gamma2=1.0)
     wide = WavePacket(Channel.R1, mean_n=1.0, Omega=0.5)
-    drive = [(Channel.R1, lambda t: time_pulse(wide, t))]
-    c_h = integrate_cavity(params, drive, TimeGrid(-20.0, 20.0, 0.005))
-    c_h2 = integrate_cavity(params, drive, TimeGrid(-20.0, 20.0, 0.0025))
-    c_ref = integrate_cavity(params, drive, TimeGrid(-20.0, 20.0, 0.000625))
+    grids = [TimeGrid(-20.0, 20.0, dt) for dt in (0.005, 0.0025, 0.000625)]
+    c_h, c_h2, c_ref = [integrate_cavity(params, {Channel.R1: time_pulse(wide, g.half_nodes)}, g)
+                        for g in grids]
     e1 = float(np.max(np.abs(c_h - c_ref[::8])))
     e2 = float(np.max(np.abs(c_h2[::2] - c_ref[::8])))
     order = math.log2(e1 / e2)

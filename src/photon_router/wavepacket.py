@@ -153,7 +153,11 @@ def _flux_density(params: RouterParams, packets: Sequence[WavePacket],
         for start in range(0, size, _BLOCK):
             stop = min(start + _BLOCK, size)
             omegas = nodes(start, stop)
-            envelope = _envelope(omega0, Omega, omegas)
+            # the nodes ascend; far out in a widened window the envelope's
+            # exponent may overflow to -inf, and exp(-inf) = 0 is its value
+            reach = max(omega0 - omegas[0], omegas[-1] - omega0)
+            with overflow_guard(reach < 2.0 ** 500 * min(Omega, 1.0)):
+                envelope = _envelope(omega0, Omega, omegas)
             for ch, peak in peaks:
                 fields[ch] = peak * envelope
             inputs = ChannelAmplitudes(**{ch.name.lower(): fields[ch] for ch in CHANNELS})

@@ -48,15 +48,15 @@ def integrate_cavity_loop(params, drives, grid) -> np.ndarray:
     """The cavity trajectory by classical RK4, one Python step at a time.
 
     Same contract as `photon_router.integrate_cavity` (c(t_start) = 0, c at
-    the grid nodes), without its window checks. The forcing
-    -i sqrt(gamma_j) <o_ch_in(t)> is sampled at the half-step nodes.
+    the grid nodes; `drives` maps each channel to <o_ch_in(t)> sampled at the
+    2n + 1 half-step nodes), without its window checks. The forcing is
+    -i sqrt(gamma_j) <o_ch_in(t)>.
     """
     n = grid.n_steps
     h = grid.step
-    half_nodes = np.linspace(grid.t_start, grid.t_end, 2 * n + 1)
     forcing = np.zeros(2 * n + 1, dtype=complex)
-    for ch, fn in drives:
-        forcing += -1j * np.sqrt(params.coupling(ch)) * fn(half_nodes)
+    for ch, samples in drives.items():
+        forcing += -1j * np.sqrt(params.coupling(ch)) * samples
 
     lam = complex(-1j * params.omega_c - params.total_decay)
     f = forcing.tolist()

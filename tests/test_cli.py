@@ -319,6 +319,9 @@ class TestErrorPaths:
         ["two", "--gamma2", "0", "--gamma-c", "1e-9", "--delta", "1",
          "--phi", "-1.5707963", "--mean-n", "1e308"],
         ["three", "--theta", "inf"],
+        # Omega ** 2 underflowed to 0 (a ZeroDivisionError) or overflowed
+        ["packet", "--bandwidth", "1e-170"],
+        ["packet", "--bandwidth", "1e200"],
     ])
     def test_usage_errors_are_one_line(self, capsys, argv):
         code, out, err = run_cli(capsys, argv)

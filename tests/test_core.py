@@ -8,7 +8,6 @@ import pytest
 from photon_router import (
     CHANNELS,
     Channel,
-    CoherentDrive,
     NegativeRate,
     NonFinite,
     NonPositiveGamma1,
@@ -124,27 +123,19 @@ class TestWavePacket:
         with pytest.raises(NegativeRate):
             WavePacket(Channel.R1, mean_n=-0.5)
 
-    @pytest.mark.parametrize("Omega", [0.0, -0.3])
+    @pytest.mark.parametrize("Omega", [0.0, -0.3, 5e-324, 1e-158, 2.0 ** -511, 2.0 ** 511,
+                                       1e200])
     def test_bad_bandwidth(self, Omega):
         with pytest.raises(ParameterError):
             WavePacket(Channel.R1, mean_n=1.0, Omega=Omega)
 
+    @pytest.mark.parametrize("Omega", [2.0 ** -510, 2.0 ** 510])
+    def test_bandwidth_limits_kept(self, Omega):
+        assert WavePacket(Channel.R1, mean_n=1.0, Omega=Omega).Omega == Omega
+
     def test_non_finite(self):
         with pytest.raises(NonFinite):
             WavePacket(Channel.R1, mean_n=math.nan)
-
-
-class TestCoherentDrive:
-    @pytest.mark.parametrize("amplitude, delta", [
-        (math.nan, 0.0), (complex(1.0, math.inf), 0.0), (1.0, math.inf), (1.0, math.nan),
-    ])
-    def test_non_finite(self, amplitude, delta):
-        with pytest.raises(NonFinite):
-            CoherentDrive(Channel.R1, amplitude, delta=delta)
-
-    def test_finite_kept(self):
-        drive = CoherentDrive(Channel.L2, 0.5 - 2j, delta=-1.5)
-        assert drive.amplitude == 0.5 - 2j and drive.delta == -1.5
 
 
 class TestOutputReport:

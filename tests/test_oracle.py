@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _reference import integrate_cavity_loop
+from photon_router import oracle
 from photon_router import (
     CHANNELS,
     Channel,
@@ -34,8 +35,9 @@ from photon_router import (
 PI = math.pi
 
 
-def _drives(packets: list[WavePacket]) -> list:
-    return [(p.channel, lambda t, _p=p: time_pulse(_p, t)) for p in packets]
+def _drives(packets: list[WavePacket], grid: TimeGrid) -> dict:
+    nodes = grid.half_nodes
+    return {p.channel: time_pulse(p, nodes) for p in packets}
 
 
 def _pair(phi: float, mean_n: float = 1.0, Omega: float = 0.3) -> list[WavePacket]:
@@ -73,6 +75,26 @@ class TestTimeGrid:
         with pytest.raises(NonFinite):
             TimeGrid(0.0, math.nan, 0.01)
 
+    # every grid these tests and the acceptance criteria integrate on
+    GRIDS = [TimeGrid(-100.0, 100.0, 0.02), TimeGrid(0.0, 0.9, 0.001),
+             TimeGrid(-40.0, 40.0, 0.004), TimeGrid(-40.0, 45.0, 0.004),
+             TimeGrid(-10.0, 10.0, 0.004), TimeGrid(-1200.0, 1211.0, 0.005),
+             TimeGrid(-20.0, 20.0, 0.005), TimeGrid(-20.0, 20.0, 0.0025),
+             TimeGrid(-20.0, 20.0, 0.000625), TimeGrid(-40.0, 51.0, 0.004),
+             TimeGrid(-24.0, 35.0, 0.003), TimeGrid(-15.0, 25.0, 0.002),
+             TimeGrid(-500.0, 511.0, 0.01), TimeGrid(-1.0, 30.0, 0.004),
+             TimeGrid(-40.0, 45.0, 0.05),
+             default_grid(RouterParams(gamma_c=0.1), [WavePacket(Channel.R1, 1.0, Omega=0.3)]),
+             default_grid(RouterParams(omega_c=0.25), [WavePacket(Channel.R1, 1.0, Omega=0.01)])]
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=range(len(GRIDS)))
+    def test_half_nodes_hold_times(self, grid):
+        # output_flux reads the drive samples at every other half node as
+        # the input on grid.times
+        half = grid.half_nodes
+        assert half.shape == (2 * grid.n_steps + 1,)
+        assert np.array_equal(half[::2].view(np.int64), grid.times.view(np.int64))
+
     def test_default_grid_covers_pulse_and_ringdown(self):
         params = RouterParams()
         grid = default_grid(params, [WavePacket(Channel.R1, 1.0, Omega=0.3)])
@@ -83,27 +105,28 @@ class TestTimeGrid:
 
 class TestGridGuards:
     def test_step_above_decay_limit(self):
-        slow = WavePacket(Channel.R1, 1.0, Omega=0.05)
-        drives = [(Channel.R1, lambda t: time_pulse(slow, t))]
+        grid = TimeGrid(-100.0, 100.0, 0.02)
+        drives = _drives([WavePacket(Channel.R1, 1.0, Omega=0.05)], grid)
         with pytest.raises(GridTooCoarse):
-            integrate_cavity(RouterParams(), drives, TimeGrid(-100.0, 100.0, 0.02))
+            integrate_cavity(RouterParams(), drives, grid)
 
     def test_too_few_steps(self):
-        drives = [(Channel.R1, lambda t: time_pulse(
-            WavePacket(Channel.R1, 1.0, Omega=20.0), t, t0=0.45))]
+        grid = TimeGrid(0.0, 0.9, 0.001)
+        drives = {Channel.R1: time_pulse(WavePacket(Channel.R1, 1.0, Omega=20.0),
+                                         grid.half_nodes, t0=0.45)}
         with pytest.raises(GridTooCoarse):
-            integrate_cavity(RouterParams(), drives, TimeGrid(0.0, 0.9, 0.001))
+            integrate_cavity(RouterParams(), drives, grid)
 
     @pytest.mark.parametrize("omega_c, gain", [(1000.0, "7.58888"), (1e200, "nan")])
     def test_rk4_unstable_step(self, omega_c, gain):
         # the step passes 0.01 / total_decay, but h * omega_c = 4 puts RK4
         # outside its stability region, which ended in NaN; at 1e200 R itself
         # overflows to NaN
-        drives = _drives([WavePacket(Channel.R1, 1.0, Omega=0.3)])
+        grid = TimeGrid(-40.0, 40.0, 0.004)
+        drives = _drives([WavePacket(Channel.R1, 1.0, Omega=0.3)], grid)
         want = f"|R| = {gain} >= 1 at step 4.000e-03 with omega_c = {omega_c}"
         with pytest.raises(GridTooCoarse, match=re.escape(want)):
-            integrate_cavity(RouterParams(omega_c=omega_c), drives,
-                             TimeGrid(-40.0, 40.0, 0.004))
+            integrate_cavity(RouterParams(omega_c=omega_c), drives, grid)
 
     def test_rk4_unstable_user_grid_in_report(self):
         with pytest.raises(GridTooCoarse, match=r"\|R\| = .*omega_c = 1000"):
@@ -166,22 +189,42 @@ class TestTimePulse:
 
 class TestIntegrateCavity:
     def test_no_drive_stays_empty(self):
-        traj = integrate_cavity(RouterParams(), [], TimeGrid(-10.0, 10.0, 0.004))
+        traj = integrate_cavity(RouterParams(), {}, TimeGrid(-10.0, 10.0, 0.004))
         assert np.all(traj == 0j)
 
     def test_destructive_pair_never_excites(self):
-        packet = WavePacket(Channel.R1, mean_n=1.0, Omega=0.3)
-        flipped = WavePacket(Channel.L1, mean_n=1.0, Omega=0.3, phase=PI)
-        drives = [(Channel.R1, lambda t: time_pulse(packet, t)),
-                  (Channel.L1, lambda t: time_pulse(flipped, t))]
-        traj = integrate_cavity(RouterParams(gamma2=0.6, gamma_c=0.2), drives,
-                                TimeGrid(-40.0, 40.0, 0.004))
+        grid = TimeGrid(-40.0, 40.0, 0.004)
+        drives = _drives([WavePacket(Channel.R1, mean_n=1.0, Omega=0.3),
+                          WavePacket(Channel.L1, mean_n=1.0, Omega=0.3, phase=PI)], grid)
+        traj = integrate_cavity(RouterParams(gamma2=0.6, gamma_c=0.2), drives, grid)
         assert float(np.max(np.abs(traj))) <= 1e-12
 
     def test_unconfined_drive_rejected(self):
-        drives = [(Channel.R1, lambda t: np.ones_like(t))]
+        grid = TimeGrid(-10.0, 10.0, 0.004)
+        drives = {Channel.R1: np.ones_like(grid.half_nodes)}
         with pytest.raises(PulseNotContained):
-            integrate_cavity(RouterParams(), drives, TimeGrid(-10.0, 10.0, 0.004))
+            integrate_cavity(RouterParams(), drives, grid)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_non_finite_sample_rejected(self, bad):
+        # a NaN sample left a NaN trajectory with no error
+        grid = TimeGrid(-40.0, 40.0, 0.004)
+        drives = _drives([WavePacket(Channel.R1, 1.0, Omega=0.3),
+                          WavePacket(Channel.L2, 1.0, Omega=0.3)], grid)
+        drives[Channel.L2][1000] = bad
+        with pytest.raises(NonFinite, match="drive on Channel.L2 must be finite"):
+            integrate_cavity(RouterParams(), drives, grid)
+
+    @pytest.mark.parametrize("shape", [0, 1, 10001, 20002, (1, 20001)])
+    def test_wrong_sample_count_rejected(self, shape):
+        # the grid has 10 000 steps, so 20 001 half nodes
+        grid = TimeGrid(-20.0, 20.0, 0.004)
+        drives = _drives([WavePacket(Channel.R1, 1.0, Omega=0.3)], grid)
+        drives[Channel.L1] = np.zeros(shape, dtype=complex)
+        with pytest.raises(ParameterError, match="one sample per node of grid.half_nodes"):
+            integrate_cavity(RouterParams(), drives, grid)
+        with pytest.raises(ParameterError, match="one sample per node of grid.half_nodes"):
+            output_flux(RouterParams(), drives, np.zeros(10001, dtype=complex), grid)
 
     def test_plateau_matches_stationary_response(self):
         # a pulse much longer than the cavity lifetime tracks the
@@ -189,8 +232,7 @@ class TestIntegrateCavity:
         params = RouterParams(omega_c=0.3)
         slow = WavePacket(Channel.R1, mean_n=1.0, Omega=0.01)
         grid = TimeGrid(-1200.0, 1211.0, 0.005)
-        traj = integrate_cavity(
-            params, [(Channel.R1, lambda t: time_pulse(slow, t))], grid)
+        traj = integrate_cavity(params, _drives([slow], grid), grid)
         peak_idx = int(np.argmin(np.abs(grid.times)))
         c_ss = cavity_amplitude(
             params, ChannelAmplitudes(r1=complex(time_pulse(slow, 0.0))), 0.3)
@@ -198,11 +240,9 @@ class TestIntegrateCavity:
 
     def test_rk4_order(self):
         params = RouterParams()
-        wide = WavePacket(Channel.R1, mean_n=1.0, Omega=0.5)
-        drive = [(Channel.R1, lambda t: time_pulse(wide, t))]
-        c_h = integrate_cavity(params, drive, TimeGrid(-20.0, 20.0, 0.005))
-        c_h2 = integrate_cavity(params, drive, TimeGrid(-20.0, 20.0, 0.0025))
-        c_ref = integrate_cavity(params, drive, TimeGrid(-20.0, 20.0, 0.000625))
+        wide = [WavePacket(Channel.R1, mean_n=1.0, Omega=0.5)]
+        grids = [TimeGrid(-20.0, 20.0, dt) for dt in (0.005, 0.0025, 0.000625)]
+        c_h, c_h2, c_ref = [integrate_cavity(params, _drives(wide, g), g) for g in grids]
         e1 = float(np.max(np.abs(c_h - c_ref[::8])))
         e2 = float(np.max(np.abs(c_h2[::2] - c_ref[::8])))
         assert math.log2(e1 / e2) >= 3.8
@@ -240,7 +280,7 @@ class TestRecurrenceMatchesLoop:
     ], ids=["lossless", "lossy-pair", "detuned-three", "lossy-detuned-four",
             "ringing-at-end", "101100-steps"])
     def test_matches_python_loop(self, params, packets, grid):
-        drives = _drives(packets)
+        drives = _drives(packets, grid)
         want = integrate_cavity_loop(params, drives, grid)
         got = integrate_cavity(params, drives, grid)
         assert got.shape == (grid.n_steps + 1,)
@@ -254,10 +294,31 @@ class TestOutputFlux:
     def test_shape_mismatch_rejected(self):
         grid = TimeGrid(-10.0, 10.0, 0.004)
         with pytest.raises(ParameterError):
-            output_flux(RouterParams(), [], np.zeros(17, dtype=complex), grid)
+            output_flux(RouterParams(), {}, np.zeros(17, dtype=complex), grid)
+        # a 0-d trajectory raised IndexError while building the message
+        with pytest.raises(ParameterError, match=r"shape \(\), need \(5001,\)"):
+            output_flux(RouterParams(), {}, np.zeros((), dtype=complex), grid)
 
 
 class TestTimeDomainReport:
+    def test_one_pulse_evaluation_per_packet(self, monkeypatch):
+        # integrate_cavity and output_flux share one set of samples
+        calls = []
+
+        def counting(packet, t, t0=0.0):
+            calls.append((packet.channel, t))
+            return time_pulse(packet, t, t0)
+
+        monkeypatch.setattr(oracle, "time_pulse", counting)
+        params = RouterParams(gamma_c=0.1, omega_c=0.4)
+        packets = [WavePacket(Channel.R1, 1.0, omega0=0.5, Omega=0.3),
+                   WavePacket(Channel.L2, 2.0, omega0=0.5, Omega=0.3, phase=1.0)]
+        time_domain_report(params, packets)
+        assert [ch for ch, _ in calls] == [Channel.R1, Channel.L2]
+        half_nodes = default_grid(params, packets).half_nodes
+        for _, t in calls:
+            assert np.array_equal(t, half_nodes)
+
     def test_zero_input(self):
         rep = time_domain_report(
             RouterParams(), [WavePacket(Channel.R1, mean_n=0.0, Omega=0.3)])

@@ -16,11 +16,8 @@ from _reference import output_fluxes
 from photon_router import (
     Channel,
     ChannelAmplitudes,
-    CoherentDrive,
     NonFinite,
-    ParameterError,
     RouterParams,
-    amplitudes_of_drives,
     cavity_amplitude,
     mean_output_single,
     mean_output_three,
@@ -43,10 +40,6 @@ mean_ns = st.floats(min_value=0.0, max_value=4.0, allow_nan=False)
 amps = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
 
 
-def _amps_vector(ca: ChannelAmplitudes) -> np.ndarray:
-    return np.array([ca.r1, ca.l1, ca.r2, ca.l2])
-
-
 class TestCavityAmplitude:
     def test_resonant_single_drive(self):
         c = cavity_amplitude(LOSSLESS, ChannelAmplitudes(r1=1.0 + 0j), 0.0)
@@ -60,27 +53,6 @@ class TestCavityAmplitude:
         c = cavity_amplitude(
             LOSSLESS, ChannelAmplitudes(r1=1.0, l1=np.exp(1j * PI)), 0.0)
         assert abs(c) < 1e-15
-
-
-class TestDriveCollection:
-    def test_empty(self):
-        ca, delta = amplitudes_of_drives([])
-        assert _amps_vector(ca).tolist() == [0j, 0j, 0j, 0j]
-        assert delta == 0.0
-
-    def test_same_channel_adds(self):
-        ca, _ = amplitudes_of_drives([
-            CoherentDrive(Channel.R1, 1.0),
-            CoherentDrive(Channel.R1, 0.5j),
-        ])
-        assert ca.r1 == 1.0 + 0.5j
-
-    def test_mismatched_delta_rejected(self):
-        with pytest.raises(ParameterError):
-            amplitudes_of_drives([
-                CoherentDrive(Channel.R1, 1.0, delta=0.0),
-                CoherentDrive(Channel.L1, 1.0, delta=0.1),
-            ])
 
 
 class TestFrozenSingleInput:
@@ -443,11 +415,16 @@ class TestNonFiniteInputs:
         lambda: mean_output_single(RouterParams(gamma1=1e308, gamma2=1e308), 1.0, 0.0),
         lambda: report_from_scatter(LOSSLESS, ChannelAmplitudes(r1=1e200), 0.0),
         lambda: two_port_reduction(1.0, 1e308, 1.0, -math.pi / 2),
+        lambda: mean_output_single(
+            RouterParams(gamma1=np.array([1e308]), gamma2=np.array([1e308])), 1.0, 0.0),
+        lambda: scatter(LOSSLESS, ChannelAmplitudes(r1=np.complex128(1e308),
+                                                    l1=np.complex128(1e308)), 0.0),
     ], ids=["single-mean_n", "two-delta", "three-theta", "reduction-phi",
             "single-delta-array", "two-phi-array", "three-theta_prime-array",
             "reduction-delta-array", "two-overflow", "scatter-delta-inf",
             "report-amplitude-nan", "three-overflow", "single-rate-sum-overflow",
-            "report-amplitude-overflow", "reduction-overflow"])
+            "report-amplitude-overflow", "reduction-overflow",
+            "single-rate-array-sum-overflow", "scatter-numpy-amplitude-sum-overflow"])
     def test_rejected(self, call):
         with pytest.raises(NonFinite):
             call()

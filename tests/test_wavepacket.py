@@ -212,6 +212,17 @@ class TestPacketRouting:
             packet_output_numbers(
                 RouterParams(), [WavePacket(Channel.R1, mean_n=1e308, Omega=1e-3)])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("Omega, omega_c", [(2.0 ** -510, 1.0), (0.3, 1e155),
+                                                (0.3, -1e300), (2.0 ** 510, 0.0)])
+    def test_envelope_overflow_is_silent(self, Omega, omega_c):
+        # far out in the window (omega - omega0)^2 / (4 Omega^2) overflows to
+        # inf, where the envelope is exp(-inf) = 0; the quadrature cannot
+        # resolve such a narrow packet or cavity line in its window
+        with pytest.raises(QuadratureUnderResolved):
+            packet_output_numbers(RouterParams(omega_c=omega_c),
+                                  [WavePacket(Channel.R1, mean_n=1.0, Omega=Omega)])
+
     @pytest.mark.parametrize("field", ["gamma1", "gamma2", "gamma_c", "omega_c"])
     def test_array_rates_rejected(self, field):
         # the quadrature takes one rate set per call
