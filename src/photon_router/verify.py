@@ -245,8 +245,8 @@ def _suite_wavepacket() -> list[CheckResult]:
     rep = packet_output_numbers(RouterParams(gamma1=1.0, gamma2=0.5, omega_c=2.0),
                                 _two_packets(0.7, Omega=0.1))
     dev = max(dev, abs(rep.loss) / rep.n_in)
-    out.append(CheckResult("wavepacket", "lossless-conservation", dev, 1e-6,
-                           dev <= 1e-6, "21 gamma_c = 0 packet scenarios"))
+    out.append(CheckResult("wavepacket", "lossless-conservation", dev, 1e-14,
+                           dev <= 1e-14, "21 gamma_c = 0 packet scenarios"))
 
     dev = 0.0
     prev = None

@@ -6,34 +6,38 @@ A packet with center omega0, half-bandwidth Omega and mean photon number
     alpha_omega = alpha (2 pi Omega^2)^(-1/4) exp(-(omega - omega0)^2 / (4 Omega^2)),
 
 normalized so that the integral of |alpha_omega|^2 over omega is |alpha|^2.
-Because the scattering map is diagonal in frequency, the mean number leaving
-each channel is the quadrature of |scatter(alpha_omega)|^2 over omega; the
-cavity decay gamma_c enters only through the response denominator
-i(omega_c - omega) + gamma1 + gamma2 + gamma_c, and the missing flux shows
-up as the report's `loss`.
+The scattering map is diagonal in frequency and rank 1: with
+Gamma = gamma1 + gamma2 + gamma_c and delta = omega_c - omega, channel ch
+leaves with
 
-The quadrature is a fixed composite rule (Simpson by default) on a window of
-+-window_halfwidth*Omega around omega0, widened to cover the cavity line when
-that lies outside the packet window. Results are deterministic for a fixed
-QuadratureSpec; step-halving is used only as a convergence check.
+    b_ch(omega) = env(omega) (p_ch - k_ch K / (i delta + Gamma)),
+
+where env is the shared envelope, p_ch the packet's peak amplitude on ch (0
+if undriven), k_ch = sqrt(gamma_ch) and K = sum k_ch p_ch. Squared and
+integrated, every channel's mean number is one combination of three real
+line moments of env^2 (see packet_output_numbers), whatever the packets'
+phases; the missing flux shows up as the report's `loss`.
+
+The moments are taken by a fixed composite rule (Simpson by default) on a
+window of +-window_halfwidth*Omega around omega0, widened to cover the cavity
+line when that lies outside the packet window. Results are deterministic for
+a fixed QuadratureSpec; step-halving is used only as a convergence check.
 
 The halvings are nested: the nodes of a grid are every other node of the
 grid with half its step (bit for bit, as np.linspace computes them), so each
-halving evaluates `scatter` only at the new midpoints and interleaves them
-with the flux density it already has. Nodes go to `scatter` in blocks of
-4096: past that, each complex temporary passes 128 KB, and the cost per node
-more than doubled (21 ns at 4001 nodes, 48 ns at 8001, on a 2-CPU x86-64 VM
-with numpy 2.4). The flux at a node does not depend on its block. Each
-resolution is then integrated with the same weights and the same np.dot per
-channel as a full evaluation of its grid, so every report and every
-convergence decision carries the same bits as that full evaluation would.
+halving copies the coarser grid's rows into its even nodes and evaluates the
+three moment rows only at the new midpoints. A node's values do not depend
+on which block of _BLOCK nodes it is evaluated in, so each resolution is
+integrated with the same weights and np.dot as a full evaluation of its grid,
+and every report and every convergence decision carries the same bits as that
+full evaluation would.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -48,11 +52,13 @@ from .core import (
     overflow_guard,
     validate_scalar,
 )
-from .scattering import ChannelAmplitudes, scatter
+from .scattering import scatter  # unused here; perfbench/tracing.py patches it by this name
 
 _REFINE_RTOL = 1e-6
 _MAX_DOUBLINGS = 4
-_BLOCK = 4096  # nodes per scatter call
+# nodes per block of the moment rows: one pass over the 32 000 new nodes of
+# a 64 001-node call ran about 5% faster but raised its peak RSS by 0.2 MB
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -94,7 +100,10 @@ def _peak_amplitude(packet: WavePacket) -> complex:
 
 
 def _envelope(omega0: float, Omega: float, omega):
-    return np.exp(-((omega - omega0) ** 2) / (4.0 * Omega ** 2))
+    # far from omega0 the exponent overflows to -inf, and exp(-inf) = 0 is
+    # the envelope's value; numpy keeps a Python float from raising
+    with np.errstate(over="ignore"):
+        return np.exp(-np.square(np.subtract(omega, omega0) / (2.0 * Omega)))
 
 
 def shared_packet_frame(packets: Sequence[WavePacket]) -> tuple[float, float]:
@@ -136,54 +145,122 @@ def _weights(points: int, step: float, rule: str) -> np.ndarray:
     return w * step
 
 
-def _flux_density(params: RouterParams, packets: Sequence[WavePacket],
-                  nodes: Callable[[int, int], np.ndarray], out: list[np.ndarray]) -> None:
-    """Write |scatter(alpha_omega)|^2 into the rows `out`, one per channel in
-    CHANNELS order; elements start..stop-1 are at the nodes nodes(start,
-    stop), taken _BLOCK nodes per scatter call."""
-    # the packets share one envelope: each field is gaussian_spectrum's
-    # product of the packet's peak amplitude and that envelope
-    omega0, Omega = packets[0].omega0, packets[0].Omega
-    peaks = [(p.channel, _peak_amplitude(p)) for p in packets]
-    fields = dict.fromkeys(CHANNELS, 0j)
-    size = out[0].size
-    # the density is at most the input's n_in / (sqrt(2 pi) Omega); past
-    # 2^1020 it may overflow to inf, which _channel_fluxes reports
-    with overflow_guard(sum(p.mean_n for p in packets) / Omega < 2.0 ** 1020):
-        for start in range(0, size, _BLOCK):
-            stop = min(start + _BLOCK, size)
-            omegas = nodes(start, stop)
-            # the nodes ascend; far out in a widened window the envelope's
-            # exponent may overflow to -inf, and exp(-inf) = 0 is its value
-            reach = max(omega0 - omegas[0], omegas[-1] - omega0)
-            with overflow_guard(reach < 2.0 ** 500 * min(Omega, 1.0)):
-                envelope = _envelope(omega0, Omega, omegas)
-            for ch, peak in peaks:
-                fields[ch] = peak * envelope
-            inputs = ChannelAmplitudes(**{ch.name.lower(): fields[ch] for ch in CHANNELS})
-            scattered = scatter(params, inputs, params.omega_c - omegas)
-            for row, ch in zip(out, CHANNELS):
-                np.square(np.abs(scattered[ch]), out=row[start:stop])
+def _moment_rows(params: RouterParams, omega0: float, Omega: float,
+                 nodes: Callable[[int, int], np.ndarray], rows: list[np.ndarray]) -> None:
+    """Write the three moment densities e, e/(1 + u^2) and e u/(1 + u^2) into
+    `rows`, which may be strided views; elements start..stop-1 are at the
+    nodes nodes(start, stop), taken _BLOCK nodes at a time.
+
+    e = exp(-(omega - omega0)^2 / (2 Omega^2)) is the squared envelope and
+    u = (omega_c - omega) / Gamma the detuning in units of the line width.
+    The rows are bounded by 1, whatever the packets carry.
+    """
+    size = rows[0].size
+    gamma = params.total_decay
+    omega_c = params.omega_c
+    inverse = 1.0 / Omega
+    scratch = np.empty(min(size, _BLOCK)), np.empty(min(size, _BLOCK))
+    for start in range(0, size, _BLOCK):
+        stop = min(start + _BLOCK, size)
+        omegas = nodes(start, stop)
+        x, u = (buf[:stop - start] for buf in scratch)
+        e, a, b = (row[start:stop] for row in rows)
+        # the nodes ascend, so the block's ends bound both ratios; far out
+        # in a widened window the envelope's exponent may overflow to -inf,
+        # and exp(-inf) = 0 is its value
+        reach = max(omega0 - omegas[0], omegas[-1] - omega0)
+        with overflow_guard(reach < 2.0 ** 500 * Omega):
+            np.subtract(omegas, omega0, out=x)
+            x *= inverse
+            np.square(x, out=x)
+            x *= -0.5
+            np.exp(x, out=e)
+        # past 2^500 line widths e/(1 + u^2) is below 2^-1000 e, so u may be
+        # clipped there: u^2 stays finite and no value moves visibly
+        near = max(omega_c - omegas[0], omegas[-1] - omega_c) < 2.0 ** 500 * gamma
+        np.subtract(omega_c, omegas, out=u)
+        with overflow_guard(near):
+            u /= gamma
+        if not near:
+            np.clip(u, -2.0 ** 500, 2.0 ** 500, out=u)
+        np.square(u, out=x)
+        x += 1.0
+        np.divide(e, x, out=a)
+        np.multiply(a, u, out=b)
 
 
-def _channel_fluxes(density: list[np.ndarray], step: float, rule: str) -> list[float]:
-    w = _weights(density[0].size, step, rule)
-    fluxes = [float(np.dot(w, row)) for row in density]
-    if not math.isfinite(sum(fluxes)):
+def _channel_numbers(rows: list[np.ndarray], step: float, rule: str,
+                     couplings: Sequence[float], peaks: Sequence[complex]) -> list[float]:
+    """N_ch on CHANNELS from the rows of _moment_rows on one grid.
+
+    The rule's weights give the moments I0, A and B of the three rows. With
+    p_ch the peak amplitude of the packet on ch (0 if undriven), g_ch =
+    sqrt(gamma_ch / Gamma) and G = sum g_ch p_ch, the output field is
+    env (p_ch - g_ch G / (1 + i u)), so
+
+        N_ch = |p_ch|^2 I0 - 2 g_ch Re(conj(p_ch) G (A - i B)) + g_ch^2 |G|^2 A.
+    """
+    w = _weights(rows[0].size, step, rule)
+    i0, a, b = (float(np.dot(w, row)) for row in rows)
+    drive = sum(g * p for g, p in zip(couplings, peaks))
+    m = drive * complex(a, -b)
+    line = (drive.real * drive.real + drive.imag * drive.imag) * a
+    numbers = [(p.real * p.real + p.imag * p.imag) * i0
+               - 2.0 * g * (p.real * m.real + p.imag * m.imag) + g * g * line
+               for g, p in zip(couplings, peaks)]
+    if not math.isfinite(sum(numbers)):
         raise NonFinite("the packet flux density overflows double precision")
-    return fluxes
+    return numbers
+
+
+def _resolutions(params: RouterParams, omega0: float, Omega: float, lo: float, hi: float,
+                 quad: QuadratureSpec, couplings: Sequence[float],
+                 peaks: Sequence[complex]) -> Iterator[list[float]]:
+    """Channel numbers on np.linspace(lo, hi, quad.points) and on each of
+    _MAX_DOUBLINGS halvings of its step.
+
+    A halving copies the rows of the coarser grid into its even nodes and
+    evaluates only the midpoints. As a generator, its rows are freed once the
+    caller stops iterating, so an exception raised after the last halving
+    holds no grid.
+    """
+    points = quad.points
+    base = np.linspace(lo, hi, points)
+    rows = [np.empty(points) for _ in range(3)]
+    _moment_rows(params, omega0, Omega, lambda a, b: base[a:b], rows)
+    yield _channel_numbers(rows, (hi - lo) / (points - 1), quad.rule, couplings, peaks)
+    for _ in range(_MAX_DOUBLINGS):
+        points = 2 * (points - 1) + 1
+        step = (hi - lo) / (points - 1)
+        coarse, rows = rows, [np.empty(points) for _ in range(3)]
+        for fine, row in zip(rows, coarse):
+            fine[::2] = row
+        del coarse
+        # element j of the midpoints is node 2j+1 of np.linspace(lo, hi,
+        # points), computed as linspace does
+        _moment_rows(params, omega0, Omega,
+                     lambda a, b: np.arange(2 * a + 1, 2 * b + 1, 2) * step + lo,
+                     [fine[1::2] for fine in rows])
+        yield _channel_numbers(rows, step, quad.rule, couplings, peaks)
 
 
 def packet_output_numbers(params: RouterParams, packets: Sequence[WavePacket],
                           quad: QuadratureSpec = QuadratureSpec()) -> OutputReport:
     """Mean output numbers for a set of Gaussian packets sharing (omega0, Omega).
 
-    Integrates the scattered spectral flux channel by channel on the fixed
-    quadrature grid. Up to four times, the step is halved and the integral
-    taken again; the first resolution that agrees with its halving to 1e-6
-    relative on every channel is reported. Each halving evaluates only the
-    new midpoints and reuses the flux density of the coarser grid, so a
-    converged call at the default 4001 points evaluates 8001 nodes. Raises
+    The packets share one envelope, so every channel's flux is one
+    combination of three real line moments (see _channel_numbers):
+
+        I0 = int e,  A = int e / (1 + u^2),  B = int e u / (1 + u^2),
+
+    with e = exp(-(omega - omega0)^2 / (2 Omega^2)) and
+    u = (omega_c - omega) / Gamma. The moments are taken by the fixed
+    composite rule on the quadrature window. Up to four times, the step is
+    halved and the channel numbers taken again; the first resolution that
+    agrees with its halving to 1e-6 relative on every channel is reported.
+    Each halving evaluates the rows only at the new midpoints, _BLOCK nodes
+    at a time, and reuses those of the coarser grid, so a converged call at
+    the default 4001 points evaluates 8001 nodes. Raises
     QuadratureUnderResolved, naming the window, the base and final point
     counts and the channel that moved most, if no resolution agrees, and
     NonFinite if the flux density overflows double precision.
@@ -193,27 +270,13 @@ def packet_output_numbers(params: RouterParams, packets: Sequence[WavePacket],
     lo, hi = _frequency_window(params, omega0, Omega, quad.window_halfwidth)
     n_in = sum(p.mean_n for p in packets)
     floor = 1e-9 * max(n_in, 1e-300)
+    driven = {p.channel: complex(_peak_amplitude(p)) for p in packets}
+    peaks = [driven.get(ch, 0j) for ch in CHANNELS]
+    couplings = [math.sqrt(params.coupling(ch) / params.total_decay) for ch in CHANNELS]
 
-    points = quad.points
-    base = np.linspace(lo, hi, points)
-    # one array per channel: a single (4, points) array raised the peak
-    # memory of RK4 oracle calls made after packet calls by about 0.15 MB
-    density = [np.empty(points) for _ in CHANNELS]
-    _flux_density(params, packets, lambda a, b: base[a:b], density)
-    current = _channel_fluxes(density, (hi - lo) / (points - 1), quad.rule)
-    for _ in range(_MAX_DOUBLINGS):
-        points = 2 * (points - 1) + 1
-        step = (hi - lo) / (points - 1)
-        finer_density = [np.empty(points) for _ in CHANNELS]
-        for fine, coarse in zip(finer_density, density):
-            fine[::2] = coarse
-        # element j of the odd elements is node 2j+1 of np.linspace(lo, hi,
-        # points), computed as linspace does
-        _flux_density(params, packets,
-                      lambda a, b: np.arange(2 * a + 1, 2 * b + 1, 2) * step + lo,
-                      [fine[1::2] for fine in finer_density])
-        density = finer_density
-        finer = _channel_fluxes(density, step, quad.rule)
+    resolutions = _resolutions(params, omega0, Omega, lo, hi, quad, couplings, peaks)
+    current = next(resolutions)
+    for finer in resolutions:
         if all(abs(f - c) <= _REFINE_RTOL * max(abs(c), floor)
                for f, c in zip(finer, current)):
             return OutputReport.from_channel_numbers(dict(zip(CHANNELS, current)), n_in=n_in)
@@ -222,6 +285,7 @@ def packet_output_numbers(params: RouterParams, packets: Sequence[WavePacket],
     worst = max(range(len(CHANNELS)), key=change.__getitem__)
     raise QuadratureUnderResolved(
         f"channel fluxes still moving after {_MAX_DOUBLINGS} grid doublings: "
-        f"window [{lo!r}, {hi!r}], {quad.points} -> {points} points, "
+        f"window [{lo!r}, {hi!r}], {quad.points} -> "
+        f"{(quad.points - 1) * 2 ** _MAX_DOUBLINGS + 1} points, "
         f"N_{CHANNELS[worst].name.lower()} changed by {change[worst]:.3g} relative "
         f"at the last doubling, target {_REFINE_RTOL:g}")

@@ -15,8 +15,13 @@ equation with classical RK4 one Python step at a time, the form the library
 replaced with a linear recurrence solved in numpy.
 
 For the packet quadrature, `packet_output_numbers_full_grid` evaluates
-every resolution of the step-halving on its full grid, the form the nested
-halving, which evaluates only the new midpoints, replaced.
+the three moment rows of every resolution of the step-halving on its full
+grid, the form the nested halving, which evaluates only the new midpoints,
+replaced. `packet_output_numbers_scatter` is the route the moments replaced:
+the same step-halving on full grids with each packet's own spectrum, pushed
+through `scatter` and squared channel by channel. `packet_numbers_mpmath`
+needs no quadrature: it takes the moments over the whole line from the
+Faddeeva function w(z) = exp(-z^2) erfc(-iz) in 40-digit mpmath.
 
 For the CLI's CSV bytes, `csv_text_loop`, `cli_rows_loop` and
 `trajectory_csv_loop` write rows with `csv.writer`, one row and one `repr`
@@ -25,6 +30,7 @@ per value at a time, the form the CLI's one-pass emitter replaced.
 
 import csv
 import io
+import math
 
 import numpy as np
 
@@ -125,16 +131,76 @@ def trajectory_csv_loop(times, trajectory) -> str:
     return out.getvalue()
 
 
-def packet_output_numbers_full_grid(params, packets, quad):
-    """The packet quadrature with every resolution evaluated on its full grid.
+def _step_halving(packets, quad, fluxes):
+    """The convergence loop of `photon_router.packet_output_numbers` around
+    `fluxes(points)`, a dict of channel numbers on the window's grid of `points`:
+    the step halved up to four times until every channel agrees to 1e-6
+    relative, the coarser resolution reported."""
+    from photon_router import OutputReport, QuadratureUnderResolved
+    from photon_router.core import CHANNELS
 
-    Same contract as `photon_router.packet_output_numbers`: the composite
-    rule on np.linspace(lo, hi, points), the step halved up to four times
-    until every channel agrees to 1e-6 relative, each halving evaluating
-    `scatter` on all of its nodes in one call and each packet's spectrum
-    with its own Gaussian envelope.
+    n_in = sum(p.mean_n for p in packets)
+    floor = 1e-9 * max(n_in, 1e-300)
+    points = quad.points
+    current = fluxes(points)
+    for _ in range(4):
+        points = 2 * (points - 1) + 1
+        finer = fluxes(points)
+        if all(abs(finer[ch] - current[ch]) <= 1e-6 * max(abs(current[ch]), floor)
+               for ch in CHANNELS):
+            return OutputReport.from_channel_numbers(current, n_in=n_in)
+        current = finer
+    raise QuadratureUnderResolved("channel fluxes still moving after 4 grid doublings")
+
+
+def packet_output_numbers_full_grid(params, packets, quad):
+    """The packet quadrature with the moment rows of every resolution
+    evaluated on its full grid in one pass.
+
+    Same contract as `photon_router.packet_output_numbers`: the rows
+    e = exp(-(omega - omega0)^2 / (2 Omega^2)), e / (1 + u^2) and
+    e u / (1 + u^2), u = (omega_c - omega) / Gamma, on np.linspace(lo, hi,
+    points), integrated by the composite rule and combined into channel
+    numbers by the library's `_channel_numbers`.
     """
-    from photon_router import OutputReport, QuadratureUnderResolved, scatter
+    from photon_router.core import CHANNELS
+    from photon_router.wavepacket import (
+        _channel_numbers,
+        _frequency_window,
+        _peak_amplitude,
+        shared_packet_frame,
+    )
+
+    omega0, Omega = shared_packet_frame(packets)
+    window = _frequency_window(params, omega0, Omega, quad.window_halfwidth)
+    gamma = params.total_decay
+    driven = {p.channel: complex(_peak_amplitude(p)) for p in packets}
+    peaks = [driven.get(ch, 0j) for ch in CHANNELS]
+    couplings = [math.sqrt(params.coupling(ch) / gamma) for ch in CHANNELS]
+
+    def fluxes(points):
+        omegas = np.linspace(window[0], window[1], points)
+        with np.errstate(over="ignore"):
+            e = np.exp(np.square((omegas - omega0) * (1.0 / Omega)) * -0.5)
+        u = np.clip((params.omega_c - omegas) / gamma, -2.0 ** 500, 2.0 ** 500)
+        a = e / (np.square(u) + 1.0)
+        numbers = _channel_numbers([e, a, a * u], (window[1] - window[0]) / (points - 1),
+                                   quad.rule, couplings, peaks)
+        return dict(zip(CHANNELS, numbers))
+
+    return _step_halving(packets, quad, fluxes)
+
+
+def packet_output_numbers_scatter(params, packets, quad):
+    """The packet quadrature by `scatter`, channel by channel.
+
+    The same windows, rules and step-halving as
+    `photon_router.packet_output_numbers`, each resolution evaluating
+    `scatter` on all of its nodes in one call, with each packet's spectrum
+    built from its own Gaussian envelope, and squaring the four output
+    amplitudes.
+    """
+    from photon_router import scatter
     from photon_router.core import CHANNELS
     from photon_router.scattering import ChannelAmplitudes
     from photon_router.wavepacket import _frequency_window, _weights, shared_packet_frame
@@ -157,15 +223,39 @@ def packet_output_numbers_full_grid(params, packets, quad):
 
     omega0, Omega = shared_packet_frame(packets)
     window = _frequency_window(params, omega0, Omega, quad.window_halfwidth)
-    n_in = sum(p.mean_n for p in packets)
-    floor = 1e-9 * max(n_in, 1e-300)
-    points = quad.points
-    current = fluxes(points)
-    for _ in range(4):
-        points = 2 * (points - 1) + 1
-        finer = fluxes(points)
-        if all(abs(finer[ch] - current[ch]) <= 1e-6 * max(abs(current[ch]), floor)
-               for ch in CHANNELS):
-            return OutputReport.from_channel_numbers(current, n_in=n_in)
-        current = finer
-    raise QuadratureUnderResolved("channel fluxes still moving after 4 grid doublings")
+    return _step_halving(packets, quad, fluxes)
+
+
+def packet_numbers_mpmath(params, packets, dps: int = 40) -> list:
+    """Exact mean output numbers of Gaussian packets, in ORDER, as mpf.
+
+    Over the whole frequency line, int e = sqrt(2 pi) Omega and
+    int e / (1 + i u) = pi Gamma conj(w(z)), z = (omega_c - omega0 + i Gamma)
+    / (sqrt(2) Omega), with e the squared envelope and u = (omega_c - omega)
+    / Gamma. The output field of channel ch is env (a_ch - s_ch S / (1 + i u))
+    with a_ch the packet's peak amplitude, s_ch = sqrt(gamma_ch / Gamma) and
+    S = sum s_ch a_ch.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        g1, g2, gc = (mpmath.mpf(float(x)) for x in (params.gamma1, params.gamma2,
+                                                      params.gamma_c))
+        gamma = g1 + g2 + gc
+        omega0 = mpmath.mpf(packets[0].omega0)
+        Omega = mpmath.mpf(packets[0].Omega)
+        amps = dict.fromkeys(ORDER, mpmath.mpc(0))
+        for p in packets:
+            amps[p.channel.name.lower()] = (mpmath.sqrt(p.mean_n) * mpmath.expj(p.phase)
+                                            * (2 * mpmath.pi * Omega ** 2) ** mpmath.mpf(-0.25))
+        s = {"r1": mpmath.sqrt(g1 / gamma), "l1": mpmath.sqrt(g1 / gamma),
+             "r2": mpmath.sqrt(g2 / gamma), "l2": mpmath.sqrt(g2 / gamma)}
+        z = (mpmath.mpf(float(params.omega_c)) - omega0 + 1j * gamma) / (mpmath.sqrt(2) * Omega)
+        w = mpmath.exp(-z * z) * mpmath.erfc(-1j * z)
+        i0 = mpmath.sqrt(2 * mpmath.pi) * Omega
+        line = mpmath.pi * gamma * mpmath.conj(w)
+        drive = sum(s[ch] * amps[ch] for ch in ORDER)
+        return [abs(amps[ch]) ** 2 * i0
+                - 2 * s[ch] * mpmath.re(mpmath.conj(amps[ch]) * drive * line)
+                + s[ch] ** 2 * abs(drive) ** 2 * mpmath.re(line)
+                for ch in ORDER]

@@ -166,7 +166,7 @@ def test_criterion_08_broadband_totals():
     params = RouterParams(gamma_c=0.1)
     odd = packet_output_numbers(params, _pair(PI))
     even = packet_output_numbers(params, _pair(0.0))
-    ok = abs(odd.n_total - 2.0) <= 1e-6
+    ok = abs(odd.n_total - 2.0) <= 2e-14
     ok = ok and even.n_total <= 2.0 - 0.05
     _verdict(8, "odd pair dodges internal loss, even pair absorbs visibly", ok,
              f"N_total(pi) = {odd.n_total:.8f}, N_total(0) = {even.n_total:.4f}")

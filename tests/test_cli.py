@@ -88,7 +88,7 @@ class TestPointCommands:
         row = rows_of(out)[0]
         assert row["Omega"] == "0.3"
         assert row["theta"] == ""
-        assert float(row["N_total"]) == pytest.approx(2.0, abs=1e-6)
+        assert float(row["N_total"]) == pytest.approx(2.0, abs=2e-14)
 
     def test_far_detuned_passes_through(self, capsys):
         code, out, _ = run_cli(capsys, ["single", "--delta", "1e200"])
@@ -148,7 +148,7 @@ class TestSweep:
         rows = rows_of(out)
         assert [r["Omega"] for r in rows] == ["0.2", "0.30000000000000004", "0.4"]
         for row in rows:
-            assert float(row["N_total"]) == pytest.approx(2.0, abs=1e-6)
+            assert float(row["N_total"]) == pytest.approx(2.0, abs=2e-14)
 
     def test_destructive_null_in_phase_sweep(self, capsys):
         _, out, _ = run_cli(capsys, ["sweep", "--case", "two", "--var", "phi",

@@ -2,13 +2,18 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _reference import packet_output_numbers_full_grid
+from _reference import (
+    packet_numbers_mpmath,
+    packet_output_numbers_full_grid,
+    packet_output_numbers_scatter,
+)
 from photon_router import (
     Channel,
     NonFinite,
@@ -53,6 +58,25 @@ class TestGaussianSpectrum:
         rot = WavePacket(Channel.R1, mean_n=1.0, Omega=0.3, phase=0.8)
         ratio = gaussian_spectrum(rot, 0.1) / gaussian_spectrum(base, 0.1)
         assert ratio == pytest.approx(np.exp(0.8j), rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_far_scalar_is_zero(self):
+        # (omega - omega0)^2 overflows a float; the envelope's value is 0
+        assert gaussian_spectrum(WavePacket(Channel.R1, 1.0), 1e200) == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_far_array_elements_are_zero(self):
+        p = WavePacket(Channel.R1, 1.0, Omega=0.3)
+        values = gaussian_spectrum(p, np.array([-1e200, 0.0, 1e200]))
+        assert values[0] == 0.0 and values[2] == 0.0
+        assert values[1] == gaussian_spectrum(p, 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_widest_packet_tail(self):
+        # at Omega = 2^510, (omega - omega0)^2 alone would overflow past 4 Omega
+        p = WavePacket(Channel.R1, 1.0, Omega=2.0 ** 510)
+        ratio = abs(gaussian_spectrum(p, 8 * p.Omega) / gaussian_spectrum(p, 0.0)) ** 2
+        assert ratio == pytest.approx(math.exp(-32.0), rel=1e-12)
 
     def test_norm(self):
         p = WavePacket(Channel.R1, mean_n=2.3, Omega=0.17)
@@ -111,15 +135,15 @@ class TestPacketRouting:
         params = RouterParams(gamma2=0.7, omega_c=0.4)
         rep = packet_output_numbers(
             params, [WavePacket(Channel.R1, mean_n=1.3, Omega=0.3)])
-        assert rep.n_total == pytest.approx(1.3, abs=1e-6)
-        assert abs(rep.loss) <= 1e-6
+        assert rep.n_total == pytest.approx(1.3, abs=1e-14)
+        assert abs(rep.loss) <= 1e-14
 
     def test_antisymmetric_pair_reflects_fully(self):
         # the odd combination decouples from the cavity even for broadband
         # packets, so internal loss cannot touch it
         params = RouterParams(gamma_c=0.1)
         rep = packet_output_numbers(params, _pair(PI))
-        assert rep.n_total == pytest.approx(2.0, abs=1e-6)
+        assert rep.n_total == pytest.approx(2.0, abs=2e-14)
         assert rep.n_r2 < 1e-20
         assert rep.n_l2 < 1e-20
 
@@ -184,7 +208,15 @@ class TestPacketRouting:
         params = RouterParams(gamma2=0.5, omega_c=2.0)
         rep = packet_output_numbers(
             params, [WavePacket(Channel.R1, mean_n=1.0, Omega=0.1)])
-        assert rep.n_total == pytest.approx(1.0, abs=1e-6)
+        assert rep.n_total == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.filterwarnings("error")
+    def test_widest_packet_conserves(self):
+        # the whole Gaussian counts even where (omega - omega0)^2 overflows
+        params = RouterParams(gamma1=1e153, gamma2=1e153)
+        rep = packet_output_numbers(
+            params, [WavePacket(Channel.R1, mean_n=1.0, Omega=2.0 ** 510)])
+        assert rep.n_total == pytest.approx(1.0, abs=1e-14)
 
     def test_under_resolved_raises(self):
         # far-detuned narrow-band packet: the widened window cannot be
@@ -203,6 +235,22 @@ class TestPacketRouting:
         assert worst is not None
         assert float(worst.group(2)) > 1e-6
         assert message.endswith("target 1e-06")
+
+    def test_under_resolved_error_holds_no_grid(self):
+        # a caller that keeps the error must not keep the 64 001-node rows
+        # (1.5 MB) alive through its traceback
+        params = RouterParams(omega_c=5.0)
+        packets = [WavePacket(Channel.R1, mean_n=1.0, Omega=1e-3)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(QuadratureUnderResolved) as info:
+                packet_output_numbers(params, packets)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert info.value.__traceback__ is not None
+        assert held < 100_000
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_density_is_non_finite(self):
@@ -244,7 +292,7 @@ class TestPacketRouting:
     def test_conservation_property(self, Omega, omega_c, gamma2, phi):
         params = RouterParams(gamma2=gamma2, omega_c=omega_c)
         rep = packet_output_numbers(params, _pair(phi, Omega=Omega))
-        assert abs(rep.n_total - rep.n_in) <= 1e-6 * rep.n_in
+        assert abs(rep.n_total - rep.n_in) <= 1e-14 * rep.n_in
 
 
 class TestBandwidthEffect:
@@ -294,3 +342,39 @@ class TestNestedHalving:
             packet_output_numbers_full_grid(params, packets, QuadratureSpec())
         with pytest.raises(QuadratureUnderResolved):
             packet_output_numbers(params, packets)
+
+
+class TestMomentQuadrature:
+    """The three line moments against the per-channel scatter quadrature they
+    replaced and against the exact moments from a 40-digit Faddeeva w(z)."""
+
+    # (packets, gamma2, gamma_c, omega_c, Omega); omega_c = 2.0 at Omega = 0.1
+    # puts the cavity line outside +-8 Omega, so the window widens
+    CASES = [(1, 0.7, 0.0, 0.2, 0.3), (2, 0.7, 0.15, 0.2, 0.3), (3, 1.4, 0.0, -0.5, 0.05),
+             (4, 0.3, 0.6, 0.9, 0.5), (2, 0.5, 0.1, 2.0, 0.1), (4, 0.0, 0.0, 2.0, 0.1)]
+
+    @staticmethod
+    def _scenario(count, gamma2, gamma_c, omega_c, Omega):
+        rng = np.random.default_rng([count, int(10 * gamma2)])
+        params = RouterParams(gamma2=gamma2, gamma_c=gamma_c, omega_c=omega_c)
+        packets = [WavePacket(ch, mean_n=float(rng.uniform(0.1, 3.0)), omega0=0.1,
+                              Omega=Omega, phase=float(rng.uniform(0.0, 2 * PI)))
+                   for ch in list(Channel)[:count]]
+        return params, packets
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_scatter_route(self, case):
+        params, packets = self._scenario(*case)
+        rep = packet_output_numbers(params, packets)
+        ref = packet_output_numbers_scatter(params, packets, QuadratureSpec())
+        for ch in Channel:
+            assert abs(rep.n_out[ch] - ref.n_out[ch]) <= 1e-14 * rep.n_in
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_faddeeva(self, case):
+        # the window leaves out about 1e-15 of the Gaussian
+        params, packets = self._scenario(*case)
+        rep = packet_output_numbers(params, packets)
+        exact = packet_numbers_mpmath(params, packets)
+        for ch, value in zip(Channel, exact):
+            assert abs(rep.n_out[ch] - float(value)) <= 1e-14 * rep.n_in
