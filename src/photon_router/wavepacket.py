@@ -27,17 +27,17 @@ The halvings are nested: the nodes of a grid are every other node of the
 grid with half its step (bit for bit, as np.linspace computes them), so each
 halving copies the coarser grid's rows into its even nodes and evaluates the
 three moment rows only at the new midpoints. A node's values do not depend
-on which block of _BLOCK nodes it is evaluated in, so each resolution is
-integrated with the same weights and np.dot as a full evaluation of its grid,
-and every report and every convergence decision carries the same bits as that
-full evaluation would.
+on which other nodes are evaluated with it, so each resolution is integrated
+with the same weights and np.dot as a full evaluation of its grid, and every
+report and every convergence decision carries the same bits as that full
+evaluation would.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -56,9 +56,9 @@ from .scattering import scatter  # unused here; perfbench/tracing.py patches it 
 
 _REFINE_RTOL = 1e-6
 _MAX_DOUBLINGS = 4
-# nodes per block of the moment rows: one pass over the 32 000 new nodes of
-# a 64 001-node call ran about 5% faster but raised its peak RSS by 0.2 MB
-_BLOCK = 4096
+# nodes allowed on the finest halving, (points - 1) * 2**_MAX_DOUBLINGS + 1:
+# 31x that of a default call (64 001); a halving peaks at 36 bytes per node
+MAX_NODES = 2_000_001
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,9 @@ class QuadratureSpec:
 
     window_halfwidth is in multiples of Omega; at the default 8 the Gaussian
     tail mass outside the window is ~1e-14 of the packet. points must be odd
-    (composite Simpson needs an even interval count).
+    (composite Simpson needs an even interval count). Specs whose finest
+    halving would exceed MAX_NODES nodes (points above 125 001) are refused
+    before anything is allocated.
     """
 
     window_halfwidth: float = 8.0
@@ -79,6 +81,10 @@ class QuadratureSpec:
             raise ParameterError(f"points must be odd, got {self.points}")
         if self.points < 2001:
             raise ParameterError(f"points must be >= 2001, got {self.points}")
+        if (finest := (self.points - 1) * 2 ** _MAX_DOUBLINGS + 1) > MAX_NODES:
+            raise ParameterError(
+                f"points must be <= {(MAX_NODES - 1) // 2 ** _MAX_DOUBLINGS + 1}, got "
+                f"{self.points}: its finest halving would take {finest} > {MAX_NODES} nodes")
         if self.window_halfwidth < 6.0:
             raise ParameterError(
                 f"window_halfwidth must be >= 6 Omega, got {self.window_halfwidth}")
@@ -140,53 +146,44 @@ def _weights(points: int, step: float, rule: str) -> np.ndarray:
     if rule == "simpson":
         w[1:-1:2] = 4.0
         w[2:-1:2] = 2.0
-        return w * (step / 3.0)
+        return np.multiply(w, step / 3.0, out=w)
     w[0] = w[-1] = 0.5
-    return w * step
+    return np.multiply(w, step, out=w)
 
 
 def _moment_rows(params: RouterParams, omega0: float, Omega: float,
-                 nodes: Callable[[int, int], np.ndarray], rows: list[np.ndarray]) -> None:
-    """Write the three moment densities e, e/(1 + u^2) and e u/(1 + u^2) into
-    `rows`, which may be strided views; elements start..stop-1 are at the
-    nodes nodes(start, stop), taken _BLOCK nodes at a time.
+                 omegas: np.ndarray, rows: list[np.ndarray]) -> None:
+    """Write the three moment densities e, e/(1 + u^2) and e u/(1 + u^2) at
+    the ascending nodes `omegas` into `rows`, which may be strided views.
 
     e = exp(-(omega - omega0)^2 / (2 Omega^2)) is the squared envelope and
     u = (omega_c - omega) / Gamma the detuning in units of the line width.
     The rows are bounded by 1, whatever the packets carry.
     """
-    size = rows[0].size
-    gamma = params.total_decay
-    omega_c = params.omega_c
-    inverse = 1.0 / Omega
-    scratch = np.empty(min(size, _BLOCK)), np.empty(min(size, _BLOCK))
-    for start in range(0, size, _BLOCK):
-        stop = min(start + _BLOCK, size)
-        omegas = nodes(start, stop)
-        x, u = (buf[:stop - start] for buf in scratch)
-        e, a, b = (row[start:stop] for row in rows)
-        # the nodes ascend, so the block's ends bound both ratios; far out
-        # in a widened window the envelope's exponent may overflow to -inf,
-        # and exp(-inf) = 0 is its value
-        reach = max(omega0 - omegas[0], omegas[-1] - omega0)
-        with overflow_guard(reach < 2.0 ** 500 * Omega):
-            np.subtract(omegas, omega0, out=x)
-            x *= inverse
-            np.square(x, out=x)
-            x *= -0.5
-            np.exp(x, out=e)
-        # past 2^500 line widths e/(1 + u^2) is below 2^-1000 e, so u may be
-        # clipped there: u^2 stays finite and no value moves visibly
-        near = max(omega_c - omegas[0], omegas[-1] - omega_c) < 2.0 ** 500 * gamma
-        np.subtract(omega_c, omegas, out=u)
-        with overflow_guard(near):
-            u /= gamma
-        if not near:
-            np.clip(u, -2.0 ** 500, 2.0 ** 500, out=u)
-        np.square(u, out=x)
-        x += 1.0
-        np.divide(e, x, out=a)
-        np.multiply(a, u, out=b)
+    gamma, omega_c = params.total_decay, params.omega_c
+    e, a, b = rows
+    # the nodes ascend, so their ends bound both ratios; far out in a widened
+    # window the envelope's exponent may overflow to -inf, and exp(-inf) = 0
+    # is its value
+    reach = max(omega0 - omegas[0], omegas[-1] - omega0)
+    with overflow_guard(reach < 2.0 ** 500 * Omega):
+        x = np.subtract(omegas, omega0)
+        x *= 1.0 / Omega
+        np.square(x, out=x)
+        x *= -0.5
+        np.exp(x, out=e)
+    # past 2^500 line widths e/(1 + u^2) is below 2^-1000 e, so u may be
+    # clipped there: u^2 stays finite and no value moves visibly
+    near = max(omega_c - omegas[0], omegas[-1] - omega_c) < 2.0 ** 500 * gamma
+    u = np.subtract(omega_c, omegas)
+    with overflow_guard(near):
+        u /= gamma
+    if not near:
+        np.clip(u, -2.0 ** 500, 2.0 ** 500, out=u)
+    np.square(u, out=x)
+    x += 1.0
+    np.divide(e, x, out=a)
+    np.multiply(a, u, out=b)
 
 
 def _channel_numbers(rows: list[np.ndarray], step: float, rule: str,
@@ -225,9 +222,8 @@ def _resolutions(params: RouterParams, omega0: float, Omega: float, lo: float, h
     holds no grid.
     """
     points = quad.points
-    base = np.linspace(lo, hi, points)
     rows = [np.empty(points) for _ in range(3)]
-    _moment_rows(params, omega0, Omega, lambda a, b: base[a:b], rows)
+    _moment_rows(params, omega0, Omega, np.linspace(lo, hi, points), rows)
     yield _channel_numbers(rows, (hi - lo) / (points - 1), quad.rule, couplings, peaks)
     for _ in range(_MAX_DOUBLINGS):
         points = 2 * (points - 1) + 1
@@ -235,11 +231,10 @@ def _resolutions(params: RouterParams, omega0: float, Omega: float, lo: float, h
         coarse, rows = rows, [np.empty(points) for _ in range(3)]
         for fine, row in zip(rows, coarse):
             fine[::2] = row
-        del coarse
-        # element j of the midpoints is node 2j+1 of np.linspace(lo, hi,
-        # points), computed as linspace does
-        _moment_rows(params, omega0, Omega,
-                     lambda a, b: np.arange(2 * a + 1, 2 * b + 1, 2) * step + lo,
+        del coarse, row
+        # the midpoints are the odd nodes of np.linspace(lo, hi, points),
+        # computed as linspace does
+        _moment_rows(params, omega0, Omega, np.arange(1, points, 2) * step + lo,
                      [fine[1::2] for fine in rows])
         yield _channel_numbers(rows, step, quad.rule, couplings, peaks)
 
@@ -258,12 +253,12 @@ def packet_output_numbers(params: RouterParams, packets: Sequence[WavePacket],
     composite rule on the quadrature window. Up to four times, the step is
     halved and the channel numbers taken again; the first resolution that
     agrees with its halving to 1e-6 relative on every channel is reported.
-    Each halving evaluates the rows only at the new midpoints, _BLOCK nodes
-    at a time, and reuses those of the coarser grid, so a converged call at
-    the default 4001 points evaluates 8001 nodes. Raises
-    QuadratureUnderResolved, naming the window, the base and final point
-    counts and the channel that moved most, if no resolution agrees, and
-    NonFinite if the flux density overflows double precision.
+    Each halving evaluates the rows only at the new midpoints and reuses
+    those of the coarser grid, so a converged call at the default 4001 points
+    evaluates 8001 nodes. Raises QuadratureUnderResolved, naming the window,
+    the base and final point counts and the channel that moved most, if no
+    resolution agrees, and NonFinite if the flux density overflows double
+    precision.
     """
     validate_scalar(params)
     omega0, Omega = shared_packet_frame(packets)

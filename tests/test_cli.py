@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -322,6 +323,12 @@ class TestErrorPaths:
         # Omega ** 2 underflowed to 0 (a ZeroDivisionError) or overflowed
         ["packet", "--bandwidth", "1e-170"],
         ["packet", "--bandwidth", "1e200"],
+        ["sweep", "--case", "two", "--var", "phi",
+         "--start", "0", "--stop", "1", "--count", "1000001"],
+        # each axis within 1e6 points, their grid of 1e12 not
+        ["sweep", "--case", "two", "--var", "phi",
+         "--start", "0", "--stop", "1", "--count", "1000000",
+         "--var2", "delta", "--start2", "0", "--stop2", "1", "--count2", "1000000"],
     ])
     def test_usage_errors_are_one_line(self, capsys, argv):
         code, out, err = run_cli(capsys, argv)
@@ -330,6 +337,24 @@ class TestErrorPaths:
         lines = err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("route: error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["packet", "--points", "125003"],
+        ["packet", "--points", "1000000000000001"],
+        # a refused spec must come before the sweep's grid and results
+        ["sweep", "--case", "packet", "--var", "phi", "--start", "0", "--stop", "1",
+         "--count", "1000000", "--points", "125003"],
+    ])
+    def test_refused_grids_allocate_nothing(self, capsys, argv):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert peak < 1_000_000
 
     @pytest.mark.parametrize("value", ["abc", "0", "-2"])
     def test_bad_thread_env(self, capsys, monkeypatch, value):

@@ -27,6 +27,7 @@ from photon_router import (
     packet_output_numbers,
     shared_packet_frame,
 )
+from photon_router.wavepacket import MAX_NODES
 
 PI = math.pi
 
@@ -101,6 +102,25 @@ class TestQuadratureSpec:
     def test_rejects_bad_settings(self, kwargs):
         with pytest.raises(ParameterError):
             QuadratureSpec(**kwargs)
+
+    def test_points_ceiling(self):
+        # the last of four halvings of 125 001 points has MAX_NODES nodes
+        assert (QuadratureSpec(points=125_001).points - 1) * 2 ** 4 + 1 == MAX_NODES
+        with pytest.raises(ParameterError, match="would take 2000033 > 2000001 nodes"):
+            QuadratureSpec(points=125_003)
+
+    # 10**15 + 1 points would not even be allocatable; 125 003 would
+    @pytest.mark.parametrize("points", [125_003, 10 ** 15 + 1])
+    def test_points_above_ceiling_allocate_nothing(self, points):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match="points must be <= 125001"):
+                packet_output_numbers(RouterParams(), _pair(0.5),
+                                      QuadratureSpec(points=points))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 class TestSharedFrame:
@@ -308,8 +328,8 @@ class TestBandwidthEffect:
 
 
 class TestNestedHalving:
-    """Each halving evaluates only the new midpoints, in blocks; the reports
-    must carry the bits of full-grid evaluations of every resolution."""
+    """Each halving evaluates only the new midpoints; the reports must carry
+    the bits of full-grid evaluations of every resolution."""
 
     @staticmethod
     def _assert_same_bits(params, packets, quad):
@@ -321,7 +341,7 @@ class TestNestedHalving:
     @pytest.mark.parametrize("rule", ["simpson", "trapezoid"])
     @pytest.mark.parametrize("points", [2001, 4001, 8001])
     @pytest.mark.parametrize("gamma_c", [0.0, 0.15])
-    # narrower packets need more halvings: up to 32001 points, in 4096-node blocks
+    # narrower packets need more halvings: up to 32001 points
     @pytest.mark.parametrize("count, Omega", [(1, 0.3), (2, 0.02), (3, 0.005), (4, 0.05)])
     def test_matches_full_grid(self, rule, points, gamma_c, count, Omega):
         rng = np.random.default_rng([points, count, int(gamma_c > 0)])
