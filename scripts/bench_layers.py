@@ -12,15 +12,17 @@
         first. Writes, per layer, the median over rounds of each side, the
         head/base ratio, and the rounds the head was faster in.
 
-The layers: one closed-form point, `scatter` on a scalar and on 10 001
+The layers: one closed-form point, `scatter` on one point and on 10 001
 detunings, one two-packet quadrature, one two-packet quadrature at
 Omega = 0.001 and cavity detuning 5 up to its QuadratureUnderResolved,
 one `time_domain_report`, each `verify` suite, and through the CLI the
 101 x 101 `three` grid, the 201-point packet phase sweep, the
---dump-trajectory point and one point command. Times are medians of
-repeated calls after one warm-up call. Both modes run with
-OPENBLAS_NUM_THREADS=1: without it, a 10 001-point `scatter` sometimes took
-8 ms instead of 0.5 ms on a 2-CPU VM.
+--dump-trajectory point and one point command. `scatter` takes its
+amplitudes as one complex (..., 4) array in CHANNELS order; a tree from
+before that layout, such as an older --base, gets the same drive as a
+`ChannelAmplitudes`. Times are medians of repeated calls after one warm-up
+call. Both modes run with OPENBLAS_NUM_THREADS=1: without it, a 10 001-point
+`scatter` sometimes took 8 ms instead of 0.5 ms on a 2-CPU VM.
 """
 
 from __future__ import annotations
@@ -69,14 +71,17 @@ def layer_times(tmp: str) -> dict:
     """
     import numpy as np
 
-    from photon_router import cli, verify
+    from photon_router import cli, scattering, verify
     from photon_router.core import Channel, QuadratureUnderResolved, RouterParams, WavePacket
     from photon_router.oracle import time_domain_report
-    from photon_router.scattering import ChannelAmplitudes, mean_output_two, scatter
+    from photon_router.scattering import mean_output_two, scatter
     from photon_router.wavepacket import packet_output_numbers
 
     params = RouterParams(gamma2=0.7, gamma_c=0.1)
-    amps = ChannelAmplitudes(r1=1.0, l1=1j)
+    if hasattr(scattering, "ChannelAmplitudes"):  # a tree before the (..., 4) layout
+        amps = scattering.ChannelAmplitudes(r1=1.0, l1=1j)
+    else:
+        amps = np.array([1.0, 1j, 0.0, 0.0])
     deltas = np.linspace(-5.0, 5.0, 10001)
     packets = [WavePacket(Channel.R1, 1.0, Omega=0.3),
                WavePacket(Channel.L1, 1.0, Omega=0.3, phase=1.0)]

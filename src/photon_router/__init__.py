@@ -28,7 +28,6 @@ from .core import (
     validate,
 )
 from .scattering import (
-    ChannelAmplitudes,
     cavity_amplitude,
     mean_output_single,
     mean_output_three,
@@ -58,7 +57,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CHANNELS",
     "Channel",
-    "ChannelAmplitudes",
     "CheckResult",
     "GridTooCoarse",
     "GridTooLarge",

@@ -10,8 +10,6 @@ A monochromatic sweep is one call of the closed form on arrays, rates
 included; a point command is the same call on scalars, which gives the same
 bits as the matching sweep element. Packet sweeps call the quadrature once
 per point.
-ROUTER_SIM_THREADS is still validated (an integer >= 1) but no longer
-changes anything: sweeps run on one thread.
 
 All data commands emit CSV (header always present) to --out or stdout
 (`--out -` is stdout). Floats are written as shortest round-trip decimals
@@ -39,7 +37,6 @@ import argparse
 import functools
 import itertools
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -311,19 +308,6 @@ def _emit(out_path: str | None, header: Sequence[str],
         raise _UsageError(f"cannot write {out_path}: {exc}")
 
 
-def _check_thread_setting() -> None:
-    """Validate ROUTER_SIM_THREADS, which sweeps accept but no longer use."""
-    raw = os.environ.get("ROUTER_SIM_THREADS")
-    if raw is None:
-        return
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise _UsageError(f"ROUTER_SIM_THREADS must be an integer, got {raw!r}")
-    if threads < 1:
-        raise _UsageError(f"ROUTER_SIM_THREADS must be >= 1, got {threads}")
-
-
 def _dump_trajectory(path: str, params: RouterParams,
                      packets: Sequence[WavePacket]) -> None:
     grid = default_grid(params, packets)
@@ -377,7 +361,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if ax.variable not in _CASE_VARS[args.case]:
             raise _UsageError(
                 f"variable {ax.variable!r} does not apply to case {args.case!r}")
-    _check_thread_setting()
     return _run(args, args.case, spec.axes)
 
 

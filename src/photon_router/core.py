@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -113,10 +113,11 @@ class RouterParams:
     Each field is a float or a numpy array; arrays broadcast against each
     other and against the other inputs of a call, one rate set per element.
     The monochromatic layer (`validate`, the closed forms,
-    `two_port_reduction`, `cavity_amplitude`, `scatter`,
-    `report_from_scatter`) accepts array rates. The packet quadrature and
-    the time-domain oracle take one rate set per call and raise
-    ParameterError for arrays.
+    `two_port_reduction`, and `cavity_amplitude`, `scatter` and
+    `report_from_scatter`, the scattering map on (..., 4) amplitude arrays
+    in CHANNELS order) accepts array rates. The packet quadrature and the
+    time-domain oracle take one rate set per call and raise ParameterError
+    for arrays.
     """
 
     gamma1: float = 1.0
@@ -255,18 +256,22 @@ class OutputReport:
     loss: float
 
     @classmethod
-    def from_channel_numbers(cls, n_out: Mapping[Channel, float], n_in: float) -> "OutputReport":
-        """Report from per-channel numbers, scalars or arrays that broadcast with n_in.
+    def from_channel_numbers(cls, numbers: Sequence, n_in: float) -> "OutputReport":
+        """Report from the four channel numbers in CHANNELS order.
 
-        A missing channel counts 0. Negative rounding noise above
-        -1e-12 max(n_in, 1) clamps to 0.
-        Raises NonFinite, naming the quantity and its first bad element,
-        when n_in, a channel, the total or the loss is not finite.
+        `numbers` holds four scalars or arrays that broadcast with n_in, or is
+        one array whose first axis holds the four channels. Negative rounding
+        noise above -1e-12 max(n_in, 1) clamps to 0.
+        Raises ParameterError unless there are four channels, and NonFinite,
+        naming the quantity and its first bad element, when n_in, a channel,
+        the total or the loss is not finite.
         """
-        values = [n_out.get(ch, 0.0) for ch in CHANNELS]
+        if len(numbers) != len(CHANNELS):
+            raise ParameterError(
+                f"need {len(CHANNELS)} channel numbers in CHANNELS order, got {len(numbers)}")
         # one (4, ...) array of the broadcast shape: a single clamp for all channels
-        v = np.empty((4,) + np.broadcast(n_in, *values).shape)
-        for i, value in enumerate(values):
+        v = np.empty((4,) + np.broadcast(n_in, *numbers).shape)
+        for i, value in enumerate(numbers):
             v[i] = value
         v[(-1e-12 * np.maximum(n_in, 1.0) < v) & (v < 0.0)] = 0.0
         clean = list(v)

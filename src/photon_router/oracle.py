@@ -242,12 +242,12 @@ def output_flux(params: RouterParams, drives: Mapping[Channel, np.ndarray],
     w[-1] *= 0.5
 
     n_in = 0.0
-    fluxes = {}
+    fluxes = []
     for ch in CHANNELS:
         d = inputs[ch][::2] if ch in inputs else np.zeros_like(trajectory)
         n_in += float(np.dot(w, np.abs(d) ** 2))
         out_t = d - 1j * math.sqrt(params.coupling(ch)) * trajectory
-        fluxes[ch] = float(np.dot(w, np.abs(out_t) ** 2))
+        fluxes.append(float(np.dot(w, np.abs(out_t) ** 2)))
     return OutputReport.from_channel_numbers(fluxes, n_in=n_in)
 
 

@@ -11,43 +11,51 @@ and each channel leaves as
 
     b_ch = a_ch - i sqrt(gamma_j) c.
 
-The map is unitary whenever gamma_c = 0. On top of this general map sit the
-closed-form mean output numbers for the standard drive scenarios: a single
-driven port, equal-amplitude drives on ports 1 and 2 with relative phase phi,
-the two-port reduction gamma2 = 0, and equal-amplitude drives on ports 1, 3
-and 4 with relative phases theta and theta'. The closed forms are |S a|^2 of
-the same map worked out by hand, so they hold for every gamma_c >= 0, and
-each is written so that at gamma_c = 0 it reduces, operation for operation,
-to the lossless expression. `scatter` is the general map and the cross-check
-of the forms. The closed forms reject non-finite photon numbers, detunings
-and phases with NonFinite, and raise it too, with no numpy warning first,
-when the rates' sum or a photon number times an output fraction overflows
-double precision. Beyond |delta| + rates = 2^500 they first divide
-delta and the rates by a power of two, which changes no value, so a
-far-detuned cavity passes light straight through at any finite delta.
+On the amplitudes a = (a_r1, a_l1, a_r2, a_l2), in CHANNELS order, this is
+the rank-1 matrix
+
+    S(delta) = I - k k^T / (i delta + gamma1 + gamma2 + gamma_c),
+    k = (sqrt(gamma1), sqrt(gamma1), sqrt(gamma2), sqrt(gamma2)),
+
+unitary whenever gamma_c = 0. `cavity_amplitude`, `scatter` and
+`report_from_scatter` apply it to complex amplitudes of shape (..., 4) in
+that order, through one core; they are the cross-check of the closed forms
+in `verify` and the tests. The closed-form mean output numbers cover the
+standard drive scenarios: a single driven port, equal-amplitude drives on
+ports 1 and 2 with relative phase phi, the two-port reduction gamma2 = 0,
+and equal-amplitude drives on ports 1, 3 and 4 with relative phases theta
+and theta'. They are |S a|^2 worked out by hand, so they hold for every
+gamma_c >= 0, and each is written so that at gamma_c = 0 it reduces,
+operation for operation, to the lossless expression. The closed forms
+reject non-finite photon numbers, detunings and phases with NonFinite, and
+raise it too, with no numpy warning first, when the rates' sum or a photon
+number times an output fraction overflows double precision. Beyond
+|delta| + rates = 2^500 they first divide delta and the rates by a power of
+two, which changes no value, so a far-detuned cavity passes light straight
+through at any finite delta.
 
 Every input may be a scalar or a numpy array: the rates in RouterParams,
-amplitudes, detunings, phases and photon numbers all broadcast elementwise,
-so a whole grid, rates included, is one call. A scalar runs through the same
-numpy operations as an array (a 0-d case of them), so each element of an
-array call carries the same bits as the scalar call at that point. Squares
-are written as products: Python's float `x ** 2` rounds differently from
-numpy's square on some inputs.
+detunings, phases, photon numbers and the axes of the amplitudes before
+their channel axis all broadcast elementwise, so a whole grid, rates
+included, is one call. A scalar runs through the same numpy operations as
+an array (a 0-d case of them), so each element of an array call carries the
+same bits as the scalar call at that point. Squares are written as
+products: Python's float `x ** 2` rounds differently from numpy's square on
+some inputs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     CHANNELS,
-    Channel,
     NegativeRate,
     NonFinite,
     OutputReport,
+    ParameterError,
     RouterParams,
     holds,
     overflow_guard,
@@ -57,79 +65,70 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class ChannelAmplitudes:
-    """One complex amplitude per propagating channel at a single frequency."""
+def _scattered(params: RouterParams, amplitudes, delta):
+    """(c, S(delta) a) for complex amplitudes a of shape (..., 4) in CHANNELS order.
 
-    r1: complex = 0j
-    l1: complex = 0j
-    r2: complex = 0j
-    l2: complex = 0j
-
-    def __getitem__(self, channel: Channel):
-        return getattr(self, channel.name.lower())
-
-    def items(self):
-        return list(zip(CHANNELS, (self.r1, self.l1, self.r2, self.l2)))
-
-    def fluxes(self) -> dict:
-        """|amplitude|^2 per channel, as re^2 + im^2; inf where that overflows."""
-        with self._overflow_guard():
-            return {ch: z.real * z.real + z.imag * z.imag for ch, z in self.items()}
-
-    def total_flux(self):
-        """Sum of |amplitude|^2 over the four channels; inf where that overflows."""
-        with self._overflow_guard():
-            r1, l1, r2, l2 = self.fluxes().values()
-            return r1 + l1 + r2 + l2
-
-    def _overflow_guard(self):
-        # magnitudes summing below 2^511 keep each flux and their sum below 2^1022
-        return overflow_guard(abs(self.r1) + abs(self.l1) + abs(self.r2) + abs(self.l2)
-                               < 2.0 ** 511)
-
-
-def cavity_amplitude(params: RouterParams, inputs: ChannelAmplitudes, delta):
-    """Steady-state cavity amplitude under monochromatic driving.
-
-    Raises NonFinite for a non-finite amplitude or detuning.
+    c has the shape of a[..., 0] broadcast with delta and the rates. S(delta) a
+    comes channel first, shape (4,) + c.shape: numpy loops fastest over the
+    last axis, and a last axis of four elements makes a slow loop. Raises
+    ParameterError unless the last axis of a holds the four channels, and
+    NonFinite for a non-finite amplitude or detuning and where the result
+    overflows double precision.
     """
     validate(params)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        drive = (np.sqrt(params.gamma1) * (inputs.r1 + inputs.l1)
-                 + np.sqrt(params.gamma2) * (inputs.r2 + inputs.l2))
-        c = -1j * drive / (1j * delta + params.total_decay)
-    # a NaN or inf among the amplitudes or detunings leaves c NaN or inf, and
-    # then sum |c|^2 too; that one BLAS sum is cheaper than an isfinite pass,
-    # and a false alarm (sum overflow) only costs the exact checks below
-    if not np.isfinite(np.vdot(c, c)):
-        require_finite(r1=inputs.r1, l1=inputs.l1, r2=inputs.r2, l2=inputs.l2, delta=delta)
-        require(np.isfinite(c), NonFinite,
-                "the cavity amplitude overflows double precision", c)
-    return c
+    a = np.asarray(amplitudes, dtype=complex)
+    if a.shape[-1:] != (len(CHANNELS),):
+        raise ParameterError(
+            f"amplitudes need a last axis of the {len(CHANNELS)} channels, got shape {a.shape}")
+    # apart: the channel axis need not broadcast with delta
+    require_finite(amplitudes=a)
+    require_finite(delta=delta)
+    s1, s2 = np.sqrt(params.gamma1), np.sqrt(params.gamma2)
+    # finite inputs still overflow at extreme scales (amplitudes near 1e308,
+    # or a detuning and gamma_c both near it); the check below raises then
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = (-1j * (s1 * (a[..., 0] + a[..., 1]) + s2 * (a[..., 2] + a[..., 3]))
+             / (1j * delta + params.total_decay))
+        out = np.empty((len(CHANNELS),) + np.shape(c), dtype=complex)
+        for i, s in enumerate((s1, s1, s2, s2)):
+            np.subtract(a[..., i], 1j * s * c, out=out[i, ...])
+    # every channel carries c (s1 > 0), so out is finite only where c is
+    require(np.isfinite(out), NonFinite,
+            "the cavity or output amplitudes overflow double precision", out)
+    return c, out
 
 
-def scatter(params: RouterParams, inputs: ChannelAmplitudes, delta) -> ChannelAmplitudes:
-    """Output amplitudes on all four channels for the given inputs."""
-    c = cavity_amplitude(params, inputs, delta)
-    s1 = np.sqrt(params.gamma1)
-    s2 = np.sqrt(params.gamma2)
-    return ChannelAmplitudes(
-        r1=inputs.r1 - 1j * s1 * c,
-        l1=inputs.l1 - 1j * s1 * c,
-        r2=inputs.r2 - 1j * s2 * c,
-        l2=inputs.l2 - 1j * s2 * c,
-    )
+def cavity_amplitude(params: RouterParams, amplitudes, delta):
+    """Steady-state cavity amplitude c under monochromatic driving.
+
+    amplitudes: complex, shape (..., 4) in CHANNELS order. c has one value
+    per point: the leading axes of the amplitudes broadcast with delta and
+    the rates. Raises ParameterError for another channel axis and NonFinite
+    for a non-finite amplitude or detuning.
+    """
+    return _scattered(params, amplitudes, delta)[0]
 
 
-def report_from_scatter(params: RouterParams, inputs: ChannelAmplitudes, delta) -> OutputReport:
+def scatter(params: RouterParams, amplitudes, delta) -> np.ndarray:
+    """Output amplitudes S(delta) a on all four channels, shape (..., 4) in
+    CHANNELS order like the input amplitudes."""
+    return np.moveaxis(_scattered(params, amplitudes, delta)[1], 0, -1)
+
+
+def report_from_scatter(params: RouterParams, amplitudes, delta) -> OutputReport:
     """OutputReport with per-channel fluxes |scatter(...)|^2.
 
     With array rates, amplitudes or detunings the report holds arrays, one
     element per point; each equals the scalar call at that point.
     """
-    out = scatter(params, inputs, delta)
-    return OutputReport.from_channel_numbers(out.fluxes(), n_in=inputs.total_flux())
+    a = np.asarray(amplitudes, dtype=complex)
+    out = _scattered(params, a, delta)[1]
+    # |S a| <= |a| for a passive cavity: below 2^510 per amplitude neither a
+    # flux nor the sum of four input fluxes overflows
+    with overflow_guard(abs(a) < 2.0 ** 510):
+        flux_in, flux_out = (z.real * z.real + z.imag * z.imag for z in (a, out))
+        n_in = flux_in[..., 0] + flux_in[..., 1] + flux_in[..., 2] + flux_in[..., 3]
+    return OutputReport.from_channel_numbers(flux_out, n_in=n_in)
 
 
 def _require_mean_n(mean_n) -> None:
@@ -184,15 +183,10 @@ def mean_output_single(params: RouterParams, mean_n: float, delta: float) -> Out
     # D from a, so the numerator and the denominator share the rounding of a
     d = delta * delta + (g1 + a) * (g1 + a)
     with _mean_n_guard(mean_n):
+        n_2 = g1 * g2 / d * mean_n
         return OutputReport.from_channel_numbers(
-            {
-                Channel.R1: (delta * delta + a * a) / d * mean_n,
-                Channel.L1: g1 * g1 / d * mean_n,
-                Channel.R2: g1 * g2 / d * mean_n,
-                Channel.L2: g1 * g2 / d * mean_n,
-            },
-            n_in=mean_n,
-        )
+            [(delta * delta + a * a) / d * mean_n, g1 * g1 / d * mean_n, n_2, n_2],
+            n_in=mean_n)
 
 
 def mean_output_two(params: RouterParams, mean_n: float, delta: float, phi: float) -> OutputReport:
@@ -222,15 +216,11 @@ def mean_output_two(params: RouterParams, mean_n: float, delta: float, phi: floa
     cross2 = (1.0 + cos_phi) * g1 * g2
     tilt = g1 * delta * sin_phi
     with _mean_n_guard(mean_n):
+        n_2 = 2.0 * cross2 / d * mean_n
         return OutputReport.from_channel_numbers(
-            {
-                Channel.R1: (1.0 - 2.0 * (cross1 + tilt) / d) * mean_n,
-                Channel.L1: (1.0 - 2.0 * (cross1 - tilt) / d) * mean_n,
-                Channel.R2: 2.0 * cross2 / d * mean_n,
-                Channel.L2: 2.0 * cross2 / d * mean_n,
-            },
-            n_in=2.0 * mean_n,
-        )
+            [(1.0 - 2.0 * (cross1 + tilt) / d) * mean_n,
+             (1.0 - 2.0 * (cross1 - tilt) / d) * mean_n, n_2, n_2],
+            n_in=2.0 * mean_n)
 
 
 def two_port_reduction(gamma1: float, mean_n: float, delta: float, phi: float) -> tuple[float, float]:
@@ -299,7 +289,4 @@ def mean_output_three(params: RouterParams, mean_n: float, delta: float,
                 - 2.0 * cp * b * s + 2.0 * ct * g2 * s
                 - 2.0 * cd * b * g2) / d * mean_n
 
-        return OutputReport.from_channel_numbers(
-            {Channel.R1: n_r1, Channel.L1: n_l1, Channel.R2: n_r2, Channel.L2: n_l2},
-            n_in=3.0 * mean_n,
-        )
+        return OutputReport.from_channel_numbers([n_r1, n_l1, n_r2, n_l2], n_in=3.0 * mean_n)

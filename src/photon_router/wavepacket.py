@@ -36,6 +36,7 @@ evaluation would.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -65,11 +66,12 @@ MAX_NODES = 2_000_001
 class QuadratureSpec:
     """Fixed frequency-quadrature settings.
 
-    window_halfwidth is in multiples of Omega; at the default 8 the Gaussian
-    tail mass outside the window is ~1e-14 of the packet. points must be odd
-    (composite Simpson needs an even interval count). Specs whose finest
-    halving would exceed MAX_NODES nodes (points above 125 001) are refused
-    before anything is allocated.
+    window_halfwidth is in multiples of Omega, finite and >= 6; at the
+    default 8 the Gaussian tail mass outside the window is ~1e-14 of the
+    packet. points must be an odd integer (composite Simpson needs an even
+    interval count), bool excluded. Specs whose finest halving would exceed
+    MAX_NODES nodes (points above 125 001) are refused before anything is
+    allocated.
     """
 
     window_halfwidth: float = 8.0
@@ -77,6 +79,8 @@ class QuadratureSpec:
     rule: str = "simpson"
 
     def __post_init__(self):
+        if isinstance(self.points, bool) or not isinstance(self.points, numbers.Integral):
+            raise ParameterError(f"points must be an integer, got {self.points!r}")
         if self.points % 2 == 0:
             raise ParameterError(f"points must be odd, got {self.points}")
         if self.points < 2001:
@@ -85,6 +89,8 @@ class QuadratureSpec:
             raise ParameterError(
                 f"points must be <= {(MAX_NODES - 1) // 2 ** _MAX_DOUBLINGS + 1}, got "
                 f"{self.points}: its finest halving would take {finest} > {MAX_NODES} nodes")
+        if not math.isfinite(self.window_halfwidth):
+            raise NonFinite(f"window_halfwidth must be finite, got {self.window_halfwidth!r}")
         if self.window_halfwidth < 6.0:
             raise ParameterError(
                 f"window_halfwidth must be >= 6 Omega, got {self.window_halfwidth}")
@@ -274,7 +280,7 @@ def packet_output_numbers(params: RouterParams, packets: Sequence[WavePacket],
     for finer in resolutions:
         if all(abs(f - c) <= _REFINE_RTOL * max(abs(c), floor)
                for f, c in zip(finer, current)):
-            return OutputReport.from_channel_numbers(dict(zip(CHANNELS, current)), n_in=n_in)
+            return OutputReport.from_channel_numbers(current, n_in=n_in)
         previous, current = current, finer
     change = [abs(f - c) / max(abs(c), floor) for f, c in zip(current, previous)]
     worst = max(range(len(CHANNELS)), key=change.__getitem__)

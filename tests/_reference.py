@@ -133,11 +133,10 @@ def trajectory_csv_loop(times, trajectory) -> str:
 
 def _step_halving(packets, quad, fluxes):
     """The convergence loop of `photon_router.packet_output_numbers` around
-    `fluxes(points)`, a dict of channel numbers on the window's grid of `points`:
-    the step halved up to four times until every channel agrees to 1e-6
-    relative, the coarser resolution reported."""
+    `fluxes(points)`, the four channel numbers in ORDER on the window's grid of
+    `points`: the step halved up to four times until every channel agrees to
+    1e-6 relative, the coarser resolution reported."""
     from photon_router import OutputReport, QuadratureUnderResolved
-    from photon_router.core import CHANNELS
 
     n_in = sum(p.mean_n for p in packets)
     floor = 1e-9 * max(n_in, 1e-300)
@@ -146,8 +145,7 @@ def _step_halving(packets, quad, fluxes):
     for _ in range(4):
         points = 2 * (points - 1) + 1
         finer = fluxes(points)
-        if all(abs(finer[ch] - current[ch]) <= 1e-6 * max(abs(current[ch]), floor)
-               for ch in CHANNELS):
+        if all(abs(f - c) <= 1e-6 * max(abs(c), floor) for f, c in zip(finer, current)):
             return OutputReport.from_channel_numbers(current, n_in=n_in)
         current = finer
     raise QuadratureUnderResolved("channel fluxes still moving after 4 grid doublings")
@@ -184,9 +182,8 @@ def packet_output_numbers_full_grid(params, packets, quad):
             e = np.exp(np.square((omegas - omega0) * (1.0 / Omega)) * -0.5)
         u = np.clip((params.omega_c - omegas) / gamma, -2.0 ** 500, 2.0 ** 500)
         a = e / (np.square(u) + 1.0)
-        numbers = _channel_numbers([e, a, a * u], (window[1] - window[0]) / (points - 1),
-                                   quad.rule, couplings, peaks)
-        return dict(zip(CHANNELS, numbers))
+        return _channel_numbers([e, a, a * u], (window[1] - window[0]) / (points - 1),
+                                quad.rule, couplings, peaks)
 
     return _step_halving(packets, quad, fluxes)
 
@@ -196,13 +193,12 @@ def packet_output_numbers_scatter(params, packets, quad):
 
     The same windows, rules and step-halving as
     `photon_router.packet_output_numbers`, each resolution evaluating
-    `scatter` on all of its nodes in one call, with each packet's spectrum
-    built from its own Gaussian envelope, and squaring the four output
-    amplitudes.
+    `scatter` on all of its nodes in one call, on (nodes, 4) amplitudes with
+    each packet's spectrum built from its own Gaussian envelope, and squaring
+    the four output amplitudes.
     """
     from photon_router import scatter
     from photon_router.core import CHANNELS
-    from photon_router.scattering import ChannelAmplitudes
     from photon_router.wavepacket import _frequency_window, _weights, shared_packet_frame
 
     def spectrum(p, omega):
@@ -213,13 +209,12 @@ def packet_output_numbers_scatter(params, packets, quad):
     def fluxes(points):
         omegas = np.linspace(window[0], window[1], points)
         step = (window[1] - window[0]) / (points - 1)
-        fields = {ch: 0j for ch in CHANNELS}
+        inputs = np.zeros((points, 4), dtype=complex)
         for p in packets:
-            fields[p.channel] = spectrum(p, omegas)
-        inputs = ChannelAmplitudes(**{ch.name.lower(): fields[ch] for ch in CHANNELS})
+            inputs[:, CHANNELS.index(p.channel)] = spectrum(p, omegas)
         out = scatter(params, inputs, params.omega_c - omegas)
         w = _weights(points, step, quad.rule)
-        return {ch: float(np.dot(w, np.abs(out[ch]) ** 2)) for ch in CHANNELS}
+        return [float(np.dot(w, np.abs(out[:, i]) ** 2)) for i in range(4)]
 
     omega0, Omega = shared_packet_frame(packets)
     window = _frequency_window(params, omega0, Omega, quad.window_halfwidth)

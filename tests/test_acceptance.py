@@ -11,7 +11,6 @@ import pytest
 
 from photon_router import (
     Channel,
-    ChannelAmplitudes,
     RouterParams,
     TimeGrid,
     WavePacket,
@@ -98,10 +97,10 @@ def test_criterion_05_flux_conservation():
         params = RouterParams(gamma1=rng.uniform(0.1, 5.0),
                               gamma2=rng.uniform(0.0, 5.0))
         raw = rng.standard_normal(8)
-        inputs = ChannelAmplitudes(*(raw[0::2] + 1j * raw[1::2]))
+        inputs = raw[0::2] + 1j * raw[1::2]
         outputs = scatter(params, inputs, rng.uniform(-10.0, 10.0))
-        n_in = inputs.total_flux()
-        dev = abs(outputs.total_flux() - n_in) / max(n_in, 1.0)
+        n_in = np.sum(np.abs(inputs) ** 2)
+        dev = abs(np.sum(np.abs(outputs) ** 2) - n_in) / max(n_in, 1.0)
         worst = max(worst, dev)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and elapsed < 1.0
@@ -120,13 +119,10 @@ def test_criterion_06_closed_forms_match_scattering():
         a = math.sqrt(n)
         phi, th, tp = rng.uniform(0.0, 2.0 * PI, 3)
         cases = [
-            (mean_output_single(params, n, delta),
-             ChannelAmplitudes(r1=a)),
-            (mean_output_two(params, n, delta, phi),
-             ChannelAmplitudes(r1=a, l1=a * np.exp(1j * phi))),
+            (mean_output_single(params, n, delta), [a, 0, 0, 0]),
+            (mean_output_two(params, n, delta, phi), [a, a * np.exp(1j * phi), 0, 0]),
             (mean_output_three(params, n, delta, th, tp),
-             ChannelAmplitudes(r1=a, r2=a * np.exp(1j * th),
-                               l2=a * np.exp(1j * tp))),
+             [a, 0, a * np.exp(1j * th), a * np.exp(1j * tp)]),
         ]
         scale = max(n, 1.0)
         for form, inputs in cases:

@@ -356,14 +356,6 @@ class TestErrorPaths:
         assert len(err.splitlines()) == 1
         assert peak < 1_000_000
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
-    def test_bad_thread_env(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("ROUTER_SIM_THREADS", value)
-        code, _, err = run_cli(capsys, TestSweep.SCAN)
-        assert code == 2
-        assert err.startswith("route: error:")
-        assert "ROUTER_SIM_THREADS" in err
-
     def test_under_resolved_quadrature_is_code_3(self, capsys):
         code, out, err = run_cli(capsys, [
             "packet", "--bandwidth", "0.001", "--omega0-detuning", "5"])

@@ -140,26 +140,23 @@ class TestWavePacket:
 
 class TestOutputReport:
     def test_totals(self):
-        rep = OutputReport.from_channel_numbers(
-            {Channel.R1: 0.1, Channel.L1: 0.2, Channel.R2: 0.3, Channel.L2: 0.4},
-            n_in=1.2)
+        rep = OutputReport.from_channel_numbers([0.1, 0.2, 0.3, 0.4], n_in=1.2)
         assert rep.n_total == pytest.approx(1.0, rel=1e-15)
         assert rep.loss == pytest.approx(0.2, rel=1e-12)
         assert rep.n_r1 == 0.1 and rep.n_l2 == 0.4
 
     def test_rounding_noise_clamped(self):
-        rep = OutputReport.from_channel_numbers(
-            {Channel.R1: -1e-14, Channel.L1: 1.0}, n_in=1.0)
+        rep = OutputReport.from_channel_numbers([-1e-14, 1.0, 0.0, 0.0], n_in=1.0)
         assert rep.n_r1 == 0.0
-        assert rep.n_r2 == 0.0  # missing channels default to zero
+        assert rep.n_r2 == 0.0
 
     def test_real_negative_not_masked(self):
-        rep = OutputReport.from_channel_numbers({Channel.R1: -1e-6}, n_in=1.0)
+        rep = OutputReport.from_channel_numbers([-1e-6, 0.0, 0.0, 0.0], n_in=1.0)
         assert rep.n_r1 == -1e-6
 
     def test_partial_array_channels_broadcast(self):
         rep = OutputReport.from_channel_numbers(
-            {Channel.R1: np.array([0.1, 0.2]), Channel.L1: 0.5}, n_in=np.array([1.0, 1.0]))
+            [np.array([0.1, 0.2]), 0.5, 0.0, 0.0], n_in=np.array([1.0, 1.0]))
         np.testing.assert_array_equal(rep.n_r1, [0.1, 0.2])
         np.testing.assert_array_equal(rep.n_l1, [0.5, 0.5])
         np.testing.assert_array_equal(rep.n_r2, [0.0, 0.0])
@@ -168,18 +165,35 @@ class TestOutputReport:
     def test_scalar_channels_clamp_per_n_in_element(self):
         # the clamp floor of each n_in element applies to every channel there
         rep = OutputReport.from_channel_numbers(
-            {Channel.R1: -1e-9, Channel.L1: 1.0}, n_in=np.array([1.0, 1e4, 1.0, 1e4]))
+            [-1e-9, 1.0, 0.0, 0.0], n_in=np.array([1.0, 1e4, 1.0, 1e4]))
         np.testing.assert_array_equal(rep.n_r1, [-1e-9, 0.0, -1e-9, 0.0])
         np.testing.assert_array_equal(rep.n_l1, [1.0, 1.0, 1.0, 1.0])
 
+    def test_channel_axis_first(self):
+        # one (4, ...) array, as the scattering map's fluxes arrive, gives the
+        # same report as its four rows
+        numbers = np.array([[0.1, 0.2], [0.3, 0.4], [0.0, 0.1], [0.5, 0.25]])
+        rep = OutputReport.from_channel_numbers(numbers, n_in=1.0)
+        rows = OutputReport.from_channel_numbers(list(numbers), n_in=1.0)
+        for ch, row in zip(CHANNELS, numbers):
+            np.testing.assert_array_equal(rep.n_out[ch], row)
+            np.testing.assert_array_equal(rows.n_out[ch], row)
+        np.testing.assert_array_equal(rep.n_total, rows.n_total)
+
+    @pytest.mark.parametrize("numbers", [[0.1, 0.2, 0.3], [0.1] * 5, np.zeros((3, 2))],
+                             ids=["three", "five", "array-of-three"])
+    def test_wrong_channel_count_rejected(self, numbers):
+        with pytest.raises(ParameterError, match="need 4 channel numbers in CHANNELS order"):
+            OutputReport.from_channel_numbers(numbers, n_in=1.0)
+
     @pytest.mark.parametrize("n_out, n_in, message", [
-        ({Channel.R1: 0.1, Channel.L1: 0.2, Channel.R2: 0.3, Channel.L2: 0.4}, math.inf,
+        ([0.1, 0.2, 0.3, 0.4], math.inf,
          "n_in is not finite; the inputs overflow double precision, got inf"),
-        ({Channel.R1: 0.1, Channel.L1: math.nan, Channel.R2: 0.3, Channel.L2: 0.4}, 1.0,
+        ([0.1, math.nan, 0.3, 0.4], 1.0,
          "N_l1 is not finite; the inputs overflow double precision, got nan"),
-        ({Channel.R1: 1e308, Channel.L1: 1e308, Channel.R2: 0.0, Channel.L2: 0.0}, 1.0,
+        ([1e308, 1e308, 0.0, 0.0], 1.0,
          "N_total is not finite; the inputs overflow double precision, got inf"),
-        ({ch: np.array([0.1, 0.2, 0.3]) for ch in CHANNELS}, np.array([1.0, 2.0, -math.inf]),
+        ([np.array([0.1, 0.2, 0.3])] * 4, np.array([1.0, 2.0, -math.inf]),
          "n_in is not finite; the inputs overflow double precision, got -inf at index 2"),
     ], ids=["n_in", "channel", "total", "array"])
     @pytest.mark.filterwarnings("error")  # no numpy RuntimeWarning on the way
@@ -189,7 +203,5 @@ class TestOutputReport:
         assert str(info.value) == message
 
     def test_by_output_port(self):
-        rep = OutputReport.from_channel_numbers(
-            {Channel.R1: 0.1, Channel.L1: 0.2, Channel.R2: 0.3, Channel.L2: 0.4},
-            n_in=1.0)
+        rep = OutputReport.from_channel_numbers([0.1, 0.2, 0.3, 0.4], n_in=1.0)
         assert rep.by_output_port() == {2: 0.1, 1: 0.2, 4: 0.3, 3: 0.4}

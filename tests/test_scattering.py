@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from _reference import output_fluxes
 from photon_router import (
     Channel,
-    ChannelAmplitudes,
     NonFinite,
+    ParameterError,
     RouterParams,
     cavity_amplitude,
     mean_output_single,
@@ -42,17 +42,31 @@ amps = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=Fal
 
 class TestCavityAmplitude:
     def test_resonant_single_drive(self):
-        c = cavity_amplitude(LOSSLESS, ChannelAmplitudes(r1=1.0 + 0j), 0.0)
+        c = cavity_amplitude(LOSSLESS, [1.0 + 0j, 0, 0, 0], 0.0)
         assert c == pytest.approx(-0.5j, abs=1e-15)
 
     def test_destructive_pair_exact(self):
-        c = cavity_amplitude(LOSSLESS, ChannelAmplitudes(r1=1.0, l1=-1.0), 0.0)
+        c = cavity_amplitude(LOSSLESS, [1.0, -1.0, 0, 0], 0.0)
         assert c == 0j
 
     def test_destructive_pair_numeric_phase(self):
-        c = cavity_amplitude(
-            LOSSLESS, ChannelAmplitudes(r1=1.0, l1=np.exp(1j * PI)), 0.0)
+        c = cavity_amplitude(LOSSLESS, [1.0, np.exp(1j * PI), 0, 0], 0.0)
         assert abs(c) < 1e-15
+
+    def test_one_value_per_point(self):
+        # the channel axis goes; the leading axes broadcast with delta
+        c = cavity_amplitude(LOSSLESS, np.ones((3, 1, 4)), np.array([0.0, 1.0]))
+        assert c.shape == (3, 2)
+        assert c[0, 0] == cavity_amplitude(LOSSLESS, [1, 1, 1, 1], 0.0)
+
+    @pytest.mark.parametrize("amplitudes", [
+        1.0, [1.0, 0.0, 0.0], np.zeros((4, 3)), np.zeros((2, 5)),
+    ], ids=["scalar", "three-channels", "channels-first", "five-channels"])
+    @pytest.mark.parametrize("call", [cavity_amplitude, scatter, report_from_scatter],
+                             ids=["cavity_amplitude", "scatter", "report_from_scatter"])
+    def test_channel_axis_must_be_last_and_four(self, call, amplitudes):
+        with pytest.raises(ParameterError, match="last axis of the 4 channels"):
+            call(LOSSLESS, amplitudes, 0.0)
 
 
 class TestFrozenSingleInput:
@@ -174,14 +188,33 @@ class TestFrozenThreeInput:
 
 class TestScatterVectorised:
     def test_array_delta_matches_scalars(self):
-        inputs = ChannelAmplitudes(r1=0.8, l1=0.3j, r2=-0.2, l2=0.1 + 0.1j)
+        inputs = [0.8, 0.3j, -0.2, 0.1 + 0.1j]
         params = RouterParams(gamma2=0.4, gamma_c=0.05)
         delta = np.array([-2.0, 0.0, 0.7, 5.0])
         vec = scatter(params, inputs, delta)
+        assert vec.shape == (4, 4)
         for i, d in enumerate(delta):
-            one = scatter(params, inputs, float(d))
-            for ch in Channel:
-                assert vec[ch][i] == one[ch]
+            np.testing.assert_array_equal(vec[i], scatter(params, inputs, float(d)))
+
+    def test_array_amplitudes_and_rates_match_scalars(self):
+        # one (300, 4) call with per-point rates, element by element against
+        # scalar calls on plain Python numbers
+        rng = np.random.default_rng(11)
+        amps = rng.normal(size=(300, 4)) + 1j * rng.normal(size=(300, 4))
+        amps[::5, 2:] = 0.0
+        rates = (self.GAMMA1, self.GAMMA2_SCALE, self.GAMMA_C)
+        params = RouterParams(*rates)
+        c = cavity_amplitude(params, amps, self.DELTA)
+        out = scatter(params, amps, self.DELTA)
+        rep = report_from_scatter(params, amps, self.DELTA)
+        for i in range(300):
+            point = self._point_params(rates, i)
+            a, d = [complex(z) for z in amps[i]], float(self.DELTA[i])
+            assert c[i] == cavity_amplitude(point, a, d)
+            np.testing.assert_array_equal(out[i], scatter(point, a, d))
+            one = report_from_scatter(point, a, d)
+            self._same_bits(rep, one, i)
+            assert rep.n_in[i] == one.n_in
 
     # The CLI evaluates sweeps and point commands through these calls, on
     # arrays and on scalars; each element must carry the same bits as the
@@ -229,25 +262,22 @@ class TestScatterVectorised:
         d, ph, ph2 = self.DELTA, self.PHASE, self.PHASE2
         for rates in ((1.0, 0.8, 0.3), (self.GAMMA1, self.GAMMA2_SCALE, self.GAMMA_C)):
             params = RouterParams(*rates)
+            zero = np.zeros(d.size)
             two = report_from_scatter(
-                params, ChannelAmplitudes(r1=a, l1=a * np.exp(1j * ph)), d)
+                params, np.stack([a + zero, a * np.exp(1j * ph), zero, zero], axis=-1), d)
             three = report_from_scatter(
-                params, ChannelAmplitudes(r1=a, r2=a * np.exp(1j * ph),
-                                          l2=a * np.exp(1j * ph2)), d)
+                params, np.stack([a + zero, zero, a * np.exp(1j * ph),
+                                  a * np.exp(1j * ph2)], axis=-1), d)
             for i in range(d.size):
                 point = self._point_params(rates, i)
                 # plain Python complex amplitudes take the same numpy path
                 one = report_from_scatter(
-                    point,
-                    ChannelAmplitudes(r1=a, l1=complex(a * np.exp(1j * float(ph[i])))),
-                    float(d[i]))
+                    point, [a, complex(a * np.exp(1j * float(ph[i]))), 0, 0], float(d[i]))
                 self._same_bits(two, one, i)
                 assert two.n_in[i] == one.n_in
                 one = report_from_scatter(
-                    point,
-                    ChannelAmplitudes(r1=a, r2=complex(a * np.exp(1j * float(ph[i]))),
-                                      l2=complex(a * np.exp(1j * float(ph2[i])))),
-                    float(d[i]))
+                    point, [a, 0, complex(a * np.exp(1j * float(ph[i]))),
+                            complex(a * np.exp(1j * float(ph2[i])))], float(d[i]))
                 self._same_bits(three, one, i)
                 assert three.n_in[i] == one.n_in
 
@@ -258,10 +288,10 @@ class TestInvariants:
     @relaxed
     def test_lossless_flux_conservation(self, gamma1, gamma2, delta, a, b, c, d):
         params = RouterParams(gamma1=gamma1, gamma2=gamma2)
-        inputs = ChannelAmplitudes(r1=a, l1=b, r2=c, l2=d)
+        inputs = np.array([a, b, c, d])
         outputs = scatter(params, inputs, delta)
-        n_in = inputs.total_flux()
-        n_out = outputs.total_flux()
+        n_in = np.sum(np.abs(inputs) ** 2)
+        n_out = np.sum(np.abs(outputs) ** 2)
         assert abs(n_out - n_in) <= 1e-12 * max(n_in, 1.0)
 
     @given(gamma1=gamma1s, gamma2=gammas, gamma_c=gammas, delta=deltas, mean_n=mean_ns)
@@ -349,21 +379,18 @@ class TestInvariants:
         # with equal couplings, driving ports 1 and 3 is the port 1 and 2
         # problem with the guides relabelled
         params = RouterParams(gamma1=gamma, gamma2=gamma)
-        split = scatter(params, ChannelAmplitudes(r1=a, r2=b), delta)
-        merged = scatter(params, ChannelAmplitudes(r1=a, l1=b), delta)
+        split = scatter(params, [a, 0, b, 0], delta)
+        merged = scatter(params, [a, b, 0, 0], delta)
         scale = max(abs(a), abs(b), 1.0)
-        assert abs(merged.r1 - split.r1) <= 1e-12 * scale
-        assert abs(merged.l1 - split.r2) <= 1e-12 * scale
-        assert abs(merged.r2 - split.l1) <= 1e-12 * scale
-        assert abs(merged.l2 - split.l2) <= 1e-12 * scale
+        # channels (r1, l1, r2, l2) of one are (r1, r2, l1, l2) of the other
+        assert np.max(np.abs(merged - split[[0, 2, 1, 3]])) <= 1e-12 * scale
 
     @given(gamma2=gammas, delta=deltas, psi=phases, a=amps)
     @relaxed
     def test_global_phase_invariance(self, gamma2, delta, psi, a):
         params = RouterParams(gamma2=gamma2)
-        base = report_from_scatter(params, ChannelAmplitudes(r1=a), delta)
-        rot = report_from_scatter(
-            params, ChannelAmplitudes(r1=a * np.exp(1j * psi)), delta)
+        base = report_from_scatter(params, [a, 0, 0, 0], delta)
+        rot = report_from_scatter(params, [a * np.exp(1j * psi), 0, 0, 0], delta)
         scale = max(base.n_in, 1.0)
         for ch in Channel:
             assert abs(base.n_out[ch] - rot.n_out[ch]) <= 1e-12 * scale
@@ -409,16 +436,15 @@ class TestNonFiniteInputs:
         lambda: mean_output_three(LOSSLESS, 1.0, ZEROS, ZEROS, INF_ROW),
         lambda: two_port_reduction(1.0, 1.0, INF_ROW, ZEROS),
         lambda: mean_output_two(LOSSLESS, 1e308, 0, 0),
-        lambda: scatter(LOSSLESS, ChannelAmplitudes(r1=1.0), math.inf),
-        lambda: report_from_scatter(LOSSLESS, ChannelAmplitudes(r1=math.nan), 0.0),
+        lambda: scatter(LOSSLESS, [1.0, 0, 0, 0], math.inf),
+        lambda: report_from_scatter(LOSSLESS, [math.nan, 0, 0, 0], 0.0),
         lambda: mean_output_three(LOSSLESS, 1e308, 0, 0, 0),
         lambda: mean_output_single(RouterParams(gamma1=1e308, gamma2=1e308), 1.0, 0.0),
-        lambda: report_from_scatter(LOSSLESS, ChannelAmplitudes(r1=1e200), 0.0),
+        lambda: report_from_scatter(LOSSLESS, [1e200, 0, 0, 0], 0.0),
         lambda: two_port_reduction(1.0, 1e308, 1.0, -math.pi / 2),
         lambda: mean_output_single(
             RouterParams(gamma1=np.array([1e308]), gamma2=np.array([1e308])), 1.0, 0.0),
-        lambda: scatter(LOSSLESS, ChannelAmplitudes(r1=np.complex128(1e308),
-                                                    l1=np.complex128(1e308)), 0.0),
+        lambda: scatter(LOSSLESS, np.array([1e308, 1e308, 0, 0], dtype=complex), 0.0),
     ], ids=["single-mean_n", "two-delta", "three-theta", "reduction-phi",
             "single-delta-array", "two-phi-array", "three-theta_prime-array",
             "reduction-delta-array", "two-overflow", "scatter-delta-inf",
@@ -433,12 +459,12 @@ class TestNonFiniteInputs:
 class TestReportFromScatter:
     def test_lossy_totals(self):
         params = RouterParams(gamma_c=0.5)
-        rep = report_from_scatter(params, ChannelAmplitudes(r1=1.0), 0.0)
+        rep = report_from_scatter(params, [1.0, 0, 0, 0], 0.0)
         assert rep.loss > 0.0
         assert rep.n_total + rep.loss == pytest.approx(rep.n_in, rel=1e-12)
 
     def test_matches_closed_form_when_lossless(self):
-        rep_a = report_from_scatter(LOSSLESS, ChannelAmplitudes(r1=1.0), 0.3)
+        rep_a = report_from_scatter(LOSSLESS, [1.0, 0, 0, 0], 0.3)
         rep_b = mean_output_single(LOSSLESS, 1.0, 0.3)
         for ch in Channel:
             assert rep_a.n_out[ch] == pytest.approx(rep_b.n_out[ch], rel=1e-12)

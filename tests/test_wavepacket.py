@@ -98,10 +98,19 @@ class TestQuadratureSpec:
         {"points": 1999},
         {"window_halfwidth": 5.0},
         {"rule": "midpoint"},
+        {"points": 4001.0},
+        {"points": True},
+        {"points": "4001"},
     ])
     def test_rejects_bad_settings(self, kwargs):
         with pytest.raises(ParameterError):
             QuadratureSpec(**kwargs)
+
+    @pytest.mark.filterwarnings("error")  # refused before numpy sees the window
+    @pytest.mark.parametrize("halfwidth", [math.nan, math.inf])
+    def test_rejects_non_finite_window(self, halfwidth):
+        with pytest.raises(NonFinite, match="window_halfwidth must be finite"):
+            QuadratureSpec(window_halfwidth=halfwidth)
 
     def test_points_ceiling(self):
         # the last of four halvings of 125 001 points has MAX_NODES nodes
