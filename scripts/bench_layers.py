@@ -15,7 +15,9 @@
 The layers: one closed-form point, `scatter` on one point and on 10 001
 detunings, one two-packet quadrature, one two-packet quadrature at
 Omega = 0.001 and cavity detuning 5 up to its QuadratureUnderResolved,
-one `time_domain_report`, each `verify` suite, and through the CLI the
+one `time_domain_report` at Omega = 0.3 and one at Omega = 0.01 (about
+434 000 RK4 steps, the only layer the oracle solves in more than one
+block), each `verify` suite, and through the CLI the
 101 x 101 `three` grid, the 201-point packet phase sweep, the
 --dump-trajectory point and one point command. `scatter` takes its
 amplitudes as one complex (..., 4) array in CHANNELS order; a tree from
@@ -87,6 +89,8 @@ def layer_times(tmp: str) -> dict:
                WavePacket(Channel.L1, 1.0, Omega=0.3, phase=1.0)]
     narrow = [WavePacket(Channel.R1, 1.0, Omega=0.001),
               WavePacket(Channel.L1, 1.0, Omega=0.001, phase=1.0)]
+    slow = [WavePacket(Channel.R1, 1.0, Omega=0.01),
+            WavePacket(Channel.L1, 1.0, Omega=0.01, phase=1.0)]
 
     def under_resolved():
         with contextlib.suppress(QuadratureUnderResolved):
@@ -111,6 +115,7 @@ def layer_times(tmp: str) -> dict:
         ("packet_output_numbers", lambda: packet_output_numbers(params, packets), 1.0, 500),
         ("packet_under_resolved", under_resolved, 1.0, 200),
         ("time_domain_report", lambda: time_domain_report(params, packets), 1.0, 200),
+        ("time_domain_report_omega_0.01", lambda: time_domain_report(params, slow), 2.0, 30),
     ]
     layers += [(f"verify_{name}", _quiet(lambda name=name: verify.run_suites((name,))), 2.0, 50)
                for name in verify.SUITE_NAMES]

@@ -28,7 +28,8 @@ Exit codes: 0 success, 2 argument or validation error (one-line message on
 stderr; non-finite inputs, results that overflow, sweep grids of more than
 1e6 points and --points above 125 001 included, the last two before anything
 is allocated), 3 when a result would be numerically under-resolved; `verify`
-returns 1 if any suite fails.
+returns 1 if any suite fails, and every command 1 when the reader closes
+stdout before the output ends.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import argparse
 import functools
 import itertools
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -469,4 +471,14 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout, as `| head` does: Python's recipe for
+        # SIGPIPE points stdout at devnull, so that the flush at exit cannot
+        # fail again, and exits 1
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)

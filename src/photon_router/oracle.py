@@ -15,7 +15,9 @@ The integrator is classical fixed-step RK4 (deterministic, clean order-4
 convergence). The equation is linear with constant coefficients, so each
 step is c[i+1] = R c[i] + B[i] with a fixed gain R; the steps are solved
 together in numpy as that linear recurrence, by doubling, rather than one at
-a time. Fluxes use the trapezoid rule, which is effectively exact here
+a time. They are solved a block of 2^16 steps at a time: each block by
+doubling from zero, plus the carry c0 R^(1..m) of the amplitude c0 it
+starts from. Fluxes use the trapezoid rule, which is effectively exact here
 because every integrand vanishes at the window edges. High-level packet
 scenarios run in a frame rotating at the packet center frequency omega0
 (omega_c -> omega_c - omega0, carrier dropped) so the step resolves only
@@ -23,16 +25,19 @@ decay rates and bandwidths; interface values stay lab-frame.
 
 A drive is data: a mapping from each driven channel to its mean input field
 <o_ch_in(t)> sampled at the grid's half nodes (`TimeGrid.half_nodes`, the
-step ends and midpoints RK4 evaluates). The step ends are `TimeGrid.times`
-bit for bit, so the same samples serve the integration and the fluxes, and
-each pulse is evaluated once per report.
+step ends and midpoints RK4 evaluates), and a block of the grid is a slice
+of them. The step ends are `TimeGrid.times` bit for bit, so the same samples
+serve the integration and the fluxes. `integrate_cavity` takes the caller's
+samples for the whole grid. `time_domain_report` streams: it evaluates each
+pulse on one block's half nodes at a time and keeps running sums of the
+fluxes, so it never holds an array as long as the grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -55,10 +60,15 @@ _EDGE_RATIO = 1e-4          # drive amplitude allowed at window edges, vs peak
 _TAIL_MASS = 1e-10          # allowed envelope mass outside the window
 _RINGDOWN_RATIO = 1e-8      # |c(t_end)| allowed vs max |c|
 # RK4 steps allowed on one grid: about 4x the longest grid the tests, the
-# verify battery and the benchmark integrate (482 000 steps). The half-node
-# forcing alone takes 32 bytes per step, and the recurrence ceil(log2 n)
-# passes over the n steps.
+# verify battery and the benchmark integrate (482 000 steps). A caller of
+# integrate_cavity holds 32 bytes per step for each drive's half-node
+# samples and 16 for the trajectory, where time_domain_report holds one
+# block; the recurrence makes ceil(log2 m) passes over each block of
+# m <= _BLOCK steps.
 MAX_STEPS = 2_000_000
+# RK4 steps solved together: a block's half nodes, forcing, trajectory and
+# samples take a few MB
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -173,6 +183,88 @@ def _samples(drives: Mapping[Channel, np.ndarray], grid: TimeGrid) -> dict:
     return out
 
 
+def _gain_powers(r: complex, m: int) -> np.ndarray:
+    """R^(1..m) by doubling: each new power is a product of two below it.
+
+    R^(2^j) comes out bit for bit as the repeated square the block's scan
+    multiplies by, so the carry rounds as the scan does.
+    """
+    powers = np.empty(m, dtype=complex)
+    powers[0] = r
+    s = 1
+    while s < m:
+        k = min(s, m - s)
+        powers[s:s + k] = powers[:k] * powers[s - 1]
+        s *= 2
+    return powers
+
+
+def _blocks(params: RouterParams, grid: TimeGrid,
+            samples_at: Callable[[int, int], Mapping[Channel, np.ndarray]],
+            ) -> Iterator[tuple[int, Mapping[Channel, np.ndarray], np.ndarray]]:
+    """Solve the RK4 recurrence _BLOCK steps at a time; params and grid are
+    already checked.
+
+    samples_at(i0, i1) gives each driven channel's samples on the half nodes
+    2 i0 .. 2 i1 of steps i0 .. i1. Yields (i0, samples, c) per block, c the
+    trajectory at the grid nodes i0 .. i1, so c[0] is the end of the block
+    before. Raises NonFinite, naming the channel, for a NaN or inf sample,
+    and after the last block PulseNotContained for a drive that does not
+    vanish at the window edges.
+    """
+    n = grid.n_steps
+    h = grid.step
+    # One RK4 step is c[i+1] = R c[i] + B[i]: R from the homogeneous part,
+    # B[i] the same step taken from c = 0 with the forcing d0, dh, d1 at t_i,
+    # t_i + h/2 and t_i + h. There k1 = d0, k2 = a d0 + dh, k3 = a k2 + dh
+    # and k4 = 2a k3 + d1 with a = h lam / 2, so B is fixed weights on them.
+    a = _lam(params) * (0.5 * h)
+    w0 = h / 6.0 * (1.0 + 2.0 * a * (1.0 + a * (1.0 + a)))
+    wh = h / 6.0 * (4.0 + a * (4.0 + 2.0 * a))
+    w1 = h / 6.0
+    r = _rk4_gain(grid, params)
+    powers = _gain_powers(r, _BLOCK) if n > _BLOCK else None
+    peaks: dict = {}
+    first: dict = {}
+    carry = 0j
+    for i0 in range(0, n, _BLOCK):
+        m = min(_BLOCK, n - i0)
+        samples = samples_at(i0, i0 + m)
+        forcing = np.zeros(2 * m + 1, dtype=complex)
+        for ch, vals in samples.items():
+            peak = float(np.max(np.abs(vals)))
+            if not peak < math.inf:     # NaN too
+                raise NonFinite(f"drive on {ch} must be finite, got peak |sample| = {peak}")
+            peaks[ch] = max(peaks.get(ch, 0.0), peak)
+            first.setdefault(ch, abs(complex(vals[0])))
+            forcing += (-1j * math.sqrt(params.coupling(ch))) * vals
+
+        c = np.empty(m + 1, dtype=complex)
+        c[0] = carry
+        b = c[1:]
+        b[:] = w0 * forcing[:-1:2] + wh * forcing[1::2] + w1 * forcing[2::2]
+        # Solve the block from zero by doubling: after the pass with shift s,
+        # b[i] sums R^k B[i-k] over k < 2s, so after ceil(log2 m) passes each
+        # sum reaches back to the block's start. Then add what c0 = c[0]
+        # contributes, c0 R^(i+1) at node i + 1.
+        g = r
+        s = 1
+        while s < m:
+            b[s:] += g * b[:-s]
+            g *= g
+            s *= 2
+        if carry:
+            b += carry * powers[:m]
+        yield i0, samples, c
+        carry = c[-1]
+
+    for ch, vals in samples.items():
+        edge = max(first[ch], abs(complex(vals[-1])))
+        if peaks[ch] > 0.0 and edge > _EDGE_RATIO * peaks[ch]:
+            raise PulseNotContained(
+                f"drive on {ch} is {edge / peaks[ch]:.2e} of its peak at the window edge")
+
+
 def integrate_cavity(params: RouterParams, drives: Mapping[Channel, np.ndarray],
                      grid: TimeGrid) -> np.ndarray:
     """RK4 trajectory of the cavity amplitude, c(t_start) = 0.
@@ -184,42 +276,31 @@ def integrate_cavity(params: RouterParams, drives: Mapping[Channel, np.ndarray],
     """
     validate_scalar(params)
     _check_grid(grid, params)
-    n = grid.n_steps
-    h = grid.step
-
-    forcing = np.zeros(2 * n + 1, dtype=complex)
-    for ch, vals in _samples(drives, grid).items():
-        peak = float(np.max(np.abs(vals)))
-        if not peak < math.inf:     # NaN too
-            raise NonFinite(f"drive on {ch} must be finite, got peak |sample| = {peak}")
-        edge = max(abs(complex(vals[0])), abs(complex(vals[-1])))
-        if peak > 0.0 and edge > _EDGE_RATIO * peak:
-            raise PulseNotContained(
-                f"drive on {ch} is {edge / peak:.2e} of its peak at the window edge")
-        forcing += (-1j * math.sqrt(params.coupling(ch))) * vals
-
-    # One RK4 step is c[i+1] = R c[i] + B[i]: R from the homogeneous part,
-    # B[i] the same step taken from c = 0 with the forcing d0, dh, d1 at t_i,
-    # t_i + h/2 and t_i + h. There k1 = d0, k2 = a d0 + dh, k3 = a k2 + dh
-    # and k4 = 2a k3 + d1 with a = h lam / 2, so B is fixed weights on them.
-    a = _lam(params) * (0.5 * h)
-    w0 = h / 6.0 * (1.0 + 2.0 * a * (1.0 + a * (1.0 + a)))
-    wh = h / 6.0 * (4.0 + a * (4.0 + 2.0 * a))
-    w1 = h / 6.0
-    out = np.zeros(n + 1, dtype=complex)
-    c = out[1:]
-    c[:] = w0 * forcing[:-1:2] + wh * forcing[1::2] + w1 * forcing[2::2]
-
-    # Solve the recurrence by doubling: after the pass with shift s, c[i]
-    # sums R^k B[i-k] over k < 2s, so after ceil(log2 n) passes each sum
-    # reaches back to c(t_start) = 0.
-    r = _rk4_gain(grid, params)
-    s = 1
-    while s < n:
-        c[s:] += r * c[:-s]
-        r *= r
-        s *= 2
+    samples = _samples(drives, grid)
+    out = np.empty(grid.n_steps + 1, dtype=complex)
+    blocks = _blocks(params, grid, lambda i0, i1: {
+        ch: vals[2 * i0:2 * i1 + 1] for ch, vals in samples.items()})
+    for i0, _, c in blocks:
+        out[i0:i0 + len(c)] = c
     return out
+
+
+def _trapezoid_fluxes(params: RouterParams, inputs: Mapping[Channel, np.ndarray],
+                      trajectory: np.ndarray, step: float) -> tuple[float, list]:
+    """(n_in, [N_ch in CHANNELS order]) by the trapezoid rule on nodes `step`
+    apart: inputs maps each driven channel to <o_ch_in(t)> at the nodes of
+    the trajectory, and N_ch integrates |<o_ch_in> - i sqrt(gamma_j) c|^2."""
+    w = np.full(len(trajectory), step)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    n_in = 0.0
+    fluxes = []
+    for ch in CHANNELS:
+        d = inputs[ch] if ch in inputs else np.zeros_like(trajectory)
+        n_in += float(np.dot(w, np.abs(d) ** 2))
+        out_t = d - 1j * math.sqrt(params.coupling(ch)) * trajectory
+        fluxes.append(float(np.dot(w, np.abs(out_t) ** 2)))
+    return n_in, fluxes
 
 
 def output_flux(params: RouterParams, drives: Mapping[Channel, np.ndarray],
@@ -237,17 +318,8 @@ def output_flux(params: RouterParams, drives: Mapping[Channel, np.ndarray],
     if trajectory.shape != (nodes,):
         raise ParameterError(
             f"trajectory has shape {trajectory.shape}, need ({nodes},): one value per grid node")
-    w = np.full(nodes, grid.step)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-
-    n_in = 0.0
-    fluxes = []
-    for ch in CHANNELS:
-        d = inputs[ch][::2] if ch in inputs else np.zeros_like(trajectory)
-        n_in += float(np.dot(w, np.abs(d) ** 2))
-        out_t = d - 1j * math.sqrt(params.coupling(ch)) * trajectory
-        fluxes.append(float(np.dot(w, np.abs(out_t) ** 2)))
+    n_in, fluxes = _trapezoid_fluxes(
+        params, {ch: vals[::2] for ch, vals in inputs.items()}, trajectory, grid.step)
     return OutputReport.from_channel_numbers(fluxes, n_in=n_in)
 
 
@@ -255,8 +327,9 @@ def time_domain_report(params: RouterParams, packets: Sequence[WavePacket],
                        grid: TimeGrid | None = None, t0: float = 0.0) -> OutputReport:
     """Route Gaussian packets through the cavity entirely in the time domain.
 
-    Rotates into the packet-center frame, integrates the cavity, and returns
-    the integrated output numbers. Raises PulseNotContained if the envelope
+    Rotates into the packet-center frame, integrates the cavity a block at a
+    time, summing the fluxes as it goes, and returns the integrated output
+    numbers. Raises PulseNotContained if the envelope
     mass outside the window exceeds 1e-10 or the cavity has not rung down by
     t_end.
     """
@@ -272,12 +345,32 @@ def time_domain_report(params: RouterParams, packets: Sequence[WavePacket],
             f"envelope mass {mass_out:.2e} outside [{grid.t_start}, {grid.t_end}]")
 
     rotated = replace(params, omega_c=params.omega_c - omega0)
-    nodes = grid.half_nodes
-    drives = {p.channel: time_pulse(replace(p, omega0=0.0), nodes, t0) for p in packets}
-    trajectory = integrate_cavity(rotated, drives, grid)
+    validate_scalar(rotated)
+    _check_grid(grid, rotated)
+    pulses = [replace(p, omega0=0.0) for p in packets]
+    n = grid.n_steps
+    half = (grid.t_end - grid.t_start) / (2 * n)
 
-    peak = float(np.max(np.abs(trajectory)))
-    if peak > 0.0 and abs(trajectory[-1]) >= _RINGDOWN_RATIO * peak:
-        raise PulseNotContained(
-            f"cavity not rung down: |c(t_end)| = {abs(trajectory[-1]) / peak:.2e} of max")
-    return output_flux(rotated, drives, trajectory, grid)
+    def samples_at(i0, i1):
+        # grid.half_nodes[2 i0:2 i1 + 1], computed as np.linspace computes
+        # them, so bit for bit
+        nodes = np.arange(2 * i0, 2 * i1 + 1) * half + grid.t_start
+        if i1 == n:
+            nodes[-1] = grid.t_end
+        return {p.channel: time_pulse(p, nodes, t0) for p in pulses}
+
+    # the trapezoid over the grid is the sum of the trapezoids over the blocks
+    n_in = 0.0
+    fluxes = [0.0] * len(CHANNELS)
+    peak = 0.0
+    for _, samples, c in _blocks(rotated, grid, samples_at):
+        block_in, block_out = _trapezoid_fluxes(
+            rotated, {ch: vals[::2] for ch, vals in samples.items()}, c, grid.step)
+        n_in += block_in
+        fluxes = [f + g for f, g in zip(fluxes, block_out)]
+        peak = max(peak, float(np.max(np.abs(c))))
+
+    end = abs(complex(c[-1]))
+    if peak > 0.0 and end >= _RINGDOWN_RATIO * peak:
+        raise PulseNotContained(f"cavity not rung down: |c(t_end)| = {end / peak:.2e} of max")
+    return OutputReport.from_channel_numbers(fluxes, n_in=n_in)

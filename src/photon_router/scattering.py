@@ -145,8 +145,9 @@ def _mean_n_guard(mean_n):
 
 
 def _unit_scaled(delta, *rates):
-    """delta and the rates, divided by a power of two when they are so large
-    that a closed form's squares could overflow.
+    """delta and the rates, scaled by a power of two when they are so large
+    that a closed form's squares could overflow, or so small that they could
+    underflow.
 
     The scale puts the larger of |delta| and the rates' sum in [0.5, 1). The
     closed forms are homogeneous of degree 0 in (delta, rates), and a
@@ -157,14 +158,17 @@ def _unit_scaled(delta, *rates):
     """
     # in quarters, so that the test cannot overflow: its sum stays below
     # the largest double
-    if holds(0.25 * abs(delta) + sum(0.25 * rate for rate in rates) < 2.0 ** 498):
+    size = 0.25 * abs(delta) + sum(0.25 * rate for rate in rates)
+    if holds((size >= 2.0 ** -500) & (size < 2.0 ** 498)):
         return (delta, *rates)
     with np.errstate(over="ignore"):  # an overflowing sum raises below
         total = sum(rates)
     require(total < math.inf, NonFinite, "the total decay rate overflows double precision",
             total)
-    scale = np.ldexp(1.0, -np.frexp(np.maximum(abs(delta), total))[1])
-    return (delta * scale, *(rate * scale for rate in rates))
+    # ldexp, not a product with 2^-exp: scaling up from a subnormal, that
+    # power itself overflows (2^1073 for 5e-324)
+    exp = -np.frexp(np.maximum(abs(delta), total))[1]
+    return (np.ldexp(delta, exp), *(np.ldexp(rate, exp) for rate in rates))
 
 
 def mean_output_single(params: RouterParams, mean_n: float, delta: float) -> OutputReport:

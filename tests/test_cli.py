@@ -4,6 +4,8 @@ import csv
 import io
 import math
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -95,6 +97,17 @@ class TestPointCommands:
         code, out, _ = run_cli(capsys, ["single", "--delta", "1e200"])
         assert code == 0
         assert out.splitlines()[1] == "single,1.0,1.0,0.0,1e+200,,,,,1.0,1.0,0.0,0.0,0.0,1.0,0.0"
+
+    def test_tiny_rates(self, capsys):
+        # the closed forms underflowed: a ZeroDivisionError traceback, and a
+        # NaN reported as an overflow with exit 2
+        code, out, _ = run_cli(capsys, ["single", "--gamma1", "1e-200", "--gamma2", "0"])
+        assert code == 0
+        assert rows_of(out)[0]["N_l1"] == "1.0"
+        code, out, err = run_cli(capsys, ["two", "--gamma1", "1e-170", "--gamma2", "1e-170",
+                                          "--phi", "0.3"])
+        assert (code, err) == (0, "")
+        assert float(rows_of(out)[0]["N_total"]) == 2.0
 
     def test_consecutive_calls_do_not_share_values(self, capsys):
         run_cli(capsys, ["three", "--theta", "1"])
@@ -515,3 +528,18 @@ class TestVerifyCommand:
         for name in ("core", "scattering", "wavepacket", "oracle"):
             assert f"{name}: max deviation" in out
         assert "FAIL" not in out
+
+
+class TestClosedPipe:
+    def test_reader_closing_stdout_exits_1_quietly(self, package_env):
+        # `route sweep ... | head -1`: the sweep's rows outgrow the pipe's
+        # buffer after the reader has gone, which ended in a BrokenPipeError
+        # traceback
+        argv = [sys.executable, "-m", "photon_router", "sweep", "--case", "single",
+                "--var", "delta", "--start=-6", "--stop", "6", "--count", "200000"]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=package_env)
+        assert proc.stdout.readline() == (HEADER_LINE + "\n").encode()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (1, b"")

@@ -2,6 +2,8 @@
 
 import math
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -278,7 +280,26 @@ class TestRecurrenceMatchesLoop:
     ], ids=["lossless", "lossy-pair", "detuned-three", "lossy-detuned-four",
             "ringing-at-end", "101100-steps"])
     def test_matches_python_loop(self, params, packets, grid):
-        drives = _drives(packets, grid)
+        self._check(params, _drives(packets, grid), grid)
+
+    # a slow cavity detuned from two pulses, one of them across the block
+    # end at t = 64 on the longest grid: 2^16 steps are one block, one more
+    # step starts a second, and 3 * 2^16 + 5 steps end in a block of 5
+    @pytest.mark.parametrize("grid, t0s", [
+        (TimeGrid(-64.0, 64.0, 2.0 ** -9), (-20.0, 40.0)),
+        (TimeGrid(-64.0, 64.0 + 2.0 ** -9, 2.0 ** -9), (-20.0, 40.0)),
+        (TimeGrid(-192.0, 192.0 + 5 * 2.0 ** -9, 2.0 ** -9), (-140.0, 64.0)),
+    ], ids=["2^16", "2^16+1", "3*2^16+5"])
+    def test_block_boundaries(self, grid, t0s):
+        assert oracle._BLOCK == 1 << 16
+        nodes = grid.half_nodes
+        drives = {Channel.R1: time_pulse(WavePacket(Channel.R1, 1.0, Omega=0.3), nodes, t0s[0]),
+                  Channel.L2: time_pulse(WavePacket(Channel.L2, 2.0, Omega=0.3, phase=1.0),
+                                         nodes, t0s[1])}
+        self._check(RouterParams(gamma1=0.05, gamma2=0.0, omega_c=0.4), drives, grid)
+
+    @staticmethod
+    def _check(params, drives, grid):
         want = integrate_cavity_loop(params, drives, grid)
         got = integrate_cavity(params, drives, grid)
         assert got.shape == (grid.n_steps + 1,)
@@ -300,7 +321,8 @@ class TestOutputFlux:
 
 class TestTimeDomainReport:
     def test_one_pulse_evaluation_per_packet(self, monkeypatch):
-        # integrate_cavity and output_flux share one set of samples
+        # each block of the 8 evaluates each pulse once, on its half nodes,
+        # which integration and fluxes share
         calls = []
 
         def counting(packet, t, t0=0.0):
@@ -309,13 +331,40 @@ class TestTimeDomainReport:
 
         monkeypatch.setattr(oracle, "time_pulse", counting)
         params = RouterParams(gamma_c=0.1, omega_c=0.4)
-        packets = [WavePacket(Channel.R1, 1.0, omega0=0.5, Omega=0.3),
-                   WavePacket(Channel.L2, 2.0, omega0=0.5, Omega=0.3, phase=1.0)]
+        packets = [WavePacket(Channel.R1, 1.0, omega0=0.5, Omega=0.01),
+                   WavePacket(Channel.L2, 2.0, omega0=0.5, Omega=0.01, phase=1.0)]
         time_domain_report(params, packets)
-        assert [ch for ch, _ in calls] == [Channel.R1, Channel.L2]
-        half_nodes = default_grid(params, packets).half_nodes
-        for _, t in calls:
-            assert np.array_equal(t, half_nodes)
+        grid = default_grid(params, packets)
+        blocks = -(-grid.n_steps // oracle._BLOCK)
+        assert blocks == 8
+        assert [ch for ch, _ in calls] == [Channel.R1, Channel.L2] * blocks
+        nodes = [t for _, t in calls[0::2]]
+        for t, t_l2 in zip(nodes, [t for _, t in calls[1::2]]):
+            assert np.array_equal(t, t_l2)
+        # the node between two blocks is evaluated twice, as the end of one
+        # and the start of the next; the blocks rebuild the linspace bits
+        for before, after in zip(nodes, nodes[1:]):
+            assert before[-1] == after[0]
+        rebuilt = np.concatenate([nodes[0]] + [t[1:] for t in nodes[1:]])
+        assert np.array_equal(rebuilt.view(np.int64), grid.half_nodes.view(np.int64))
+
+    @pytest.mark.parametrize("packets, grid", [
+        (_pair(1.1), TimeGrid(-40.0, 51.0, 0.001)),
+        ([WavePacket(Channel.R1, 1.0, Omega=0.01),
+          WavePacket(Channel.L2, 0.5, Omega=0.01, phase=2.0)], None),
+    ], ids=["2-blocks", "8-blocks"])
+    def test_streamed_sums_match_whole_arrays(self, packets, grid):
+        # the report's per-block trapezoids against output_flux on the
+        # whole trajectory; the trajectories agree bit for bit
+        params = RouterParams(gamma2=0.4, gamma_c=0.1, omega_c=-0.2)
+        grid = grid or default_grid(params, packets)
+        assert grid.n_steps > oracle._BLOCK
+        drives = _drives(packets, grid)
+        want = output_flux(params, drives, integrate_cavity(params, drives, grid), grid)
+        got = time_domain_report(params, packets, grid)
+        assert abs(got.n_in - want.n_in) <= 1e-14 * want.n_in
+        for ch in Channel:
+            assert abs(got.n_out[ch] - want.n_out[ch]) <= 1e-14 * want.n_in
 
     def test_zero_input(self):
         rep = time_domain_report(
@@ -382,6 +431,28 @@ class TestTimeDomainReport:
             time_domain_report(
                 params, [WavePacket(Channel.R1, mean_n=1.0, Omega=0.3)],
                 grid=TimeGrid(-40.0, 45.0, 0.05))
+
+
+class TestStreamingMemory:
+    def test_narrow_band_report_peak_rss(self, package_env):
+        # the Omega = 0.01 pair takes 482 200 steps; holding every half-node
+        # sample, the forcing, the trajectory and the doubling's temporaries
+        # at once grew the peak RSS by about 78 MB. The peak is VmHWM, this
+        # process image's own: ru_maxrss starts an exec'd child at the
+        # high-water mark of the process that spawned it
+        code = """
+from photon_router import Channel, RouterParams, WavePacket, time_domain_report
+def kib(key):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith(key + ":"))
+after_import = kib("VmRSS")
+time_domain_report(RouterParams(), [WavePacket(Channel.R1, 1.0, Omega=0.01),
+                                    WavePacket(Channel.L1, 1.0, Omega=0.01, phase=1.5)])
+print(kib("VmHWM") - after_import)
+"""
+        out = subprocess.run([sys.executable, "-c", code], env=package_env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        assert int(out) / 1024 <= 40.0
 
 
 class TestTimeDomainProperty:

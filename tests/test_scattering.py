@@ -395,11 +395,12 @@ class TestInvariants:
         for ch in Channel:
             assert abs(base.n_out[ch] - rot.n_out[ch]) <= 1e-12 * scale
 
-    @pytest.mark.parametrize("power", [600, 1000])
+    @pytest.mark.parametrize("power", [600, 1000, -600, -1000])
     def test_power_of_two_scale_is_exact(self, power):
         # the forms are homogeneous of degree 0 in (delta, rates); scaling by
-        # 2**power takes the large-argument branch, which must not move a bit
-        rng = np.random.default_rng(power)
+        # 2**power takes the large- or the small-argument branch, which must
+        # not move a bit
+        rng = np.random.default_rng(abs(power))
         g1, g2, gc = np.exp(rng.uniform(-3.0, 3.0, (3, 2000)))
         gc[::2] = 0.0
         delta = rng.uniform(-20.0, 20.0, 2000)
@@ -416,6 +417,27 @@ class TestInvariants:
 
         for plain, scaled in zip(reports(1.0), reports(scale)):
             np.testing.assert_array_equal(scaled, plain)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rate", [1e-170, 1e-200, 1e-300, 5e-324])
+    def test_tiny_rates(self, rate):
+        # delta^2 + Gamma^2 underflowed to 0: mean_output_single raised
+        # ZeroDivisionError and mean_output_two gave NaN, reported as overflow
+        scale = 2.0 ** 600
+
+        def reports(k):
+            params = RouterParams(gamma1=rate * k, gamma2=rate * k, gamma_c=0.5 * rate * k)
+            reps = [mean_output_single(params, 1.0, 0.0),
+                    mean_output_single(RouterParams(gamma1=rate * k, gamma2=0.0), 1.0, 0.0),
+                    mean_output_two(params, 1.0, rate * k, 0.3),
+                    mean_output_three(params, 1.0, -rate * k, 0.3, 1.2)]
+            return ([r.n_out[ch] for r in reps for ch in Channel]
+                    + list(two_port_reduction(rate * k, 1.0, rate * k, 0.3)))
+
+        tiny = reports(1.0)
+        assert tiny[5] == 1.0       # all of port 1 reflected into l1
+        for small, scaled in zip(tiny, reports(scale)):
+            assert small == scaled
 
 
 NAN_ROW = np.array([0.0, math.nan, 1.0])
