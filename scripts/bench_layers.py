@@ -3,14 +3,16 @@
 
     PYTHONPATH=src python scripts/bench_layers.py [--out FILE]
         Time the photon_router found on the import path and print (or
-        write) one JSON object: the machine and the median time per layer.
+        write) one JSON object: the machine, the median time per layer
+        (`layers_ms`) and the minor page faults per call (`minflt_per_call`).
 
     python scripts/bench_layers.py --base BASE_SRC [--rounds N] [--out FILE]
         Compare the package under BASE_SRC (the `src` directory of another
         checkout, such as a parent commit) with this checkout's `src`. Each
         round times both in fresh interpreters, alternating which goes
-        first. Writes, per layer, the median over rounds of each side, the
-        head/base ratio, and the rounds the head was faster in.
+        first. Writes, per layer, the median over rounds of each side's time
+        and faults per call, the head/base time ratio, and the rounds the
+        head was faster in.
 
 The layers: one closed-form point, `scatter` on one point and on 10 001
 detunings, one two-packet quadrature, one two-packet quadrature at
@@ -23,8 +25,16 @@ block), each `verify` suite, and through the CLI the
 amplitudes as one complex (..., 4) array in CHANNELS order; a tree from
 before that layout, such as an older --base, gets the same drive as a
 `ChannelAmplitudes`. Times are medians of repeated calls after one warm-up
-call. Both modes run with OPENBLAS_NUM_THREADS=1: without it, a 10 001-point
-`scatter` sometimes took 8 ms instead of 0.5 ms on a 2-CPU VM.
+call. Beside each time, `minflt_per_call` records the minor page faults per
+call, from the process's `ru_minflt` over the timed calls.
+
+The layers run in one process in the order above, so a layer's time and
+faults depend on what earlier layers freed: glibc raises its mmap threshold
+to the size of a freed mmapped block, and its trim threshold to twice that,
+and below them a call reuses heap pages instead of faulting in fresh ones.
+Compare a layer across trees, not across positions. Both modes run with OPENBLAS_NUM_THREADS=1: without
+it, a 10 001-point `scatter` sometimes took 8 ms instead of 0.5 ms on a
+2-CPU VM.
 """
 
 from __future__ import annotations
@@ -35,6 +45,7 @@ import io
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -47,16 +58,19 @@ HEAD_SRC = Path(__file__).resolve().parent.parent / "src"
 TWO_PI = "6.283185307179586"
 
 
-def _median_time(fn, seconds: float, max_calls: int) -> float:
-    """Median seconds per call of fn() over up to max_calls calls or `seconds`."""
+def _median_time(fn, seconds: float, max_calls: int) -> tuple[float, float]:
+    """(median seconds per call, minor page faults per call) of fn() over up
+    to max_calls calls or `seconds`, after one warm-up call."""
     fn()
     times = []
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     deadline = time.perf_counter() + seconds
     while len(times) < max_calls and (len(times) < 5 or time.perf_counter() < deadline):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
-    return statistics.median(times)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return statistics.median(times), faults / len(times)
 
 
 def _quiet(fn):
@@ -67,7 +81,8 @@ def _quiet(fn):
 
 
 def layer_times(tmp: str) -> dict:
-    """Median time of each layer, in ms, for the photon_router on sys.path.
+    """{"layers_ms": median time of each layer in ms, "minflt_per_call": its
+    minor page faults per call} for the photon_router on sys.path.
 
     The CLI layers write their CSV files into the directory `tmp`.
     """
@@ -125,7 +140,12 @@ def layer_times(tmp: str) -> dict:
         ("cli_trajectory_dump", lambda: cli.main(dump), 2.0, 50),
         ("cli_point_command", _quiet(lambda: cli.main(point)), 1.0, 5000),
     ]
-    return {name: 1e3 * _median_time(fn, seconds, calls) for name, fn, seconds, calls in layers}
+    result = {"layers_ms": {}, "minflt_per_call": {}}
+    for name, fn, seconds, calls in layers:
+        median, faults = _median_time(fn, seconds, calls)
+        result["layers_ms"][name] = 1e3 * median
+        result["minflt_per_call"][name] = faults
+    return result
 
 
 def machine() -> dict:
@@ -153,15 +173,19 @@ def compare(base: Path, rounds: int) -> dict:
     for i in range(rounds):
         order = [("base", base), ("head", HEAD_SRC)]
         for side, src in (order if i % 2 == 0 else order[::-1]):
-            runs[side].append(_child(src)["layers_ms"])
+            runs[side].append(_child(src))
     layers = {}
-    for name in runs["head"][0]:
-        base_ms = [r[name] for r in runs["base"]]
-        head_ms = [r[name] for r in runs["head"]]
+    for name in runs["head"][0]["layers_ms"]:
+        base_ms = [r["layers_ms"][name] for r in runs["base"]]
+        head_ms = [r["layers_ms"][name] for r in runs["head"]]
         layers[name] = {
             "base_ms": statistics.median(base_ms), "head_ms": statistics.median(head_ms),
             "head_over_base": statistics.median(head_ms) / statistics.median(base_ms),
             "head_faster_rounds": sum(h < b for h, b in zip(head_ms, base_ms)),
+            "base_minflt_per_call": statistics.median(
+                r["minflt_per_call"][name] for r in runs["base"]),
+            "head_minflt_per_call": statistics.median(
+                r["minflt_per_call"][name] for r in runs["head"]),
         }
     return {"machine": machine(), "rounds": rounds, "layers": layers}
 
@@ -178,7 +202,7 @@ def main() -> None:
     args = parser.parse_args()
     if args.base is None:
         with tempfile.TemporaryDirectory() as tmp:
-            result = {"machine": machine(), "layers_ms": layer_times(tmp)}
+            result = {"machine": machine(), **layer_times(tmp)}
     else:
         result = compare(args.base.resolve(), args.rounds)
     text = json.dumps(result, indent=2) + "\n"

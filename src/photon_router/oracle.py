@@ -11,26 +11,25 @@ with c(t_start) = 0, and every channel leaves as
 the window gives the same mean output numbers as the frequency-domain route,
 which is exactly what this module exists to cross-check.
 
-The integrator is classical fixed-step RK4 (deterministic, clean order-4
-convergence). The equation is linear with constant coefficients, so each
-step is c[i+1] = R c[i] + B[i] with a fixed gain R; the steps are solved
-together in numpy as that linear recurrence, by doubling, rather than one at
-a time. They are solved a block of 2^16 steps at a time: each block by
-doubling from zero, plus the carry c0 R^(1..m) of the amplitude c0 it
-starts from. Fluxes use the trapezoid rule, which is effectively exact here
-because every integrand vanishes at the window edges. High-level packet
-scenarios run in a frame rotating at the packet center frequency omega0
-(omega_c -> omega_c - omega0, carrier dropped) so the step resolves only
-decay rates and bandwidths; interface values stay lab-frame.
+The integrator is classical fixed-step RK4. The equation is linear with
+constant coefficients, so each step is c[i+1] = R c[i] + B[i] with a fixed
+gain R, and the steps are solved in numpy as that recurrence, by doubling, a
+block of 2^16 steps at a time plus the carry c0 R^(1..m) of the amplitude c0
+a block starts from. Fluxes use the trapezoid rule, effectively exact here
+because every integrand vanishes at the window edges.
 
-A drive is data: a mapping from each driven channel to its mean input field
-<o_ch_in(t)> sampled at the grid's half nodes (`TimeGrid.half_nodes`, the
-step ends and midpoints RK4 evaluates), and a block of the grid is a slice
-of them. The step ends are `TimeGrid.times` bit for bit, so the same samples
-serve the integration and the fluxes. `integrate_cavity` takes the caller's
-samples for the whole grid. `time_domain_report` streams: it evaluates each
-pulse on one block's half nodes at a time and keeps running sums of the
-fluxes, so it never holds an array as long as the grid.
+`integrate_cavity` takes drives as data: each driven channel's mean input
+field sampled at `TimeGrid.half_nodes`, the step ends and midpoints RK4
+evaluates, whose step ends are `TimeGrid.times` bit for bit.
+`time_domain_report` takes packets. In the frame rotating at their shared
+center frequency omega0 (omega_c -> omega_c - omega0, carrier dropped) each
+is alpha_ch times one real envelope, so the cavity sees kick * env with
+kick = sum_ch -i sqrt(gamma_ch) alpha_ch. Per block the report evaluates env
+once and adds the trapezoid moments E = int env^2, C = int |c|^2 and
+X = int env c; then n_in = sum_ch |alpha_ch|^2 E and
+N_ch = |alpha_ch|^2 E + gamma_ch C + 2 sqrt(gamma_ch) Im(conj(alpha_ch) X).
+Neither it nor `verify`'s plateau check, which reads one node of the same
+block stream, holds an array as long as the grid.
 """
 
 from __future__ import annotations
@@ -60,14 +59,13 @@ _EDGE_RATIO = 1e-4          # drive amplitude allowed at window edges, vs peak
 _TAIL_MASS = 1e-10          # allowed envelope mass outside the window
 _RINGDOWN_RATIO = 1e-8      # |c(t_end)| allowed vs max |c|
 # RK4 steps allowed on one grid: about 4x the longest grid the tests, the
-# verify battery and the benchmark integrate (482 000 steps). A caller of
-# integrate_cavity holds 32 bytes per step for each drive's half-node
-# samples and 16 for the trajectory, where time_domain_report holds one
-# block; the recurrence makes ceil(log2 m) passes over each block of
-# m <= _BLOCK steps.
+# verify battery and the benchmark integrate (482 200 steps, which the report
+# and verify's plateau check stream). A caller of integrate_cavity holds 32
+# bytes per step for each drive's half-node samples and 16 for the trajectory.
 MAX_STEPS = 2_000_000
-# RK4 steps solved together: a block's half nodes, forcing, trajectory and
-# samples take a few MB
+# RK4 steps solved together, in ceil(log2 _BLOCK) passes: a report's block
+# holds one real envelope and one complex forcing on its half nodes, the
+# trajectory and one scratch row, about 5 MB
 _BLOCK = 1 << 16
 
 
@@ -129,6 +127,17 @@ def default_grid(params: RouterParams, packets: Sequence[WavePacket],
                     dt=dt)
 
 
+def _envelope(Omega: float, tau):
+    """The real Gaussian every packet of bandwidth Omega shares, unit flux:
+    (2 Omega^2 / pi)^(1/4) exp(-(Omega tau)^2)."""
+    return (2.0 * Omega ** 2 / np.pi) ** 0.25 * np.exp(-(Omega * tau) ** 2)
+
+
+def _amplitude(packet: WavePacket) -> complex:
+    """alpha = sqrt(mean_n) exp(i phase), the packet's coherent amplitude."""
+    return complex(math.sqrt(packet.mean_n) * np.exp(1j * packet.phase))
+
+
 def time_pulse(packet: WavePacket, t, t0: float = 0.0):
     """Mean input field <o_in(t)> of the packet, peak at t0 (vectorized over t).
 
@@ -137,11 +146,12 @@ def time_pulse(packet: WavePacket, t, t0: float = 0.0):
     The carrier factor is skipped at omega0 = 0, the rotating frame's case.
     """
     tau = np.asarray(t, dtype=float) - t0
-    alpha = math.sqrt(packet.mean_n) * np.exp(1j * packet.phase)
-    envelope = (2.0 * packet.Omega ** 2 / np.pi) ** 0.25 * np.exp(-(packet.Omega * tau) ** 2)
-    if packet.omega0 == 0.0:
-        return alpha * envelope
-    return alpha * envelope * np.exp(-1j * packet.omega0 * tau)
+    pulse = _amplitude(packet) * _envelope(packet.Omega, tau)
+    if packet.omega0 != 0.0:
+        # in place: numpy's out-of-place complex product differs from it in
+        # the last bit of some elements
+        pulse *= np.exp(-1j * packet.omega0 * tau)
+    return pulse
 
 
 def _lam(params: RouterParams) -> complex:
@@ -199,20 +209,12 @@ def _gain_powers(r: complex, m: int) -> np.ndarray:
     return powers
 
 
-def _blocks(params: RouterParams, grid: TimeGrid,
-            samples_at: Callable[[int, int], Mapping[Channel, np.ndarray]],
-            ) -> Iterator[tuple[int, Mapping[Channel, np.ndarray], np.ndarray]]:
-    """Solve the RK4 recurrence _BLOCK steps at a time; params and grid are
-    already checked.
-
-    samples_at(i0, i1) gives each driven channel's samples on the half nodes
-    2 i0 .. 2 i1 of steps i0 .. i1. Yields (i0, samples, c) per block, c the
-    trajectory at the grid nodes i0 .. i1, so c[0] is the end of the block
-    before. Raises NonFinite, naming the channel, for a NaN or inf sample,
-    and after the last block PulseNotContained for a drive that does not
-    vanish at the window edges.
+def _recurrence(params: RouterParams, grid: TimeGrid) -> Callable:
+    """The RK4 recurrence on a checked grid as a block solver, solve(forcing, c):
+    forcing on the half nodes 2 i0 .. 2 i1 of a block of m <= _BLOCK steps, and
+    c of m + 1 elements, c[0] the amplitude the block starts from; it fills
+    c[1:] with the trajectory at the grid nodes i0 + 1 .. i1.
     """
-    n = grid.n_steps
     h = grid.step
     # One RK4 step is c[i+1] = R c[i] + B[i]: R from the homogeneous part,
     # B[i] the same step taken from c = 0 with the forcing d0, dh, d1 at t_i,
@@ -223,26 +225,17 @@ def _blocks(params: RouterParams, grid: TimeGrid,
     wh = h / 6.0 * (4.0 + a * (4.0 + 2.0 * a))
     w1 = h / 6.0
     r = _rk4_gain(grid, params)
-    powers = _gain_powers(r, _BLOCK) if n > _BLOCK else None
-    peaks: dict = {}
-    first: dict = {}
-    carry = 0j
-    for i0 in range(0, n, _BLOCK):
-        m = min(_BLOCK, n - i0)
-        samples = samples_at(i0, i0 + m)
-        forcing = np.zeros(2 * m + 1, dtype=complex)
-        for ch, vals in samples.items():
-            peak = float(np.max(np.abs(vals)))
-            if not peak < math.inf:     # NaN too
-                raise NonFinite(f"drive on {ch} must be finite, got peak |sample| = {peak}")
-            peaks[ch] = max(peaks.get(ch, 0.0), peak)
-            first.setdefault(ch, abs(complex(vals[0])))
-            forcing += (-1j * math.sqrt(params.coupling(ch))) * vals
+    powers = _gain_powers(r, _BLOCK) if grid.n_steps > _BLOCK else None
 
-        c = np.empty(m + 1, dtype=complex)
-        c[0] = carry
+    def solve(forcing: np.ndarray, c: np.ndarray) -> None:
+        m = len(c) - 1
         b = c[1:]
-        b[:] = w0 * forcing[:-1:2] + wh * forcing[1::2] + w1 * forcing[2::2]
+        # the scalar goes first: numpy's complex product with the scalar on
+        # the right differs in the last bit of some elements
+        tmp = np.empty(m, dtype=complex)
+        np.multiply(w0, forcing[:-1:2], out=b)
+        b += np.multiply(wh, forcing[1::2], out=tmp)
+        b += np.multiply(w1, forcing[2::2], out=tmp)
         # Solve the block from zero by doubling: after the pass with shift s,
         # b[i] sums R^k B[i-k] over k < 2s, so after ceil(log2 m) passes each
         # sum reaches back to the block's start. Then add what c0 = c[0]
@@ -250,19 +243,13 @@ def _blocks(params: RouterParams, grid: TimeGrid,
         g = r
         s = 1
         while s < m:
-            b[s:] += g * b[:-s]
+            b[s:] += np.multiply(g, b[:-s], out=tmp[:m - s])
             g *= g
             s *= 2
-        if carry:
-            b += carry * powers[:m]
-        yield i0, samples, c
-        carry = c[-1]
+        if c[0]:
+            b += np.multiply(c[0], powers[:m], out=tmp)
 
-    for ch, vals in samples.items():
-        edge = max(first[ch], abs(complex(vals[-1])))
-        if peaks[ch] > 0.0 and edge > _EDGE_RATIO * peaks[ch]:
-            raise PulseNotContained(
-                f"drive on {ch} is {edge / peaks[ch]:.2e} of its peak at the window edge")
+    return solve
 
 
 def integrate_cavity(params: RouterParams, drives: Mapping[Channel, np.ndarray],
@@ -277,30 +264,25 @@ def integrate_cavity(params: RouterParams, drives: Mapping[Channel, np.ndarray],
     validate_scalar(params)
     _check_grid(grid, params)
     samples = _samples(drives, grid)
-    out = np.empty(grid.n_steps + 1, dtype=complex)
-    blocks = _blocks(params, grid, lambda i0, i1: {
-        ch: vals[2 * i0:2 * i1 + 1] for ch, vals in samples.items()})
-    for i0, _, c in blocks:
-        out[i0:i0 + len(c)] = c
+    for ch, vals in samples.items():
+        peak = float(np.max(np.abs(vals)))
+        if not peak < math.inf:     # NaN too
+            raise NonFinite(f"drive on {ch} must be finite, got peak |sample| = {peak}")
+        edge = max(abs(complex(vals[0])), abs(complex(vals[-1])))
+        if peak > 0.0 and edge > _EDGE_RATIO * peak:
+            raise PulseNotContained(
+                f"drive on {ch} is {edge / peak:.2e} of its peak at the window edge")
+
+    solve = _recurrence(params, grid)
+    n = grid.n_steps
+    out = np.zeros(n + 1, dtype=complex)
+    for i0 in range(0, n, _BLOCK):
+        i1 = min(i0 + _BLOCK, n)
+        forcing = np.zeros(2 * (i1 - i0) + 1, dtype=complex)
+        for ch, vals in samples.items():
+            forcing += (-1j * math.sqrt(params.coupling(ch))) * vals[2 * i0:2 * i1 + 1]
+        solve(forcing, out[i0:i1 + 1])
     return out
-
-
-def _trapezoid_fluxes(params: RouterParams, inputs: Mapping[Channel, np.ndarray],
-                      trajectory: np.ndarray, step: float) -> tuple[float, list]:
-    """(n_in, [N_ch in CHANNELS order]) by the trapezoid rule on nodes `step`
-    apart: inputs maps each driven channel to <o_ch_in(t)> at the nodes of
-    the trajectory, and N_ch integrates |<o_ch_in> - i sqrt(gamma_j) c|^2."""
-    w = np.full(len(trajectory), step)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    n_in = 0.0
-    fluxes = []
-    for ch in CHANNELS:
-        d = inputs[ch] if ch in inputs else np.zeros_like(trajectory)
-        n_in += float(np.dot(w, np.abs(d) ** 2))
-        out_t = d - 1j * math.sqrt(params.coupling(ch)) * trajectory
-        fluxes.append(float(np.dot(w, np.abs(out_t) ** 2)))
-    return n_in, fluxes
 
 
 def output_flux(params: RouterParams, drives: Mapping[Channel, np.ndarray],
@@ -318,26 +300,28 @@ def output_flux(params: RouterParams, drives: Mapping[Channel, np.ndarray],
     if trajectory.shape != (nodes,):
         raise ParameterError(
             f"trajectory has shape {trajectory.shape}, need ({nodes},): one value per grid node")
-    n_in, fluxes = _trapezoid_fluxes(
-        params, {ch: vals[::2] for ch, vals in inputs.items()}, trajectory, grid.step)
+    w = np.full(nodes, grid.step)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    n_in = 0.0
+    fluxes = []
+    for ch in CHANNELS:
+        d = inputs[ch][::2] if ch in inputs else np.zeros_like(trajectory)
+        n_in += float(np.dot(w, np.abs(d) ** 2))
+        out_t = d - 1j * math.sqrt(params.coupling(ch)) * trajectory
+        fluxes.append(float(np.dot(w, np.abs(out_t) ** 2)))
     return OutputReport.from_channel_numbers(fluxes, n_in=n_in)
 
 
-def time_domain_report(params: RouterParams, packets: Sequence[WavePacket],
-                       grid: TimeGrid | None = None, t0: float = 0.0) -> OutputReport:
-    """Route Gaussian packets through the cavity entirely in the time domain.
-
-    Rotates into the packet-center frame, integrates the cavity a block at a
-    time, summing the fluxes as it goes, and returns the integrated output
-    numbers. Raises PulseNotContained if the envelope
-    mass outside the window exceeds 1e-10 or the cavity has not rung down by
-    t_end.
+def _envelope_blocks(params: RouterParams, packets: Sequence[WavePacket], grid: TimeGrid,
+                     t0: float) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield (i0, env, c) per block of grid: env the packets' envelope on the
+    block's half nodes, c the cavity amplitude in their rotating frame at its
+    nodes i0 .. i0 + m, c[0] the end of the block before. Raises
+    PulseNotContained if the envelope mass outside the window exceeds 1e-10.
     """
     validate_scalar(params)
     omega0, Omega = shared_packet_frame(packets)
-    if grid is None:
-        grid = default_grid(params, packets, t0)
-
     mass_out = 0.5 * (math.erfc(math.sqrt(2.0) * Omega * (t0 - grid.t_start))
                       + math.erfc(math.sqrt(2.0) * Omega * (grid.t_end - t0)))
     if mass_out > _TAIL_MASS:
@@ -347,30 +331,59 @@ def time_domain_report(params: RouterParams, packets: Sequence[WavePacket],
     rotated = replace(params, omega_c=params.omega_c - omega0)
     validate_scalar(rotated)
     _check_grid(grid, rotated)
-    pulses = [replace(p, omega0=0.0) for p in packets]
+    solve = _recurrence(rotated, grid)
+    kick = sum(-1j * math.sqrt(params.coupling(p.channel)) * _amplitude(p) for p in packets)
     n = grid.n_steps
     half = (grid.t_end - grid.t_start) / (2 * n)
-
-    def samples_at(i0, i1):
+    carry = 0j
+    for i0 in range(0, n, _BLOCK):
+        i1 = min(i0 + _BLOCK, n)
         # grid.half_nodes[2 i0:2 i1 + 1], computed as np.linspace computes
         # them, so bit for bit
         nodes = np.arange(2 * i0, 2 * i1 + 1) * half + grid.t_start
         if i1 == n:
             nodes[-1] = grid.t_end
-        return {p.channel: time_pulse(p, nodes, t0) for p in pulses}
+        env = _envelope(Omega, nodes - t0)
+        c = np.empty(i1 - i0 + 1, dtype=complex)
+        c[0] = carry
+        solve(kick * env, c)
+        yield i0, env, c
+        carry = c[-1]
 
+
+def time_domain_report(params: RouterParams, packets: Sequence[WavePacket],
+                       grid: TimeGrid | None = None, t0: float = 0.0) -> OutputReport:
+    """Route Gaussian packets through the cavity entirely in the time domain.
+
+    Integrates the cavity in the packet-center frame a block at a time,
+    summing the moments E, C and X as it goes, and returns the integrated
+    output numbers. Raises PulseNotContained if the envelope mass outside
+    the window exceeds 1e-10 or the cavity has not rung down by t_end.
+    """
+    if grid is None:
+        grid = default_grid(params, packets, t0)
     # the trapezoid over the grid is the sum of the trapezoids over the blocks
-    n_in = 0.0
-    fluxes = [0.0] * len(CHANNELS)
-    peak = 0.0
-    for _, samples, c in _blocks(rotated, grid, samples_at):
-        block_in, block_out = _trapezoid_fluxes(
-            rotated, {ch: vals[::2] for ch, vals in samples.items()}, c, grid.step)
-        n_in += block_in
-        fluxes = [f + g for f, g in zip(fluxes, block_out)]
-        peak = max(peak, float(np.max(np.abs(c))))
+    e = cc = peak = 0.0
+    x = 0j
+    for _, env, c in _envelope_blocks(params, packets, grid, t0):
+        w = np.full(len(c), grid.step)
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        u = env[::2]
+        abs_c = np.abs(c)
+        peak = max(peak, float(np.max(abs_c)))
+        e += float(np.dot(w, u * u))
+        cc += float(np.dot(w, abs_c * abs_c))
+        x += complex(np.dot(w * u, c))
 
     end = abs(complex(c[-1]))
     if peak > 0.0 and end >= _RINGDOWN_RATIO * peak:
         raise PulseNotContained(f"cavity not rung down: |c(t_end)| = {end / peak:.2e} of max")
+    n_in = 0.0
+    fluxes = [params.coupling(ch) * cc for ch in CHANNELS]
+    for p in packets:
+        direct = p.mean_n * e       # |alpha|^2 E; a Python float overflows to inf
+        n_in += direct
+        fluxes[CHANNELS.index(p.channel)] += direct + 2.0 * math.sqrt(
+            params.coupling(p.channel)) * (_amplitude(p).conjugate() * x).imag
     return OutputReport.from_channel_numbers(fluxes, n_in=n_in)

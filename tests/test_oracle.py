@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _reference import integrate_cavity_loop
-from photon_router import oracle
+from photon_router import oracle, verify
 from photon_router import (
     CHANNELS,
     Channel,
@@ -321,15 +321,20 @@ class TestOutputFlux:
 
 class TestTimeDomainReport:
     def test_one_pulse_evaluation_per_packet(self, monkeypatch):
-        # each block of the 8 evaluates each pulse once, on its half nodes,
-        # which integration and fluxes share
+        # the packets share one real envelope: each block of the 8 evaluates
+        # it once, on its half nodes, and no packet's pulse is evaluated
         calls = []
+        envelope = oracle._envelope
 
-        def counting(packet, t, t0=0.0):
-            calls.append((packet.channel, t))
-            return time_pulse(packet, t, t0)
+        def counting(Omega, tau):
+            calls.append((Omega, tau))
+            return envelope(Omega, tau)
 
-        monkeypatch.setattr(oracle, "time_pulse", counting)
+        def no_pulse(*args, **kwargs):
+            raise AssertionError("time_pulse called by time_domain_report")
+
+        monkeypatch.setattr(oracle, "_envelope", counting)
+        monkeypatch.setattr(oracle, "time_pulse", no_pulse)
         params = RouterParams(gamma_c=0.1, omega_c=0.4)
         packets = [WavePacket(Channel.R1, 1.0, omega0=0.5, Omega=0.01),
                    WavePacket(Channel.L2, 2.0, omega0=0.5, Omega=0.01, phase=1.0)]
@@ -337,26 +342,42 @@ class TestTimeDomainReport:
         grid = default_grid(params, packets)
         blocks = -(-grid.n_steps // oracle._BLOCK)
         assert blocks == 8
-        assert [ch for ch, _ in calls] == [Channel.R1, Channel.L2] * blocks
-        nodes = [t for _, t in calls[0::2]]
-        for t, t_l2 in zip(nodes, [t for _, t in calls[1::2]]):
-            assert np.array_equal(t, t_l2)
-        # the node between two blocks is evaluated twice, as the end of one
-        # and the start of the next; the blocks rebuild the linspace bits
+        assert len(calls) == blocks
+        assert all(Omega == 0.01 for Omega, _ in calls)
+        # t0 = 0, so tau holds the nodes; the node between two blocks is
+        # evaluated twice, as the end of one and the start of the next, and
+        # the blocks rebuild the linspace bits
+        nodes = [tau for _, tau in calls]
         for before, after in zip(nodes, nodes[1:]):
             assert before[-1] == after[0]
         rebuilt = np.concatenate([nodes[0]] + [t[1:] for t in nodes[1:]])
         assert np.array_equal(rebuilt.view(np.int64), grid.half_nodes.view(np.int64))
 
-    @pytest.mark.parametrize("packets, grid", [
-        (_pair(1.1), TimeGrid(-40.0, 51.0, 0.001)),
-        ([WavePacket(Channel.R1, 1.0, Omega=0.01),
-          WavePacket(Channel.L2, 0.5, Omega=0.01, phase=2.0)], None),
-    ], ids=["2-blocks", "8-blocks"])
-    def test_streamed_sums_match_whole_arrays(self, packets, grid):
-        # the report's per-block trapezoids against output_flux on the
-        # whole trajectory; the trajectories agree bit for bit
-        params = RouterParams(gamma2=0.4, gamma_c=0.1, omega_c=-0.2)
+    LOSSY = RouterParams(gamma2=0.4, gamma_c=0.1, omega_c=-0.2)
+    TWO_BLOCKS = TimeGrid(-40.0, 51.0, 0.001)
+
+    @pytest.mark.parametrize("params, packets, grid", [
+        (LOSSY, _pair(1.1), TWO_BLOCKS),
+        (LOSSY, [WavePacket(Channel.R1, 1.0, Omega=0.01),
+                 WavePacket(Channel.L2, 0.5, Omega=0.01, phase=2.0)], None),
+        (LOSSY, [WavePacket(Channel.R1, 1.0, Omega=0.3, phase=0.3),
+                 WavePacket(Channel.R2, 0.5, Omega=0.3, phase=2.0),
+                 WavePacket(Channel.L2, 1.5, Omega=0.3, phase=-1.0)], TWO_BLOCKS),
+        (LOSSY, [WavePacket(ch, 0.5 + i, Omega=0.3, phase=1.1 * i)
+                 for i, ch in enumerate(CHANNELS)], TWO_BLOCKS),
+        (RouterParams(gamma2=0.4, omega_c=-0.2), _pair(1.1), TWO_BLOCKS),
+        (LOSSY, [WavePacket(Channel.R1, 0.0, Omega=0.3),
+                 WavePacket(Channel.L2, 1.0, Omega=0.3, phase=0.7)], TWO_BLOCKS),
+        # the kicks of the pair cancel, so the cavity is barely driven
+        (LOSSY, _pair(PI), TWO_BLOCKS),
+        # on resonance with gamma2 = 0 the transmitted R1 output nearly
+        # vanishes: its three moment terms cancel
+        (RouterParams(gamma2=0.0), [WavePacket(Channel.R1, 1.0, Omega=0.03)], None),
+    ], ids=["2-blocks", "8-blocks", "3-packets", "4-packets", "lossless",
+            "zero-packet", "opposite-phase", "cancelling-moments"])
+    def test_streamed_sums_match_whole_arrays(self, params, packets, grid):
+        # the report's per-block moments against output_flux on the whole
+        # trajectory, which integrate_cavity solves from the same recurrence
         grid = grid or default_grid(params, packets)
         assert grid.n_steps > oracle._BLOCK
         drives = _drives(packets, grid)
@@ -365,6 +386,35 @@ class TestTimeDomainReport:
         assert abs(got.n_in - want.n_in) <= 1e-14 * want.n_in
         for ch in Channel:
             assert abs(got.n_out[ch] - want.n_out[ch]) <= 1e-14 * want.n_in
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_mean_n(self):
+        # 1e300 photons per packet stay finite and scale the mean_n = 1
+        # report; at 1e308 n_in overflows, which is NonFinite, not a warning
+        params = RouterParams(gamma_c=0.1)
+        base = time_domain_report(params, _pair(1.1))
+        rep = time_domain_report(params, _pair(1.1, mean_n=1e300))
+        assert math.isfinite(rep.n_in) and math.isfinite(rep.loss)
+        for ch in Channel:
+            assert rep.n_out[ch] == pytest.approx(1e300 * base.n_out[ch], rel=1e-12)
+        with pytest.raises(NonFinite, match="n_in is not finite"):
+            time_domain_report(params, _pair(1.1, mean_n=1e308))
+
+    def test_verify_plateau_reads_node_nearest_zero(self):
+        # verify's plateau check reads c at one node as the report's blocks
+        # stream past: the node argmin |t| picks on the whole grid, and its
+        # bits are integrate_cavity's there
+        [got] = [r.max_dev for r in verify.run_suites(["oracle"])
+                 if r.check == "plateau-vs-steady-state"]
+        params = RouterParams(gamma1=1.0, gamma2=1.0, omega_c=0.3)
+        slow = WavePacket(Channel.R1, mean_n=1.0, Omega=0.01)
+        grid = TimeGrid(-1200.0, 1211.0, 0.005)
+        traj = integrate_cavity(params, _drives([slow], grid), grid)
+        c_ss = abs(cavity_amplitude(params, [complex(time_pulse(slow, 0.0)), 0, 0, 0], 0.3)) ** 2
+        idx = int(np.argmin(np.abs(grid.times)))
+        before, at, after = (abs(abs(c) ** 2 - c_ss) / c_ss for c in traj[idx - 1:idx + 2])
+        assert got == at
+        assert got not in (before, after)
 
     def test_zero_input(self):
         rep = time_domain_report(
@@ -453,6 +503,23 @@ print(kib("VmHWM") - after_import)
         out = subprocess.run([sys.executable, "-c", code], env=package_env, check=True,
                              capture_output=True, text=True, timeout=120).stdout
         assert int(out) / 1024 <= 40.0
+
+    def test_verify_oracle_peak_rss(self, package_env):
+        # the plateau check held 482 200 steps of half nodes, samples and
+        # trajectory, which grew the suite's peak RSS by about 41 MB; it now
+        # streams the report's blocks
+        code = """
+from photon_router.verify import run_suites
+def kib(key):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith(key + ":"))
+after_import = kib("VmRSS")
+assert all(r.passed for r in run_suites(["oracle"]))
+print(kib("VmHWM") - after_import)
+"""
+        out = subprocess.run([sys.executable, "-c", code], env=package_env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        assert int(out) / 1024 <= 30.0
 
 
 class TestTimeDomainProperty:
