@@ -37,7 +37,6 @@ from .scattering import (
     two_port_reduction,
 )
 from .wavepacket import (
-    QuadratureSpec,
     gaussian_spectrum,
     packet_output_numbers,
     shared_packet_frame,
@@ -66,7 +65,6 @@ __all__ = [
     "OutputReport",
     "ParameterError",
     "PulseNotContained",
-    "QuadratureSpec",
     "QuadratureUnderResolved",
     "RouterError",
     "RouterParams",

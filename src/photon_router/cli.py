@@ -25,11 +25,11 @@ scenario values; command-line flags win over the file, the file wins over
 built-in defaults.
 
 Exit codes: 0 success, 2 argument or validation error (one-line message on
-stderr; non-finite inputs, results that overflow, sweep grids of more than
-1e6 points and --points above 125 001 included, the last two before anything
-is allocated), 3 when a result would be numerically under-resolved; `verify`
-returns 1 if any suite fails, and every command 1 when the reader closes
-stdout before the output ends.
+stderr; non-finite inputs, results that overflow and sweep grids of more
+than 1e6 points included, the last before anything is allocated), 3 when a
+result would be numerically under-resolved; `verify` returns 1 if any suite
+fails, and every command 1 when the reader closes stdout before the output
+ends.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from .scattering import (
     report_from_scatter,  # unused here; perfbench/tracing.py patches it by this name
 )
 from .verify import SUITE_NAMES, format_table, run_suites
-from .wavepacket import QuadratureSpec, packet_output_numbers
+from .wavepacket import packet_output_numbers
 
 CSV_HEADER = ("case", "gamma1", "gamma2", "gamma_c", "delta", "phi", "theta",
               "theta_prime", "Omega", "mean_n", "N_r1", "N_l1", "N_r2", "N_l2",
@@ -82,7 +82,6 @@ _DEFAULTS: dict = {
     "mean_n": 1.0,
     "omega0_detuning": None,
     "bandwidth": 0.3,
-    "points": 4001,
 }
 
 _SWEEP_VARS = ("phi", "theta", "theta_prime", "delta", "gamma2", "gamma_c", "Omega")
@@ -174,7 +173,7 @@ def _load_config(path: str) -> dict:
         if key not in _DEFAULTS:
             raise _UsageError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            out[key] = int(value) if key == "points" else float(value)
+            out[key] = float(value)
         except ValueError:
             raise _UsageError(
                 f"{path}:{lineno}: field {key!r}: cannot parse {value!r}")
@@ -237,13 +236,13 @@ def _packet_scenario(scn: dict) -> tuple[RouterParams, list[WavePacket]]:
     return params, packets
 
 
-def _packet_numbers(scn: dict, grid: dict, size: int, quad: QuadratureSpec) -> np.ndarray:
+def _packet_numbers(scn: dict, grid: dict, size: int) -> np.ndarray:
     numbers = np.empty((len(_RESULTS), size))
     for i in range(size):
         local = dict(scn)
         local.update((key, float(values[i])) for key, values in grid.items())
         params, packets = _packet_scenario(local)
-        rep = packet_output_numbers(params, packets, quad)
+        rep = packet_output_numbers(params, packets)
         numbers[:, i] = _report_values(rep)
     return numbers
 
@@ -327,8 +326,6 @@ def _dump_trajectory(path: str, params: RouterParams,
 def _run(args: argparse.Namespace, case: str, axes: Sequence[SweepAxis]) -> int:
     """Evaluate `case` over the grid of `axes` (none: one point) and write the CSV."""
     scn = _merge_scenario(args)
-    # checked before the grid and the results are allocated
-    quad = QuadratureSpec(points=int(scn["points"])) if case == "packet" else None
     if case == "packet" and scn["omega0_detuning"] is not None:
         # packet rows report the cavity detuning from the packet centre
         scn["delta"] = scn["omega0_detuning"]
@@ -338,7 +335,7 @@ def _run(args: argparse.Namespace, case: str, axes: Sequence[SweepAxis]) -> int:
     # the reports turn into one NonFinite line instead of numpy warnings
     with np.errstate(all="ignore"):
         if case == "packet":
-            numbers = _packet_numbers(scn, grid, size, quad)
+            numbers = _packet_numbers(scn, grid, size)
         else:
             numbers = _mono_numbers(case, scn, grid, size)
     if getattr(args, "dump_trajectory", None) is not None:
@@ -401,8 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(default: --delta)")
             p.add_argument("--bandwidth", type=float,
                            help="packet bandwidth parameter Omega (default 0.3)")
-            p.add_argument("--points", type=int,
-                           help="quadrature points, odd, 2001 to 125001 (default 4001)")
         p.add_argument("--config", help="scenario file with key=value lines")
         p.add_argument("--out", help="output CSV path (default stdout)")
 

@@ -18,10 +18,11 @@ integrated, every channel's mean number is one combination of three real
 line moments of env^2 (see packet_output_numbers), whatever the packets'
 phases; the missing flux shows up as the report's `loss`.
 
-The moments are taken by a fixed composite rule (Simpson by default) on a
-window of +-window_halfwidth*Omega around omega0, widened to cover the cavity
-line when that lies outside the packet window. Results are deterministic for
-a fixed QuadratureSpec; step-halving is used only as a convergence check.
+The moments are taken by composite Simpson on 4001 nodes of a window of
++-8 Omega around omega0, widened to cover the cavity line when that lies
+outside the packet window; at 8 Omega the Gaussian tail mass outside the
+window is ~1e-14 of the packet. Results are deterministic; step-halving is
+used only as a convergence check.
 
 The halvings are nested: the nodes of a grid are every other node of the
 grid with half its step (bit for bit, as np.linspace computes them), so each
@@ -36,8 +37,6 @@ evaluation would.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -55,47 +54,10 @@ from .core import (
 )
 from .scattering import scatter  # unused here; perfbench/tracing.py patches it by this name
 
+_HALFWIDTH = 8.0        # window half-width, in multiples of Omega
+_POINTS = 4001          # base grid nodes; odd, as composite Simpson needs
 _REFINE_RTOL = 1e-6
 _MAX_DOUBLINGS = 4
-# nodes allowed on the finest halving, (points - 1) * 2**_MAX_DOUBLINGS + 1:
-# 31x that of a default call (64 001); a halving peaks at 36 bytes per node
-MAX_NODES = 2_000_001
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Fixed frequency-quadrature settings.
-
-    window_halfwidth is in multiples of Omega, finite and >= 6; at the
-    default 8 the Gaussian tail mass outside the window is ~1e-14 of the
-    packet. points must be an odd integer (composite Simpson needs an even
-    interval count), bool excluded. Specs whose finest halving would exceed
-    MAX_NODES nodes (points above 125 001) are refused before anything is
-    allocated.
-    """
-
-    window_halfwidth: float = 8.0
-    points: int = 4001
-    rule: str = "simpson"
-
-    def __post_init__(self):
-        if isinstance(self.points, bool) or not isinstance(self.points, numbers.Integral):
-            raise ParameterError(f"points must be an integer, got {self.points!r}")
-        if self.points % 2 == 0:
-            raise ParameterError(f"points must be odd, got {self.points}")
-        if self.points < 2001:
-            raise ParameterError(f"points must be >= 2001, got {self.points}")
-        if (finest := (self.points - 1) * 2 ** _MAX_DOUBLINGS + 1) > MAX_NODES:
-            raise ParameterError(
-                f"points must be <= {(MAX_NODES - 1) // 2 ** _MAX_DOUBLINGS + 1}, got "
-                f"{self.points}: its finest halving would take {finest} > {MAX_NODES} nodes")
-        if not math.isfinite(self.window_halfwidth):
-            raise NonFinite(f"window_halfwidth must be finite, got {self.window_halfwidth!r}")
-        if self.window_halfwidth < 6.0:
-            raise ParameterError(
-                f"window_halfwidth must be >= 6 Omega, got {self.window_halfwidth}")
-        if self.rule not in ("simpson", "trapezoid"):
-            raise ParameterError(f"unknown quadrature rule {self.rule!r}")
 
 
 def gaussian_spectrum(packet: WavePacket, omega):
@@ -136,10 +98,9 @@ def shared_packet_frame(packets: Sequence[WavePacket]) -> tuple[float, float]:
     return omega0, Omega
 
 
-def _frequency_window(params: RouterParams, omega0: float, Omega: float,
-                      halfwidth: float) -> tuple[float, float]:
-    lo = omega0 - halfwidth * Omega
-    hi = omega0 + halfwidth * Omega
+def _frequency_window(params: RouterParams, omega0: float, Omega: float) -> tuple[float, float]:
+    lo = omega0 - _HALFWIDTH * Omega
+    hi = omega0 + _HALFWIDTH * Omega
     if not lo <= params.omega_c <= hi:
         reach = 8.0 * params.total_decay
         lo = min(lo, params.omega_c - reach)
@@ -147,14 +108,12 @@ def _frequency_window(params: RouterParams, omega0: float, Omega: float,
     return lo, hi
 
 
-def _weights(points: int, step: float, rule: str) -> np.ndarray:
+def _weights(points: int, step: float) -> np.ndarray:
+    """Composite Simpson weights on `points` (odd) nodes of spacing `step`."""
     w = np.ones(points)
-    if rule == "simpson":
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        return np.multiply(w, step / 3.0, out=w)
-    w[0] = w[-1] = 0.5
-    return np.multiply(w, step, out=w)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return np.multiply(w, step / 3.0, out=w)
 
 
 def _moment_rows(params: RouterParams, omega0: float, Omega: float,
@@ -192,18 +151,18 @@ def _moment_rows(params: RouterParams, omega0: float, Omega: float,
     np.multiply(a, u, out=b)
 
 
-def _channel_numbers(rows: list[np.ndarray], step: float, rule: str,
+def _channel_numbers(rows: list[np.ndarray], step: float,
                      couplings: Sequence[float], peaks: Sequence[complex]) -> list[float]:
     """N_ch on CHANNELS from the rows of _moment_rows on one grid.
 
-    The rule's weights give the moments I0, A and B of the three rows. With
+    Simpson weights give the moments I0, A and B of the three rows. With
     p_ch the peak amplitude of the packet on ch (0 if undriven), g_ch =
     sqrt(gamma_ch / Gamma) and G = sum g_ch p_ch, the output field is
     env (p_ch - g_ch G / (1 + i u)), so
 
         N_ch = |p_ch|^2 I0 - 2 g_ch Re(conj(p_ch) G (A - i B)) + g_ch^2 |G|^2 A.
     """
-    w = _weights(rows[0].size, step, rule)
+    w = _weights(rows[0].size, step)
     i0, a, b = (float(np.dot(w, row)) for row in rows)
     drive = sum(g * p for g, p in zip(couplings, peaks))
     m = drive * complex(a, -b)
@@ -217,9 +176,8 @@ def _channel_numbers(rows: list[np.ndarray], step: float, rule: str,
 
 
 def _resolutions(params: RouterParams, omega0: float, Omega: float, lo: float, hi: float,
-                 quad: QuadratureSpec, couplings: Sequence[float],
-                 peaks: Sequence[complex]) -> Iterator[list[float]]:
-    """Channel numbers on np.linspace(lo, hi, quad.points) and on each of
+                 couplings: Sequence[float], peaks: Sequence[complex]) -> Iterator[list[float]]:
+    """Channel numbers on np.linspace(lo, hi, _POINTS) and on each of
     _MAX_DOUBLINGS halvings of its step.
 
     A halving copies the rows of the coarser grid into its even nodes and
@@ -227,10 +185,10 @@ def _resolutions(params: RouterParams, omega0: float, Omega: float, lo: float, h
     caller stops iterating, so an exception raised after the last halving
     holds no grid.
     """
-    points = quad.points
+    points = _POINTS
     rows = [np.empty(points) for _ in range(3)]
     _moment_rows(params, omega0, Omega, np.linspace(lo, hi, points), rows)
-    yield _channel_numbers(rows, (hi - lo) / (points - 1), quad.rule, couplings, peaks)
+    yield _channel_numbers(rows, (hi - lo) / (points - 1), couplings, peaks)
     for _ in range(_MAX_DOUBLINGS):
         points = 2 * (points - 1) + 1
         step = (hi - lo) / (points - 1)
@@ -242,11 +200,10 @@ def _resolutions(params: RouterParams, omega0: float, Omega: float, lo: float, h
         # computed as linspace does
         _moment_rows(params, omega0, Omega, np.arange(1, points, 2) * step + lo,
                      [fine[1::2] for fine in rows])
-        yield _channel_numbers(rows, step, quad.rule, couplings, peaks)
+        yield _channel_numbers(rows, step, couplings, peaks)
 
 
-def packet_output_numbers(params: RouterParams, packets: Sequence[WavePacket],
-                          quad: QuadratureSpec = QuadratureSpec()) -> OutputReport:
+def packet_output_numbers(params: RouterParams, packets: Sequence[WavePacket]) -> OutputReport:
     """Mean output numbers for a set of Gaussian packets sharing (omega0, Omega).
 
     The packets share one envelope, so every channel's flux is one
@@ -255,27 +212,26 @@ def packet_output_numbers(params: RouterParams, packets: Sequence[WavePacket],
         I0 = int e,  A = int e / (1 + u^2),  B = int e u / (1 + u^2),
 
     with e = exp(-(omega - omega0)^2 / (2 Omega^2)) and
-    u = (omega_c - omega) / Gamma. The moments are taken by the fixed
-    composite rule on the quadrature window. Up to four times, the step is
-    halved and the channel numbers taken again; the first resolution that
-    agrees with its halving to 1e-6 relative on every channel is reported.
-    Each halving evaluates the rows only at the new midpoints and reuses
-    those of the coarser grid, so a converged call at the default 4001 points
-    evaluates 8001 nodes. Raises QuadratureUnderResolved, naming the window,
-    the base and final point counts and the channel that moved most, if no
-    resolution agrees, and NonFinite if the flux density overflows double
-    precision.
+    u = (omega_c - omega) / Gamma. The moments are taken by composite
+    Simpson on 4001 nodes of the quadrature window. Up to four times, the
+    step is halved and the channel numbers taken again; the first resolution
+    that agrees with its halving to 1e-6 relative on every channel is
+    reported. Each halving evaluates the rows only at the new midpoints and
+    reuses those of the coarser grid, so a converged call evaluates 8001
+    nodes. Raises QuadratureUnderResolved, naming the window, the base and
+    final point counts and the channel that moved most, if no resolution
+    agrees, and NonFinite if the flux density overflows double precision.
     """
     validate_scalar(params)
     omega0, Omega = shared_packet_frame(packets)
-    lo, hi = _frequency_window(params, omega0, Omega, quad.window_halfwidth)
+    lo, hi = _frequency_window(params, omega0, Omega)
     n_in = sum(p.mean_n for p in packets)
     floor = 1e-9 * max(n_in, 1e-300)
     driven = {p.channel: complex(_peak_amplitude(p)) for p in packets}
     peaks = [driven.get(ch, 0j) for ch in CHANNELS]
     couplings = [math.sqrt(params.coupling(ch) / params.total_decay) for ch in CHANNELS]
 
-    resolutions = _resolutions(params, omega0, Omega, lo, hi, quad, couplings, peaks)
+    resolutions = _resolutions(params, omega0, Omega, lo, hi, couplings, peaks)
     current = next(resolutions)
     for finer in resolutions:
         if all(abs(f - c) <= _REFINE_RTOL * max(abs(c), floor)
@@ -286,7 +242,7 @@ def packet_output_numbers(params: RouterParams, packets: Sequence[WavePacket],
     worst = max(range(len(CHANNELS)), key=change.__getitem__)
     raise QuadratureUnderResolved(
         f"channel fluxes still moving after {_MAX_DOUBLINGS} grid doublings: "
-        f"window [{lo!r}, {hi!r}], {quad.points} -> "
-        f"{(quad.points - 1) * 2 ** _MAX_DOUBLINGS + 1} points, "
+        f"window [{lo!r}, {hi!r}], {_POINTS} -> "
+        f"{(_POINTS - 1) * 2 ** _MAX_DOUBLINGS + 1} points, "
         f"N_{CHANNELS[worst].name.lower()} changed by {change[worst]:.3g} relative "
         f"at the last doubling, target {_REFINE_RTOL:g}")

@@ -17,9 +17,11 @@ replaced with a linear recurrence solved in numpy.
 For the packet quadrature, `packet_output_numbers_full_grid` evaluates
 the three moment rows of every resolution of the step-halving on its full
 grid, the form the nested halving, which evaluates only the new midpoints,
-replaced. `packet_output_numbers_scatter` is the route the moments replaced:
-the same step-halving on full grids with each packet's own spectrum, pushed
-through `scatter` and squared channel by channel. `packet_numbers_mpmath`
+replaced. `packet_output_numbers_scatter` is the route the moments
+replaced: the same step-halving on full grids with each packet's own
+spectrum, pushed through `scatter` and squared channel by channel. Both take
+the base point count and the composite rule (Simpson or trapezoid), which
+the library fixes at 4001 and Simpson. `packet_numbers_mpmath`
 needs no quadrature: it takes the moments over the whole line from the
 Faddeeva function w(z) = exp(-z^2) erfc(-iz) in 40-digit mpmath.
 
@@ -131,7 +133,18 @@ def trajectory_csv_loop(times, trajectory) -> str:
     return out.getvalue()
 
 
-def _step_halving(packets, quad, fluxes):
+def _weights(points, step, rule):
+    """Composite Simpson or trapezoid weights, as the library's Simpson ones."""
+    w = np.ones(points)
+    if rule == "simpson":
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        return np.multiply(w, step / 3.0, out=w)
+    w[0] = w[-1] = 0.5
+    return np.multiply(w, step, out=w)
+
+
+def _step_halving(packets, points, fluxes):
     """The convergence loop of `photon_router.packet_output_numbers` around
     `fluxes(points)`, the four channel numbers in ORDER on the window's grid of
     `points`: the step halved up to four times until every channel agrees to
@@ -140,7 +153,6 @@ def _step_halving(packets, quad, fluxes):
 
     n_in = sum(p.mean_n for p in packets)
     floor = 1e-9 * max(n_in, 1e-300)
-    points = quad.points
     current = fluxes(points)
     for _ in range(4):
         points = 2 * (points - 1) + 1
@@ -151,26 +163,22 @@ def _step_halving(packets, quad, fluxes):
     raise QuadratureUnderResolved("channel fluxes still moving after 4 grid doublings")
 
 
-def packet_output_numbers_full_grid(params, packets, quad):
+def packet_output_numbers_full_grid(params, packets, points=4001, rule="simpson"):
     """The packet quadrature with the moment rows of every resolution
     evaluated on its full grid in one pass.
 
     Same contract as `photon_router.packet_output_numbers`: the rows
     e = exp(-(omega - omega0)^2 / (2 Omega^2)), e / (1 + u^2) and
     e u / (1 + u^2), u = (omega_c - omega) / Gamma, on np.linspace(lo, hi,
-    points), integrated by the composite rule and combined into channel
-    numbers by the library's `_channel_numbers`.
+    points), integrated by the composite rule into the moments I0, A and B
+    and combined into channel numbers in the library's order of operations,
+    so that at 4001 points and Simpson the bits match.
     """
     from photon_router.core import CHANNELS
-    from photon_router.wavepacket import (
-        _channel_numbers,
-        _frequency_window,
-        _peak_amplitude,
-        shared_packet_frame,
-    )
+    from photon_router.wavepacket import _frequency_window, _peak_amplitude, shared_packet_frame
 
     omega0, Omega = shared_packet_frame(packets)
-    window = _frequency_window(params, omega0, Omega, quad.window_halfwidth)
+    window = _frequency_window(params, omega0, Omega)
     gamma = params.total_decay
     driven = {p.channel: complex(_peak_amplitude(p)) for p in packets}
     peaks = [driven.get(ch, 0j) for ch in CHANNELS]
@@ -182,16 +190,22 @@ def packet_output_numbers_full_grid(params, packets, quad):
             e = np.exp(np.square((omegas - omega0) * (1.0 / Omega)) * -0.5)
         u = np.clip((params.omega_c - omegas) / gamma, -2.0 ** 500, 2.0 ** 500)
         a = e / (np.square(u) + 1.0)
-        return _channel_numbers([e, a, a * u], (window[1] - window[0]) / (points - 1),
-                                quad.rule, couplings, peaks)
+        w = _weights(points, (window[1] - window[0]) / (points - 1), rule)
+        i0, a, b = (float(np.dot(w, row)) for row in (e, a, a * u))
+        drive = sum(g * p for g, p in zip(couplings, peaks))
+        m = drive * complex(a, -b)
+        line = (drive.real * drive.real + drive.imag * drive.imag) * a
+        return [(p.real * p.real + p.imag * p.imag) * i0
+                - 2.0 * g * (p.real * m.real + p.imag * m.imag) + g * g * line
+                for g, p in zip(couplings, peaks)]
 
-    return _step_halving(packets, quad, fluxes)
+    return _step_halving(packets, points, fluxes)
 
 
-def packet_output_numbers_scatter(params, packets, quad):
+def packet_output_numbers_scatter(params, packets, points=4001, rule="simpson"):
     """The packet quadrature by `scatter`, channel by channel.
 
-    The same windows, rules and step-halving as
+    The same windows and step-halving as
     `photon_router.packet_output_numbers`, each resolution evaluating
     `scatter` on all of its nodes in one call, on (nodes, 4) amplitudes with
     each packet's spectrum built from its own Gaussian envelope, and squaring
@@ -199,7 +213,7 @@ def packet_output_numbers_scatter(params, packets, quad):
     """
     from photon_router import scatter
     from photon_router.core import CHANNELS
-    from photon_router.wavepacket import _frequency_window, _weights, shared_packet_frame
+    from photon_router.wavepacket import _frequency_window, shared_packet_frame
 
     def spectrum(p, omega):
         alpha = np.sqrt(p.mean_n) * np.exp(1j * p.phase)
@@ -213,12 +227,12 @@ def packet_output_numbers_scatter(params, packets, quad):
         for p in packets:
             inputs[:, CHANNELS.index(p.channel)] = spectrum(p, omegas)
         out = scatter(params, inputs, params.omega_c - omegas)
-        w = _weights(points, step, quad.rule)
+        w = _weights(points, step, rule)
         return [float(np.dot(w, np.abs(out[:, i]) ** 2)) for i in range(4)]
 
     omega0, Omega = shared_packet_frame(packets)
-    window = _frequency_window(params, omega0, Omega, quad.window_halfwidth)
-    return _step_halving(packets, quad, fluxes)
+    window = _frequency_window(params, omega0, Omega)
+    return _step_halving(packets, points, fluxes)
 
 
 def packet_numbers_mpmath(params, packets, dps: int = 40) -> list:

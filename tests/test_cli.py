@@ -285,6 +285,7 @@ class TestConfig:
         ("bogus_key = 1\n", "bogus_key"),
         ("gamma2 0.6\n", "key=value"),
         ("gamma2 = abc\n", "gamma2"),
+        ("points = 4001\n", "unknown key 'points'"),
     ])
     def test_bad_config_lines(self, capsys, tmp_path, text, needle):
         cfg = tmp_path / "bad.cfg"
@@ -310,7 +311,6 @@ class TestErrorPaths:
         [],
         ["two", "--nope", "1"],
         ["verify", "--suite", "bogus"],
-        ["packet", "--points", "4000"],
         ["two", "--mean-n", "-1"],
         ["single", "--gamma1", "-1"],
         ["sweep", "--case", "two", "--var", "phi",
@@ -351,12 +351,15 @@ class TestErrorPaths:
         assert len(lines) == 1
         assert lines[0].startswith("route: error:")
 
+    # refused before the sweep's grid and results are allocated
     @pytest.mark.parametrize("argv", [
-        ["packet", "--points", "125003"],
-        ["packet", "--points", "1000000000000001"],
-        # a refused spec must come before the sweep's grid and results
         ["sweep", "--case", "packet", "--var", "phi", "--start", "0", "--stop", "1",
-         "--count", "1000000", "--points", "125003"],
+         "--count", "1000001"],
+        ["sweep", "--case", "packet", "--var", "phi", "--start", "0", "--stop", "1",
+         "--count", "1000000", "--var2", "delta", "--start2", "0", "--stop2", "1",
+         "--count2", "1000000"],
+        ["sweep", "--case", "two", "--var", "phi", "--start", "0", "--stop", "1",
+         "--count", "1000001"],
     ])
     def test_refused_grids_allocate_nothing(self, capsys, argv):
         tracemalloc.start()

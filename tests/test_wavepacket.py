@@ -18,7 +18,6 @@ from photon_router import (
     Channel,
     NonFinite,
     ParameterError,
-    QuadratureSpec,
     QuadratureUnderResolved,
     RouterParams,
     WavePacket,
@@ -27,7 +26,6 @@ from photon_router import (
     packet_output_numbers,
     shared_packet_frame,
 )
-from photon_router.wavepacket import MAX_NODES
 
 PI = math.pi
 
@@ -84,52 +82,6 @@ class TestGaussianSpectrum:
         omegas = np.linspace(-8 * 0.17, 8 * 0.17, 4001)
         norm = np.trapezoid(np.abs(gaussian_spectrum(p, omegas)) ** 2, omegas)
         assert norm == pytest.approx(2.3, abs=1e-9)
-
-
-class TestQuadratureSpec:
-    def test_defaults(self):
-        spec = QuadratureSpec()
-        assert spec.points == 4001
-        assert spec.window_halfwidth == 8.0
-        assert spec.rule == "simpson"
-
-    @pytest.mark.parametrize("kwargs", [
-        {"points": 4000},
-        {"points": 1999},
-        {"window_halfwidth": 5.0},
-        {"rule": "midpoint"},
-        {"points": 4001.0},
-        {"points": True},
-        {"points": "4001"},
-    ])
-    def test_rejects_bad_settings(self, kwargs):
-        with pytest.raises(ParameterError):
-            QuadratureSpec(**kwargs)
-
-    @pytest.mark.filterwarnings("error")  # refused before numpy sees the window
-    @pytest.mark.parametrize("halfwidth", [math.nan, math.inf])
-    def test_rejects_non_finite_window(self, halfwidth):
-        with pytest.raises(NonFinite, match="window_halfwidth must be finite"):
-            QuadratureSpec(window_halfwidth=halfwidth)
-
-    def test_points_ceiling(self):
-        # the last of four halvings of 125 001 points has MAX_NODES nodes
-        assert (QuadratureSpec(points=125_001).points - 1) * 2 ** 4 + 1 == MAX_NODES
-        with pytest.raises(ParameterError, match="would take 2000033 > 2000001 nodes"):
-            QuadratureSpec(points=125_003)
-
-    # 10**15 + 1 points would not even be allocatable; 125 003 would
-    @pytest.mark.parametrize("points", [125_003, 10 ** 15 + 1])
-    def test_points_above_ceiling_allocate_nothing(self, points):
-        tracemalloc.start()
-        try:
-            with pytest.raises(ParameterError, match="points must be <= 125001"):
-                packet_output_numbers(RouterParams(), _pair(0.5),
-                                      QuadratureSpec(points=points))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 100_000
 
 
 class TestSharedFrame:
@@ -218,16 +170,16 @@ class TestPacketRouting:
     def test_simpson_and_trapezoid_agree(self):
         params = RouterParams(gamma2=0.6, gamma_c=0.1, omega_c=0.2)
         packets = _pair(1.3)
-        a = packet_output_numbers(params, packets, QuadratureSpec(rule="simpson"))
-        b = packet_output_numbers(params, packets, QuadratureSpec(rule="trapezoid"))
+        a = packet_output_numbers(params, packets)
+        b = packet_output_numbers_full_grid(params, packets, rule="trapezoid")
         for ch in Channel:
             assert abs(a.n_out[ch] - b.n_out[ch]) <= 1e-6 * max(a.n_out[ch], 1.0)
 
     def test_point_doubling_is_converged(self):
         params = RouterParams(gamma_c=0.1)
         packets = _pair(0.7)
-        a = packet_output_numbers(params, packets, QuadratureSpec(points=4001))
-        b = packet_output_numbers(params, packets, QuadratureSpec(points=8001))
+        a = packet_output_numbers(params, packets)
+        b = packet_output_numbers_full_grid(params, packets, points=8001)
         for ch in Channel:
             scale = max(abs(a.n_out[ch]), 1e-9 * a.n_in)
             assert abs(a.n_out[ch] - b.n_out[ch]) <= 1e-6 * scale
@@ -341,34 +293,32 @@ class TestNestedHalving:
     the bits of full-grid evaluations of every resolution."""
 
     @staticmethod
-    def _assert_same_bits(params, packets, quad):
-        rep = packet_output_numbers(params, packets, quad)
-        ref = packet_output_numbers_full_grid(params, packets, quad)
+    def _assert_same_bits(params, packets):
+        rep = packet_output_numbers(params, packets)
+        ref = packet_output_numbers_full_grid(params, packets)
         assert [rep.n_out[ch] for ch in Channel] == [ref.n_out[ch] for ch in Channel]
         assert (rep.n_in, rep.n_total, rep.loss) == (ref.n_in, ref.n_total, ref.loss)
 
-    @pytest.mark.parametrize("rule", ["simpson", "trapezoid"])
-    @pytest.mark.parametrize("points", [2001, 4001, 8001])
     @pytest.mark.parametrize("gamma_c", [0.0, 0.15])
     # narrower packets need more halvings: up to 32001 points
     @pytest.mark.parametrize("count, Omega", [(1, 0.3), (2, 0.02), (3, 0.005), (4, 0.05)])
-    def test_matches_full_grid(self, rule, points, gamma_c, count, Omega):
-        rng = np.random.default_rng([points, count, int(gamma_c > 0)])
+    def test_matches_full_grid(self, gamma_c, count, Omega):
+        rng = np.random.default_rng([4001, count, int(gamma_c > 0)])
         params = RouterParams(gamma2=0.7, gamma_c=gamma_c, omega_c=0.2)
         packets = [WavePacket(ch, mean_n=float(rng.uniform(0.1, 3.0)), omega0=0.1,
                               Omega=Omega, phase=float(rng.uniform(0.0, 2 * PI)))
                    for ch in list(Channel)[:count]]
-        self._assert_same_bits(params, packets, QuadratureSpec(points=points, rule=rule))
+        self._assert_same_bits(params, packets)
 
     def test_widened_window_matches_full_grid(self):
         params = RouterParams(gamma2=0.5, gamma_c=0.1, omega_c=2.0)
-        self._assert_same_bits(params, _pair(0.9, Omega=0.1), QuadratureSpec())
+        self._assert_same_bits(params, _pair(0.9, Omega=0.1))
 
     def test_under_resolved_like_full_grid(self):
         params = RouterParams(omega_c=5.0)
         packets = [WavePacket(Channel.R1, mean_n=1.0, Omega=1e-3)]
         with pytest.raises(QuadratureUnderResolved):
-            packet_output_numbers_full_grid(params, packets, QuadratureSpec())
+            packet_output_numbers_full_grid(params, packets)
         with pytest.raises(QuadratureUnderResolved):
             packet_output_numbers(params, packets)
 
@@ -395,7 +345,7 @@ class TestMomentQuadrature:
     def test_matches_scatter_route(self, case):
         params, packets = self._scenario(*case)
         rep = packet_output_numbers(params, packets)
-        ref = packet_output_numbers_scatter(params, packets, QuadratureSpec())
+        ref = packet_output_numbers_scatter(params, packets)
         for ch in Channel:
             assert abs(rep.n_out[ch] - ref.n_out[ch]) <= 1e-14 * rep.n_in
 
