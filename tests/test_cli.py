@@ -342,6 +342,8 @@ class TestErrorPaths:
         ["sweep", "--case", "two", "--var", "phi",
          "--start", "0", "--stop", "1", "--count", "1000000",
          "--var2", "delta", "--start2", "0", "--stop2", "1", "--count2", "1000000"],
+        ["sweep", "--case", "packet", "--var", "phi",
+         "--start", "0", "--stop", "1", "--count", "1000001"],
     ])
     def test_usage_errors_are_one_line(self, capsys, argv):
         code, out, err = run_cli(capsys, argv)

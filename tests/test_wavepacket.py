@@ -25,6 +25,7 @@ from photon_router import (
     mean_output_two,
     packet_output_numbers,
     shared_packet_frame,
+    wavepacket,
 )
 
 PI = math.pi
@@ -293,22 +294,26 @@ class TestNestedHalving:
     the bits of full-grid evaluations of every resolution."""
 
     @staticmethod
-    def _assert_same_bits(params, packets):
+    def _assert_same_bits(params, packets, points=4001):
         rep = packet_output_numbers(params, packets)
-        ref = packet_output_numbers_full_grid(params, packets)
+        ref = packet_output_numbers_full_grid(params, packets, points)
         assert [rep.n_out[ch] for ch in Channel] == [ref.n_out[ch] for ch in Channel]
         assert (rep.n_in, rep.n_total, rep.loss) == (ref.n_in, ref.n_total, ref.loss)
 
+    # the halving is exact from any odd Simpson base grid, not only from the
+    # library's 4001 points
+    @pytest.mark.parametrize("points", [2001, 4001, 8001], ids=lambda p: f"{p}-simpson")
     @pytest.mark.parametrize("gamma_c", [0.0, 0.15])
-    # narrower packets need more halvings: up to 32001 points
+    # narrower packets need more halvings: up to 32001 points at base 4001
     @pytest.mark.parametrize("count, Omega", [(1, 0.3), (2, 0.02), (3, 0.005), (4, 0.05)])
-    def test_matches_full_grid(self, gamma_c, count, Omega):
-        rng = np.random.default_rng([4001, count, int(gamma_c > 0)])
+    def test_matches_full_grid(self, monkeypatch, points, gamma_c, count, Omega):
+        monkeypatch.setattr(wavepacket, "_POINTS", points)
+        rng = np.random.default_rng([points, count, int(gamma_c > 0)])
         params = RouterParams(gamma2=0.7, gamma_c=gamma_c, omega_c=0.2)
         packets = [WavePacket(ch, mean_n=float(rng.uniform(0.1, 3.0)), omega0=0.1,
                               Omega=Omega, phase=float(rng.uniform(0.0, 2 * PI)))
                    for ch in list(Channel)[:count]]
-        self._assert_same_bits(params, packets)
+        self._assert_same_bits(params, packets, points)
 
     def test_widened_window_matches_full_grid(self):
         params = RouterParams(gamma2=0.5, gamma_c=0.1, omega_c=2.0)
