@@ -22,11 +22,10 @@ one `time_domain_report` at Omega = 0.3 and one at Omega = 0.01 (about
 block), each `verify` suite, and through the CLI the
 101 x 101 `three` grid, the 201-point packet phase sweep, the
 --dump-trajectory point and one point command. `scatter` takes its
-amplitudes as one complex (..., 4) array in CHANNELS order; a tree from
-before that layout, such as an older --base, gets the same drive as a
-`ChannelAmplitudes`. Times are medians of repeated calls after one warm-up
-call. Beside each time, `minflt_per_call` records the minor page faults per
-call, from the process's `ru_minflt` over the timed calls.
+amplitudes as one complex (..., 4) array in CHANNELS order. Times are
+medians of repeated calls after one warm-up call. Beside each time,
+`minflt_per_call` records the minor page faults per call, from the
+process's `ru_minflt` over the timed calls.
 
 The layers run in one process in the order above, so a layer's time and
 faults depend on what earlier layers freed: glibc raises its mmap threshold
@@ -88,17 +87,14 @@ def layer_times(tmp: str) -> dict:
     """
     import numpy as np
 
-    from photon_router import cli, scattering, verify
+    from photon_router import cli, verify
     from photon_router.core import Channel, QuadratureUnderResolved, RouterParams, WavePacket
     from photon_router.oracle import time_domain_report
     from photon_router.scattering import mean_output_two, scatter
     from photon_router.wavepacket import packet_output_numbers
 
     params = RouterParams(gamma2=0.7, gamma_c=0.1)
-    if hasattr(scattering, "ChannelAmplitudes"):  # a tree before the (..., 4) layout
-        amps = scattering.ChannelAmplitudes(r1=1.0, l1=1j)
-    else:
-        amps = np.array([1.0, 1j, 0.0, 0.0])
+    amps = np.array([1.0, 1j, 0.0, 0.0])
     deltas = np.linspace(-5.0, 5.0, 10001)
     packets = [WavePacket(Channel.R1, 1.0, Omega=0.3),
                WavePacket(Channel.L1, 1.0, Omega=0.3, phase=1.0)]

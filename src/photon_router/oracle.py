@@ -14,9 +14,11 @@ which is exactly what this module exists to cross-check.
 The integrator is classical fixed-step RK4. The equation is linear with
 constant coefficients, so each step is c[i+1] = R c[i] + B[i] with a fixed
 gain R, and the steps are solved in numpy as that recurrence, by doubling, a
-block of 2^16 steps at a time plus the carry c0 R^(1..m) of the amplitude c0
-a block starts from. Fluxes use the trapezoid rule, effectively exact here
-because every integrand vanishes at the window edges.
+block of 2^16 steps at a time, the amplitude c0 a block starts from entering
+its first step as R c0. Each power R^s the doubling takes is exp(s log R),
+log R computed from z = h lam without rounding R: repeated squaring would
+leave R^s about s eps off. Fluxes use the trapezoid rule, effectively exact
+here because every integrand vanishes at the window edges.
 
 `integrate_cavity` takes drives as data: each driven channel's mean input
 field sampled at `TimeGrid.half_nodes`, the step ends and midpoints RK4
@@ -34,6 +36,7 @@ block stream, holds an array as long as the grid.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Mapping, Sequence
@@ -159,12 +162,6 @@ def _lam(params: RouterParams) -> complex:
     return complex(-1j * params.omega_c - params.total_decay)
 
 
-def _rk4_gain(grid: TimeGrid, params: RouterParams) -> complex:
-    """RK4 growth factor per step, R = 1 + z + z^2/2 + z^3/6 + z^4/24, z = h lam."""
-    z = grid.step * _lam(params)
-    return 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
-
-
 def _check_grid(grid: TimeGrid, params: RouterParams) -> None:
     if grid.n_steps < 1000:
         raise GridTooCoarse(f"need >= 1000 steps, got {grid.n_steps}")
@@ -172,7 +169,9 @@ def _check_grid(grid: TimeGrid, params: RouterParams) -> None:
     if grid.step > limit * (1.0 + 1e-9):
         raise GridTooCoarse(
             f"step {grid.step:.3e} exceeds 0.01/total_decay = {limit:.3e}")
-    gain = abs(_rk4_gain(grid, params))
+    # RK4's growth factor per step, R = 1 + z + z^2/2 + z^3/6 + z^4/24
+    z = grid.step * _lam(params)
+    gain = abs(1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0))))
     if not gain < 1.0:      # NaN too: R overflows for huge h * omega_c
         raise GridTooCoarse(
             f"RK4 is unstable on this grid: |R| = {gain:.6g} >= 1 at step "
@@ -193,20 +192,21 @@ def _samples(drives: Mapping[Channel, np.ndarray], grid: TimeGrid) -> dict:
     return out
 
 
-def _gain_powers(r: complex, m: int) -> np.ndarray:
-    """R^(1..m) by doubling: each new power is a product of two below it.
-
-    R^(2^j) comes out bit for bit as the repeated square the block's scan
-    multiplies by, so the carry rounds as the scan does.
-    """
-    powers = np.empty(m, dtype=complex)
-    powers[0] = r
-    s = 1
-    while s < m:
-        k = min(s, m - s)
-        powers[s:s + k] = powers[:k] * powers[s - 1]
-        s *= 2
-    return powers
+def _log_gain(z: complex) -> complex:
+    """log R for RK4's gain R = T4(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 at z = h lam,
+    without rounding R: T4 = e^z - S with S = sum_{k>=5} z^k/k!, so
+    log T4 = z + log1p(w) with w = -e^-z S."""
+    term = z ** 5 / 120.0
+    s = 0j
+    k = 5
+    while s + term != s:
+        s += term
+        k += 1
+        term *= z / k
+    w = -cmath.exp(-z) * s
+    # log1p(w), which numpy rounds to w.imag * 1j when |w| is tiny
+    return z + complex(0.5 * math.log1p(2.0 * w.real + abs(w) ** 2),
+                       math.atan2(w.imag, 1.0 + w.real))
 
 
 def _recurrence(params: RouterParams, grid: TimeGrid) -> Callable:
@@ -224,8 +224,7 @@ def _recurrence(params: RouterParams, grid: TimeGrid) -> Callable:
     w0 = h / 6.0 * (1.0 + 2.0 * a * (1.0 + a * (1.0 + a)))
     wh = h / 6.0 * (4.0 + a * (4.0 + 2.0 * a))
     w1 = h / 6.0
-    r = _rk4_gain(grid, params)
-    powers = _gain_powers(r, _BLOCK) if grid.n_steps > _BLOCK else None
+    log_r = _log_gain(h * _lam(params))
 
     def solve(forcing: np.ndarray, c: np.ndarray) -> None:
         m = len(c) - 1
@@ -236,18 +235,17 @@ def _recurrence(params: RouterParams, grid: TimeGrid) -> Callable:
         np.multiply(w0, forcing[:-1:2], out=b)
         b += np.multiply(wh, forcing[1::2], out=tmp)
         b += np.multiply(w1, forcing[2::2], out=tmp)
-        # Solve the block from zero by doubling: after the pass with shift s,
-        # b[i] sums R^k B[i-k] over k < 2s, so after ceil(log2 m) passes each
-        # sum reaches back to the block's start. Then add what c0 = c[0]
-        # contributes, c0 R^(i+1) at node i + 1.
-        g = r
+        # c0 = c[0] enters the first step, so the scan carries c0 R^(i+1) to
+        # node i + 1; a block starting from 0 keeps its bits
+        if c[0]:
+            b[0] += cmath.exp(log_r) * c[0]
+        # Solve by doubling: after the pass with shift s, b[i] sums R^k B[i-k]
+        # over k < 2s, so after ceil(log2 m) passes each sum reaches back to
+        # the block's start.
         s = 1
         while s < m:
-            b[s:] += np.multiply(g, b[:-s], out=tmp[:m - s])
-            g *= g
+            b[s:] += np.multiply(cmath.exp(s * log_r), b[:-s], out=tmp[:m - s])
             s *= 2
-        if c[0]:
-            b += np.multiply(c[0], powers[:m], out=tmp)
 
     return solve
 

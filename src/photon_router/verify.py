@@ -343,7 +343,7 @@ def _suite_oracle() -> list[CheckResult]:
     td = time_domain_report(params, packets)
     fd = packet_output_numbers(params, packets)
     dev = max(_report_dev(td, fd, td.n_in), abs(td.n_total - fd.n_total) / td.n_in)
-    out.append(CheckResult("oracle", "parseval-broadband", dev, 1e-4, dev <= 1e-4,
+    out.append(CheckResult("oracle", "parseval-broadband", dev, 1e-10, dev <= 1e-10,
                            "time-domain vs frequency-domain, Omega = 0.3, "
                            "gamma_c = 0.1"))
 
@@ -362,8 +362,8 @@ def _suite_oracle() -> list[CheckResult]:
     params = RouterParams(gamma1=1.0, gamma2=0.8)
     rep = time_domain_report(params, _two_packets(1.1))
     dev = abs(rep.loss) / rep.n_in
-    out.append(CheckResult("oracle", "time-domain-conservation", dev, 1e-6,
-                           dev <= 1e-6, "gamma_c = 0 packet pair"))
+    out.append(CheckResult("oracle", "time-domain-conservation", dev, 1e-10,
+                           dev <= 1e-10, "gamma_c = 0 packet pair"))
 
     params = RouterParams(gamma1=1.0, gamma2=1.0, gamma_c=0.1)
     base = time_domain_report(params, _two_packets(1.1))
