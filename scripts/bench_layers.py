@@ -20,8 +20,9 @@ Omega = 0.001 and cavity detuning 5 up to its QuadratureUnderResolved,
 one `time_domain_report` at Omega = 0.3 and one at Omega = 0.01 (about
 434 000 RK4 steps, the only layer the oracle solves in more than one
 block), each `verify` suite, and through the CLI the
-101 x 101 `three` grid, the 201-point packet phase sweep, the
---dump-trajectory point and one point command. `scatter` takes its
+101 x 101 `three` grid, the 201-point packet phase sweep (one quadrature
+for all phases), the 61-point packet detuning sweep (one quadrature per
+point), the --dump-trajectory point and one point command. `scatter` takes its
 amplitudes as one complex (..., 4) array in CHANNELS order. Times are
 medians of repeated calls after one warm-up call. Beside each time,
 `minflt_per_call` records the minor page faults per call, from the
@@ -113,6 +114,10 @@ def layer_times(tmp: str) -> dict:
     phase_sweep = ["sweep", "--case", "packet", "--gamma-c", "0.1", "--var", "phi",
                    "--start", "0", "--stop", TWO_PI, "--count", "201",
                    "--out", os.path.join(tmp, "phase.csv")]
+    # one quadrature per point: each point has its own detuning
+    detuning_sweep = ["sweep", "--case", "packet", "--phi", "1.0", "--var", "delta",
+                      "--start", "-3", "--stop", "3", "--count", "61",
+                      "--out", os.path.join(tmp, "detuning.csv")]
     dump = ["packet", "--gamma-c", "0.1", "--phi", "1.5707963267948966",
             "--dump-trajectory", os.path.join(tmp, "traj.csv"),
             "--out", os.path.join(tmp, "row.csv")]
@@ -133,6 +138,7 @@ def layer_times(tmp: str) -> dict:
     layers += [
         ("cli_three_101x101", lambda: cli.main(grid), 2.0, 50),
         ("packet_sweep_phase_201", lambda: cli.main(phase_sweep), 2.0, 50),
+        ("packet_sweep_detuning_61", lambda: cli.main(detuning_sweep), 2.0, 50),
         ("cli_trajectory_dump", lambda: cli.main(dump), 2.0, 50),
         ("cli_point_command", _quiet(lambda: cli.main(point)), 1.0, 5000),
     ]

@@ -8,8 +8,10 @@ with a relative phase; `sweep` grids one or two scenario variables;
 
 A monochromatic sweep is one call of the closed form on arrays, rates
 included; a point command is the same call on scalars, which gives the same
-bits as the matching sweep element. Packet sweeps call the quadrature once
-per point.
+bits as the matching sweep element. A packet sweep calls the quadrature once
+per distinct (gamma2, gamma_c, delta, Omega), with the phi values of those
+points as one array (in blocks of 8192), since its line moments do not depend
+on phi; each row again has the bits of the matching point command.
 
 All data commands emit CSV (header always present) to --out or stdout
 (`--out -` is stdout). Floats are written as shortest round-trip decimals
@@ -96,6 +98,9 @@ _VAR_KEY = {"Omega": "bandwidth"}
 _PHASES = ("phi", "theta", "theta_prime")
 # rows of the numbers array an evaluation returns, the last CSV columns
 _RESULTS = ("N_r1", "N_l1", "N_r2", "N_l2", "N_total", "loss")
+# phi values per packet call: its arrays, about 135 bytes per value, stay
+# below the quadrature's own rows (1.5 MB at most)
+_PHI_BLOCK = 8192
 # lines formatted per block, which bounds the memory of their text; larger
 # blocks, or one copy of all rows, raised the peak memory above that of the
 # row-by-row csv.writer this replaced
@@ -236,14 +241,44 @@ def _packet_scenario(scn: dict) -> tuple[RouterParams, list[WavePacket]]:
     return params, packets
 
 
-def _packet_numbers(scn: dict, grid: dict, size: int) -> np.ndarray:
-    numbers = np.empty((len(_RESULTS), size))
-    for i in range(size):
-        local = dict(scn)
-        local.update((key, float(values[i])) for key, values in grid.items())
-        params, packets = _packet_scenario(local)
-        rep = packet_output_numbers(params, packets)
-        numbers[:, i] = _report_values(rep)
+def _packet_numbers(scn: dict, grid: dict, axes: Sequence[SweepAxis]) -> np.ndarray:
+    """One packet_output_numbers call per distinct (gamma2, gamma_c, delta,
+    Omega) of the grid, in grid order, with the phi values of its points as
+    one array (up to _PHI_BLOCK of them): the quadrature's line moments do
+    not depend on phi."""
+    phis = grid.get("phi")
+    index = np.arange(math.prod(ax.count for ax in axes)).reshape([ax.count for ax in axes])
+    if phis is not None:
+        index = np.moveaxis(index, [ax.variable for ax in axes].index("phi"), -1)
+    # grid indices per call, their points differing in phi alone
+    groups = [row[i:i + _PHI_BLOCK]
+              for row in index.reshape(-1, 1 if phis is None else index.shape[-1])
+              for i in range(0, row.size, _PHI_BLOCK)]
+
+    def scenario(first: int, phi) -> tuple[RouterParams, list[WavePacket]]:
+        local = dict(scn, phi=phi)
+        local.update((key, float(values[first])) for key, values in grid.items()
+                     if key != "phi")
+        return _packet_scenario(local)
+
+    numbers = np.empty((len(_RESULTS), index.size))
+    failed = []
+    for points in groups:
+        try:
+            rep = packet_output_numbers(*scenario(
+                points[0], scn["phi"] if phis is None else phis[points]))
+        except RouterError:
+            if phis is None:
+                raise  # one point per call, in grid order
+            failed.extend(points.tolist())
+            continue
+        for row, value in zip(numbers, _report_values(rep)):
+            row[points] = value
+    # an array call's error names an index of its own array; the failed
+    # groups' points, run one at a time in grid order, raise the error of the
+    # sweep's lowest failing point, as its point command would
+    for i in sorted(failed):
+        numbers[:, i] = _report_values(packet_output_numbers(*scenario(i, float(phis[i]))))
     return numbers
 
 
@@ -335,7 +370,7 @@ def _run(args: argparse.Namespace, case: str, axes: Sequence[SweepAxis]) -> int:
     # the reports turn into one NonFinite line instead of numpy warnings
     with np.errstate(all="ignore"):
         if case == "packet":
-            numbers = _packet_numbers(scn, grid, size)
+            numbers = _packet_numbers(scn, grid, axes)
         else:
             numbers = _mono_numbers(case, scn, grid, size)
     if getattr(args, "dump_trajectory", None) is not None:

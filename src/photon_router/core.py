@@ -181,9 +181,10 @@ def overflow_guard(safe):
 
     `safe` is a cheap comparison that rules overflow out. When it holds, as
     in every ordinary call, the context does nothing; otherwise it silences
-    numpy's overflow warning, which would come before the NonFinite.
+    numpy's warnings on overflow and on the inf - inf that may follow it,
+    which would come before the NonFinite.
     """
-    return _NO_GUARD if holds(safe) else np.errstate(over="ignore")
+    return _NO_GUARD if holds(safe) else np.errstate(over="ignore", invalid="ignore")
 
 
 def validate(params: RouterParams) -> RouterParams:
@@ -201,16 +202,38 @@ def validate(params: RouterParams) -> RouterParams:
     return params
 
 
+def require_scalar(record, *names: str, where: str = " on this route") -> None:
+    """Raise ParameterError naming the first of the fields `names` of
+    `record` that holds an array."""
+    for name in names:
+        shape = getattr(getattr(record, name), "shape", ())
+        if shape:
+            raise ParameterError(
+                f"{name} must be a scalar{where}, got an array of shape {shape}")
+
+
+def broadcast_shape(what: str, *values) -> tuple:
+    """Shape the scalars or arrays `values` broadcast to.
+
+    Raises ParameterError, naming `what` and the shapes, if they do not
+    broadcast together.
+    """
+    shapes = [getattr(v, "shape", ()) for v in values]
+    if not any(shapes):
+        return ()
+    try:
+        return np.broadcast_shapes(*shapes)
+    except ValueError:
+        raise ParameterError(
+            f"{what} do not broadcast together, got shapes {shapes}") from None
+
+
 def validate_scalar(params: RouterParams) -> RouterParams:
     """validate() for the routes that take one rate set per call.
 
     Raises ParameterError when any field of `params` is an array.
     """
-    for name in ("gamma1", "gamma2", "gamma_c", "omega_c"):
-        shape = getattr(getattr(params, name), "shape", ())
-        if shape:
-            raise ParameterError(
-                f"{name} must be a scalar on this route, got an array of shape {shape}")
+    require_scalar(params, "gamma1", "gamma2", "gamma_c", "omega_c")
     return validate(params)
 
 
@@ -222,6 +245,11 @@ class WavePacket:
     2*Omega, integrated mean photon number mean_n, carrier phase `phase`.
     Omega lies in [2^-510, 2^510], where Omega^2 and 2 pi Omega^2 are
     normal doubles.
+
+    mean_n and phase are floats or numpy arrays that broadcast together, one
+    packet per element; the packet quadrature evaluates all elements in one
+    call, the time-domain oracle takes scalars only. omega0 and Omega set
+    the quadrature window and stay scalar. Errors name the first bad element.
     """
 
     channel: Channel
@@ -231,10 +259,11 @@ class WavePacket:
     phase: float = 0.0
 
     def __post_init__(self):
-        if not all(math.isfinite(x) for x in (self.mean_n, self.omega0, self.Omega, self.phase)):
-            raise NonFinite(f"non-finite entry in {self}")
-        if self.mean_n < 0.0:
-            raise NegativeRate(f"mean_n must be >= 0, got {self.mean_n}")
+        require_scalar(self, "omega0", "Omega", where="")
+        broadcast_shape("mean_n and phase", self.mean_n, self.phase)
+        require_finite(mean_n=self.mean_n, omega0=self.omega0, Omega=self.Omega,
+                       phase=self.phase)
+        require(self.mean_n >= 0.0, NegativeRate, "mean_n must be >= 0", self.mean_n)
         if not 2.0 ** -510 <= self.Omega <= 2.0 ** 510:
             raise ParameterError(
                 f"Omega must be in [2^-510, 2^510] (about 3e-154 to 3e153), got {self.Omega}")

@@ -32,6 +32,10 @@ X = int env c; then n_in = sum_ch |alpha_ch|^2 E and
 N_ch = |alpha_ch|^2 E + gamma_ch C + 2 sqrt(gamma_ch) Im(conj(alpha_ch) X).
 Neither it nor `verify`'s plateau check, which reads one node of the same
 block stream, holds an array as long as the grid.
+
+The oracle integrates one set of packets per call: `default_grid`,
+`time_pulse` and `time_domain_report` raise ParameterError for a packet whose
+mean_n or phase is an array.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ from .core import (
     PulseNotContained,
     RouterParams,
     WavePacket,
+    require_scalar,
     validate_scalar,
 )
 from .wavepacket import shared_packet_frame
@@ -119,6 +124,8 @@ def default_grid(params: RouterParams, packets: Sequence[WavePacket],
                  t0: float = 0.0) -> TimeGrid:
     """Grid covering 12/Omega on both sides of the pulse peak plus ring-down."""
     validate_scalar(params)
+    for p in packets:
+        require_scalar(p, "mean_n", "phase")
     omega0, Omega = shared_packet_frame(packets)
     gtot = params.total_decay
     rotation = abs(params.omega_c - omega0)
@@ -148,6 +155,7 @@ def time_pulse(packet: WavePacket, t, t0: float = 0.0):
     the Fourier pair of the Gaussian spectrum; integrates to mean_n in flux.
     The carrier factor is skipped at omega0 = 0, the rotating frame's case.
     """
+    require_scalar(packet, "mean_n", "phase")
     tau = np.asarray(t, dtype=float) - t0
     pulse = _amplitude(packet) * _envelope(packet.Omega, tau)
     if packet.omega0 != 0.0:
@@ -319,6 +327,8 @@ def _envelope_blocks(params: RouterParams, packets: Sequence[WavePacket], grid: 
     PulseNotContained if the envelope mass outside the window exceeds 1e-10.
     """
     validate_scalar(params)
+    for p in packets:
+        require_scalar(p, "mean_n", "phase")
     omega0, Omega = shared_packet_frame(packets)
     mass_out = 0.5 * (math.erfc(math.sqrt(2.0) * Omega * (t0 - grid.t_start))
                       + math.erfc(math.sqrt(2.0) * Omega * (grid.t_end - t0)))

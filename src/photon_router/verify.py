@@ -56,7 +56,8 @@ def _report_dev(a: OutputReport, b: OutputReport, scale) -> float:
     return float(max(np.max(np.abs(a.n_out[ch] - b.n_out[ch]) / scale) for ch in CHANNELS))
 
 
-def _two_packets(phi: float, mean_n: float = 1.0, Omega: float = 0.3) -> list[WavePacket]:
+def _two_packets(phi: float | np.ndarray, mean_n: float = 1.0,
+                 Omega: float = 0.3) -> list[WavePacket]:
     return [
         WavePacket(Channel.R1, mean_n=mean_n, Omega=Omega),
         WavePacket(Channel.L1, mean_n=mean_n, Omega=Omega, phase=phi),
@@ -282,8 +283,7 @@ def _suite_wavepacket() -> list[CheckResult]:
 
     params = RouterParams(gamma1=1.0, gamma2=1.0, gamma_c=0.1)
     phis = np.linspace(0.0, 2.0 * math.pi, 41)
-    max_r2 = max(packet_output_numbers(params, _two_packets(float(p))).n_r2
-                 for p in phis)
+    max_r2 = float(np.max(packet_output_numbers(params, _two_packets(phis)).n_r2))
     r1_at_pi = packet_output_numbers(params, _two_packets(math.pi)).n_r1
     dev = max(max_r2 - 1.0, 0.98 - r1_at_pi)
     out.append(CheckResult("wavepacket", "bandwidth-degradation", dev, 0.0, dev < 0.0,

@@ -222,9 +222,20 @@ class TestSweep:
         ("three", ["--theta", "0.9", "--theta-prime", "2.6", "--delta", "-1.2"],
          ["--var", "gamma_c", "--start", "0", "--stop", "0.8", "--count", "3",
           "--var2", "gamma2", "--start2", "0.1", "--stop2", "1.9", "--count2", "4"]),
+        # packet sweeps: one quadrature per (rates, delta, Omega), the phi
+        # values of its points as one array, phi as outer and as inner axis
+        ("packet", ["--gamma-c", "0.1"],
+         ["--var", "phi", "--start", "0", "--stop", "6.283185307179586", "--count", "201"]),
+        ("packet", ["--gamma2", "0.6", "--gamma-c", "0.05"],
+         ["--var", "phi", "--start", "-10", "--stop", "10", "--count", "9",
+          "--var2", "delta", "--start2", "-2", "--stop2", "3", "--count2", "5"]),
+        ("packet", ["--gamma2", "0"],
+         ["--var", "Omega", "--start", "0.05", "--stop", "1", "--count", "4",
+          "--var2", "phi", "--start2", "-3", "--stop2", "3", "--count2", "5"]),
     ]
     FLAGS = {"delta": "--delta", "phi": "--phi", "theta": "--theta",
-             "theta_prime": "--theta-prime", "gamma2": "--gamma2", "gamma_c": "--gamma-c"}
+             "theta_prime": "--theta-prime", "gamma2": "--gamma2", "gamma_c": "--gamma-c",
+             "Omega": "--bandwidth"}
 
     @pytest.mark.parametrize("case,scenario,sweep", GRIDS)
     def test_sweep_rows_equal_point_rows(self, capsys, case, scenario, sweep):
@@ -239,6 +250,17 @@ class TestSweep:
                 point += [self.FLAGS[var], row[var]]
             _, single, _ = run_cli(capsys, point)
             assert single.splitlines()[1] == line
+
+    def test_packet_phi_blocks_keep_bytes(self, capsys, monkeypatch):
+        # a group's phi values go to the quadrature in blocks; how they are
+        # split changes no byte
+        sweep = ["sweep", "--case", "packet", "--gamma-c", "0.2", "--var", "phi",
+                 "--start", "-4", "--stop", "4", "--count", "7", "--var2", "delta",
+                 "--start2", "-1", "--stop2", "2", "--count2", "3"]
+        _, whole, _ = run_cli(capsys, sweep)
+        monkeypatch.setattr(cli, "_PHI_BLOCK", 3)
+        _, blocks, _ = run_cli(capsys, sweep)
+        assert blocks == whole and len(whole.splitlines()) == 22
 
     def test_repeat_runs_identical(self, capsys):
         _, first, _ = run_cli(capsys, self.SCAN)
@@ -308,42 +330,45 @@ class TestConfig:
 
 class TestErrorPaths:
     @pytest.mark.parametrize("argv", [
-        [],
-        ["two", "--nope", "1"],
-        ["verify", "--suite", "bogus"],
-        ["two", "--mean-n", "-1"],
-        ["single", "--gamma1", "-1"],
-        ["sweep", "--case", "two", "--var", "phi",
-         "--start", "0", "--stop", "1", "--count", "1"],
-        ["sweep", "--case", "two", "--var", "phi",
-         "--start", "1", "--stop", "1", "--count", "5"],
-        ["sweep", "--case", "two", "--var", "phi",
-         "--start", "0", "--stop", "1", "--count", "5",
-         "--var2", "phi", "--start2", "0", "--stop2", "1", "--count2", "5"],
-        ["sweep", "--case", "two", "--var", "phi",
-         "--start", "0", "--stop", "1", "--count", "5", "--var2", "delta"],
-        ["sweep", "--case", "single", "--var", "phi",
-         "--start", "0", "--stop", "1", "--count", "5"],
-        ["sweep", "--case", "two", "--var", "phi",
-         "--start", "0", "--stop", "inf", "--count", "5"],
-        ["sweep", "--case", "two", "--var", "gamma2",
-         "--start", "-1", "--stop", "1", "--count", "5"],
-        ["single", "--delta", "nan"],
-        ["two", "--mean-n", "1e308"],
-        ["two", "--gamma2", "0", "--gamma-c", "1e-9", "--delta", "1",
-         "--phi", "-1.5707963", "--mean-n", "1e308"],
-        ["three", "--theta", "inf"],
+        pytest.param([], id="argv0"),
+        pytest.param(["two", "--nope", "1"], id="argv1"),
+        pytest.param(["verify", "--suite", "bogus"], id="argv2"),
+        pytest.param(["two", "--mean-n", "-1"], id="argv3"),
+        pytest.param(["single", "--gamma1", "-1"], id="argv4"),
+        pytest.param(["sweep", "--case", "two", "--var", "phi",
+                      "--start", "0", "--stop", "1", "--count", "1"], id="argv5"),
+        pytest.param(["sweep", "--case", "two", "--var", "phi",
+                      "--start", "1", "--stop", "1", "--count", "5"], id="argv6"),
+        pytest.param(["sweep", "--case", "two", "--var", "phi",
+                      "--start", "0", "--stop", "1", "--count", "5",
+                      "--var2", "phi", "--start2", "0", "--stop2", "1", "--count2", "5"],
+                     id="argv7"),
+        pytest.param(["sweep", "--case", "two", "--var", "phi",
+                      "--start", "0", "--stop", "1", "--count", "5", "--var2", "delta"],
+                     id="argv8"),
+        pytest.param(["sweep", "--case", "single", "--var", "phi",
+                      "--start", "0", "--stop", "1", "--count", "5"], id="argv9"),
+        pytest.param(["sweep", "--case", "two", "--var", "phi",
+                      "--start", "0", "--stop", "inf", "--count", "5"], id="argv10"),
+        pytest.param(["sweep", "--case", "two", "--var", "gamma2",
+                      "--start", "-1", "--stop", "1", "--count", "5"], id="argv11"),
+        pytest.param(["single", "--delta", "nan"], id="argv12"),
+        pytest.param(["two", "--mean-n", "1e308"], id="argv13"),
+        pytest.param(["two", "--gamma2", "0", "--gamma-c", "1e-9", "--delta", "1",
+                      "--phi", "-1.5707963", "--mean-n", "1e308"], id="argv14"),
+        pytest.param(["three", "--theta", "inf"], id="argv15"),
         # Omega ** 2 underflowed to 0 (a ZeroDivisionError) or overflowed
-        ["packet", "--bandwidth", "1e-170"],
-        ["packet", "--bandwidth", "1e200"],
-        ["sweep", "--case", "two", "--var", "phi",
-         "--start", "0", "--stop", "1", "--count", "1000001"],
+        pytest.param(["packet", "--bandwidth", "1e-170"], id="argv16"),
+        pytest.param(["packet", "--bandwidth", "1e200"], id="argv17"),
+        pytest.param(["sweep", "--case", "two", "--var", "phi",
+                      "--start", "0", "--stop", "1", "--count", "1000001"], id="argv18"),
         # each axis within 1e6 points, their grid of 1e12 not
-        ["sweep", "--case", "two", "--var", "phi",
-         "--start", "0", "--stop", "1", "--count", "1000000",
-         "--var2", "delta", "--start2", "0", "--stop2", "1", "--count2", "1000000"],
-        ["sweep", "--case", "packet", "--var", "phi",
-         "--start", "0", "--stop", "1", "--count", "1000001"],
+        pytest.param(["sweep", "--case", "two", "--var", "phi",
+                      "--start", "0", "--stop", "1", "--count", "1000000",
+                      "--var2", "delta", "--start2", "0", "--stop2", "1",
+                      "--count2", "1000000"], id="argv19"),
+        pytest.param(["sweep", "--case", "packet", "--var", "phi",
+                      "--start", "0", "--stop", "1", "--count", "1000001"], id="argv20"),
     ])
     def test_usage_errors_are_one_line(self, capsys, argv):
         code, out, err = run_cli(capsys, argv)
@@ -355,13 +380,13 @@ class TestErrorPaths:
 
     # refused before the sweep's grid and results are allocated
     @pytest.mark.parametrize("argv", [
-        ["sweep", "--case", "packet", "--var", "phi", "--start", "0", "--stop", "1",
-         "--count", "1000001"],
-        ["sweep", "--case", "packet", "--var", "phi", "--start", "0", "--stop", "1",
-         "--count", "1000000", "--var2", "delta", "--start2", "0", "--stop2", "1",
-         "--count2", "1000000"],
-        ["sweep", "--case", "two", "--var", "phi", "--start", "0", "--stop", "1",
-         "--count", "1000001"],
+        pytest.param(["sweep", "--case", "packet", "--var", "phi", "--start", "0",
+                      "--stop", "1", "--count", "1000001"], id="argv0"),
+        pytest.param(["sweep", "--case", "packet", "--var", "phi", "--start", "0",
+                      "--stop", "1", "--count", "1000000", "--var2", "delta",
+                      "--start2", "0", "--stop2", "1", "--count2", "1000000"], id="argv1"),
+        pytest.param(["sweep", "--case", "two", "--var", "phi", "--start", "0",
+                      "--stop", "1", "--count", "1000001"], id="argv2"),
     ])
     def test_refused_grids_allocate_nothing(self, capsys, argv):
         tracemalloc.start()
@@ -373,6 +398,19 @@ class TestErrorPaths:
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1
         assert peak < 1_000_000
+
+    def test_failing_packet_sweep_reports_lowest_failing_point(self, capsys):
+        # phi outer, delta inner: the delta = 2 points fail, the first of them
+        # at grid index 1, and the sweep reports that point's own error; at
+        # this narrow band the message differs from phi to phi
+        code, out, err = run_cli(capsys, [
+            "sweep", "--case", "packet", "--bandwidth", "0.001", "--gamma-c", "0.1",
+            "--var", "phi", "--start", "0.5", "--stop", "4.5", "--count", "3",
+            "--var2", "delta", "--start2", "0", "--stop2", "2", "--count2", "2"])
+        assert (code, out) == (3, "")
+        point = ["packet", "--bandwidth", "0.001", "--gamma-c", "0.1", "--delta", "2"]
+        assert run_cli(capsys, point + ["--phi", "0.5"]) == (3, "", err)
+        assert run_cli(capsys, point + ["--phi", "4.5"])[2] != err
 
     def test_under_resolved_quadrature_is_code_3(self, capsys):
         code, out, err = run_cli(capsys, [

@@ -137,6 +137,30 @@ class TestWavePacket:
         with pytest.raises(NonFinite):
             WavePacket(Channel.R1, mean_n=math.nan)
 
+    def test_array_fields_broadcast(self):
+        p = WavePacket(Channel.R1, mean_n=np.array([[1.0], [2.0]]), phase=np.zeros(3))
+        assert p.mean_n.shape == (2, 1) and p.phase.shape == (3,)
+
+    @pytest.mark.parametrize("error, field, bad", [(NegativeRate, "mean_n", -0.5),
+                                                   (NonFinite, "mean_n", math.inf),
+                                                   (NonFinite, "phase", math.nan)])
+    def test_array_names_first_bad_element(self, error, field, bad):
+        with pytest.raises(error) as info:
+            WavePacket(Channel.R1, **{"mean_n": 1.0, field: np.array([0.5, bad, 1.0, bad])})
+        message = str(info.value)
+        assert message.startswith(f"{field} must be ")
+        assert message.endswith(f", got {bad!r} at index 1")
+        assert "\n" not in message
+
+    @pytest.mark.parametrize("field", ["omega0", "Omega"])
+    def test_window_fields_stay_scalar(self, field):
+        with pytest.raises(ParameterError, match=f"^{field} must be a scalar, got an array"):
+            WavePacket(Channel.R1, mean_n=1.0, **{field: np.array([0.3, 0.4])})
+
+    def test_mismatched_array_shapes_rejected(self):
+        with pytest.raises(ParameterError, match="^mean_n and phase do not broadcast"):
+            WavePacket(Channel.R1, mean_n=np.ones(2), phase=np.zeros(3))
+
 
 class TestOutputReport:
     def test_totals(self):

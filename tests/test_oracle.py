@@ -506,6 +506,31 @@ class TestTimeDomainReport:
         with pytest.raises(ParameterError, match=f"^{field} must be a scalar"):
             time_domain_report(params, _pair(0.0))
 
+    # the oracle integrates one set of packets per call; an array mean_n or
+    # phase is refused with one line naming the field
+    ARRAY_PACKETS = [
+        ("mean_n", [WavePacket(Channel.R1, mean_n=np.array([1.0, 2.0]), Omega=0.3)]),
+        ("phase", [WavePacket(Channel.R1, mean_n=1.0, Omega=0.3),
+                   WavePacket(Channel.L1, mean_n=1.0, Omega=0.3, phase=np.zeros(2))]),
+    ]
+
+    @pytest.mark.parametrize("field, packets", ARRAY_PACKETS, ids=["mean_n", "phase"])
+    def test_time_domain_report_refuses_array_packets(self, field, packets):
+        for grid in (None, TimeGrid(-40.0, 60.0, 0.005)):
+            with pytest.raises(ParameterError, match=f"^{field} must be a scalar") as info:
+                time_domain_report(RouterParams(), packets, grid=grid)
+            assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("field, packets", ARRAY_PACKETS, ids=["mean_n", "phase"])
+    def test_default_grid_refuses_array_packets(self, field, packets):
+        with pytest.raises(ParameterError, match=f"^{field} must be a scalar"):
+            default_grid(RouterParams(), packets)
+
+    @pytest.mark.parametrize("field, packets", ARRAY_PACKETS, ids=["mean_n", "phase"])
+    def test_time_pulse_refuses_array_packets(self, field, packets):
+        with pytest.raises(ParameterError, match=f"^{field} must be a scalar"):
+            time_pulse(packets[-1], np.linspace(-5.0, 5.0, 11))
+
     def test_unfinished_ringdown_rejected(self):
         params = RouterParams(gamma1=0.05, gamma2=0.0)
         with pytest.raises(PulseNotContained):

@@ -362,3 +362,85 @@ class TestMomentQuadrature:
         exact = packet_numbers_mpmath(params, packets)
         for ch, value in zip(Channel, exact):
             assert abs(rep.n_out[ch] - float(value)) <= 1e-14 * rep.n_in
+
+
+class TestPacketArrays:
+    """Packets whose mean_n and phase are arrays: one quadrature for all
+    elements, each element with the bits of its own scalar call."""
+
+    @staticmethod
+    def _bits(rep, size):
+        values = [rep.n_out[ch] for ch in Channel] + [rep.n_in, rep.n_total, rep.loss]
+        return np.array([np.broadcast_to(np.asarray(v, dtype=float), (size,))
+                         for v in values]).view(np.int64)
+
+    @given(data=st.data(), count=st.integers(1, 4), size=st.integers(1, 5),
+           kind=st.sampled_from(["lossless", "lossy", "gamma2=0"]))
+    @settings(deadline=None, derandomize=True, max_examples=40)
+    def test_array_call_equals_scalar_calls(self, data, count, size, kind):
+        params = RouterParams(
+            gamma1=data.draw(st.floats(0.5, 2.0)),
+            gamma2=0.0 if kind == "gamma2=0" else data.draw(st.floats(0.1, 2.0)),
+            gamma_c=data.draw(st.floats(0.05, 0.5)) if kind == "lossy" else 0.0,
+            omega_c=data.draw(st.floats(-2.0, 2.0)))
+        omega0 = data.draw(st.floats(-1.0, 1.0))
+        Omega = data.draw(st.floats(0.05, 1.0))
+        channels = data.draw(st.permutations(list(Channel)))[:count]
+        mean_n = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
+        phase = st.floats(-10.0, 10.0)
+        # each field an array of `size` elements or one float that broadcasts
+        fields = [[data.draw(st.one_of(st.lists(values, min_size=size, max_size=size),
+                                       values))
+                   for values in (mean_n, phase)] for _ in channels]
+        def packets(pick):
+            return [WavePacket(ch, pick(n), omega0, Omega, pick(ph))
+                    for ch, (n, ph) in zip(channels, fields)]
+
+        bits = self._bits(packet_output_numbers(params, packets(
+            lambda v: np.array(v) if isinstance(v, list) else v)), size)
+        for i in range(size):
+            ref = packet_output_numbers(params, packets(
+                lambda v: v[i] if isinstance(v, list) else v))
+            assert (bits[:, i] == self._bits(ref, 1)[:, 0]).all()
+
+    def test_elements_settle_at_their_own_resolution(self):
+        # phases near +-pi agree at the first halving, the others one halving
+        # later; a decision shared by all elements moves the first group's bits
+        params = RouterParams(gamma2=1.2, gamma_c=0.43, omega_c=0.5)
+        phis = np.linspace(-PI, PI, 13)
+        rep = packet_output_numbers(params, _pair(phis, Omega=0.016))
+        bits = self._bits(rep, phis.size)
+        for i, phi in enumerate(phis):
+            ref = packet_output_numbers(params, _pair(float(phi), Omega=0.016))
+            assert (bits[:, i] == self._bits(ref, 1)[:, 0]).all()
+
+    def test_scalar_call_keeps_float_types(self):
+        rep = packet_output_numbers(RouterParams(gamma_c=0.1), _pair(0.7))
+        assert type(rep.n_in) is float
+        assert all(type(rep.n_out[ch]) is np.float64 for ch in Channel)
+
+    def test_under_resolved_names_first_failing_index(self):
+        # the mean_n = 0 elements carry no flux and converge at once
+        params = RouterParams(omega_c=5.0)
+        packets = [WavePacket(Channel.R1, mean_n=np.array([0.0, 0.0, 1.0, 1.0]),
+                              Omega=1e-3)]
+        with pytest.raises(QuadratureUnderResolved) as info:
+            packet_output_numbers(params, packets)
+        with pytest.raises(QuadratureUnderResolved) as scalar:
+            packet_output_numbers(params, [WavePacket(Channel.R1, mean_n=1.0, Omega=1e-3)])
+        # the element's own message, its flat index named
+        assert str(info.value) == str(scalar.value).replace(
+            "doublings:", "doublings at index 2:")
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_element_is_non_finite(self):
+        packets = [WavePacket(Channel.R1, mean_n=np.array([[1.0, 1.0], [1.0, 1e308]]),
+                              Omega=1e-3)]
+        with pytest.raises(NonFinite, match="flux density overflows .* at index 3$"):
+            packet_output_numbers(RouterParams(), packets)
+
+    def test_mismatched_shapes_rejected(self):
+        packets = [WavePacket(Channel.R1, mean_n=np.ones(2)),
+                   WavePacket(Channel.L1, mean_n=1.0, phase=np.zeros(3))]
+        with pytest.raises(ParameterError, match="do not broadcast together"):
+            packet_output_numbers(RouterParams(), packets)
