@@ -17,9 +17,9 @@
 The layers: one closed-form point, `scatter` on one point and on 10 001
 detunings, one two-packet quadrature, one two-packet quadrature at
 Omega = 0.001 and cavity detuning 5 up to its QuadratureUnderResolved,
-one `time_domain_report` at Omega = 0.3 and one at Omega = 0.01 (about
-434 000 RK4 steps, the only layer the oracle solves in more than one
-block), each `verify` suite, and through the CLI the
+one `time_domain_report` at Omega = 0.3 (16 600 RK4 steps, which the
+oracle solves in 3 blocks of up to 2^13) and one at Omega = 0.01 (434 200
+steps, 54 blocks), each `verify` suite, and through the CLI the
 101 x 101 `three` grid, the 201-point packet phase sweep (one quadrature
 for all phases), the 61-point packet detuning sweep (one quadrature per
 point), the --dump-trajectory point and one point command. `scatter` takes its

@@ -162,11 +162,19 @@ def require(ok, error: type[RouterError], what: str, value) -> None:
 def require_finite(**values) -> None:
     """Raise NonFinite for the first named value holding a NaN or inf.
 
-    Values are scalars or arrays of any broadcastable shapes.
+    Values are scalars or arrays of any broadcastable shapes; ParameterError,
+    naming the value and its type, for any other value, such as a list or str.
     """
     ok = True
-    for value in values.values():
-        ok = ok & (abs(value) < math.inf)  # False for NaN too
+    try:
+        for value in values.values():
+            ok = ok & (abs(value) < math.inf)  # False for NaN too
+    except TypeError:
+        name = next(name for name, v in values.items() if v is value)
+        kind = (f"an array of dtype {value.dtype}" if isinstance(value, np.ndarray)
+                else type(value).__name__)
+        raise ParameterError(
+            f"{name} must be a number or a numeric numpy array, got {kind}") from None
     if not holds(ok):
         for name, value in values.items():
             require(np.isfinite(value), NonFinite, f"{name} must be finite", value)

@@ -14,11 +14,13 @@ which is exactly what this module exists to cross-check.
 The integrator is classical fixed-step RK4. The equation is linear with
 constant coefficients, so each step is c[i+1] = R c[i] + B[i] with a fixed
 gain R, and the steps are solved in numpy as that recurrence, by doubling, a
-block of 2^16 steps at a time, the amplitude c0 a block starts from entering
-its first step as R c0. Each power R^s the doubling takes is exp(s log R),
-log R computed from z = h lam without rounding R: repeated squaring would
-leave R^s about s eps off. Fluxes use the trapezoid rule, effectively exact
-here because every integrand vanishes at the window edges.
+block of 2^13 steps at a time, the amplitude c0 a block starts from entering
+its first step as R c0. A block's arrays stay in cache, and the allocator
+reuses them from block to block and call to call (see `_BLOCK`). Each power
+R^s the doubling takes is exp(s log R), log R computed from z = h lam without
+rounding R: repeated squaring would leave R^s about s eps off. Fluxes use the
+trapezoid rule, effectively exact here because every integrand vanishes at
+the window edges.
 
 `integrate_cavity` takes drives as data: each driven channel's mean input
 field sampled at `TimeGrid.half_nodes`, the step ends and midpoints RK4
@@ -71,10 +73,17 @@ _RINGDOWN_RATIO = 1e-8      # |c(t_end)| allowed vs max |c|
 # and verify's plateau check stream). A caller of integrate_cavity holds 32
 # bytes per step for each drive's half-node samples and 16 for the trajectory.
 MAX_STEPS = 2_000_000
-# RK4 steps solved together, in ceil(log2 _BLOCK) passes: a report's block
+# RK4 steps solved together, in ceil(log2 _BLOCK) passes. A report's block
 # holds one real envelope and one complex forcing on its half nodes, the
-# trajectory and one scratch row, about 5 MB
-_BLOCK = 1 << 16
+# trajectory and one scratch row, about 0.6 MB: that fits a 2 MB L2 cache,
+# and glibc keeps the freed arrays for the next block or call instead of
+# handing them back to the OS. In 2^16-step blocks (about 5 MB) the
+# Omega = 0.3 report of scripts/bench_layers.py faulted in 260-420 fresh
+# pages per call and its 434 200-step Omega = 0.01 report 3 600; in 2^13-step
+# blocks neither faults, and they take 0.7-0.75 and 15-19 ms instead of
+# 1.0-1.2 and 26-29 ms (2-CPU VM, Python 3.11, numpy 2.4). 2^12 timed the
+# same as 2^13 in twice the blocks; at 2^14 the faults came back.
+_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)

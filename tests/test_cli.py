@@ -175,63 +175,88 @@ class TestSweep:
     # (case, scenario flags, sweep flags): every sweepable variable of each
     # case, lossless and lossy, one and two axes
     GRIDS = [
-        ("single", [], ["--var", "delta", "--start", "-3", "--stop", "3", "--count", "7"]),
-        ("single", ["--gamma-c", "0.3", "--mean-n", "1.7"],
-         ["--var", "delta", "--start", "-3", "--stop", "3", "--count", "7"]),
-        ("single", ["--delta", "0.4"],
-         ["--var", "gamma2", "--start", "0", "--stop", "2", "--count", "5"]),
-        ("single", ["--mean-n", "2.3", "--delta", "0.7"],
-         ["--var", "gamma_c", "--start", "0", "--stop", "1", "--count", "5"]),
-        ("single", ["--gamma-c", "0.2"],
-         ["--var", "delta", "--start", "-2", "--stop", "2", "--count", "3",
-          "--var2", "gamma2", "--start2", "0.5", "--stop2", "1.5", "--count2", "3"]),
-        ("two", ["--gamma2", "0.6", "--delta", "0.5"],
-         ["--var", "phi", "--start", "0", "--stop", "6", "--count", "7"]),
-        ("two", ["--gamma-c", "0.2", "--mean-n", "0.8", "--phi", "1.1"],
-         ["--var", "delta", "--start", "-3", "--stop", "3", "--count", "5"]),
-        ("two", ["--phi", "2.0", "--delta", "0.3"],
-         ["--var", "gamma2", "--start", "0", "--stop", "2", "--count", "5"]),
-        ("two", ["--phi", "2.0", "--delta", "0.3"],
-         ["--var", "gamma_c", "--start", "0", "--stop", "1", "--count", "5"]),
-        ("two", ["--gamma-c", "0.2", "--gamma2", "0.8"],
-         ["--var", "phi", "--start", "0", "--stop", "6", "--count", "4",
-          "--var2", "delta", "--start2", "-3", "--stop2", "3", "--count2", "3"]),
-        ("two", ["--delta", "0.9"],
-         ["--var", "phi", "--start", "0", "--stop", "6", "--count", "3",
-          "--var2", "gamma_c", "--start2", "0", "--stop2", "0.5", "--count2", "3"]),
-        ("three", ["--theta-prime", "0.4", "--gamma2", "0.7"],
-         ["--var", "theta", "--start", "0", "--stop", "6", "--count", "5"]),
-        ("three", ["--theta", "0.4", "--gamma-c", "0.25"],
-         ["--var", "theta_prime", "--start", "0", "--stop", "6", "--count", "5"]),
-        ("three", ["--theta", "1.3", "--theta-prime", "2.1", "--gamma-c", "0.1"],
-         ["--var", "delta", "--start", "-3", "--stop", "3", "--count", "5"]),
-        ("three", ["--theta", "1.3", "--theta-prime", "2.1", "--mean-n", "1.9"],
-         ["--var", "gamma2", "--start", "0", "--stop", "2", "--count", "5"]),
-        ("three", ["--theta", "1.3", "--theta-prime", "2.1", "--delta", "-0.6"],
-         ["--var", "gamma_c", "--start", "0", "--stop", "1", "--count", "5"]),
-        ("three", ["--gamma-c", "0.15", "--delta", "0.5"],
-         ["--var", "theta", "--start", "0", "--stop", "6", "--count", "3",
-          "--var2", "theta_prime", "--start2", "0", "--stop2", "6", "--count2", "3"]),
-        ("three", [],
-         ["--var", "theta", "--start", "0", "--stop", "6", "--count", "3",
-          "--var2", "theta_prime", "--start2", "0", "--stop2", "6", "--count2", "3"]),
+        pytest.param("single", [],
+                     ["--var", "delta", "--start", "-3", "--stop", "3", "--count", "7"],
+                     id="single-scenario0-sweep0"),
+        pytest.param("single", ["--gamma-c", "0.3", "--mean-n", "1.7"],
+                     ["--var", "delta", "--start", "-3", "--stop", "3", "--count", "7"],
+                     id="single-scenario1-sweep1"),
+        pytest.param("single", ["--delta", "0.4"],
+                     ["--var", "gamma2", "--start", "0", "--stop", "2", "--count", "5"],
+                     id="single-scenario2-sweep2"),
+        pytest.param("single", ["--mean-n", "2.3", "--delta", "0.7"],
+                     ["--var", "gamma_c", "--start", "0", "--stop", "1", "--count", "5"],
+                     id="single-scenario3-sweep3"),
+        pytest.param("single", ["--gamma-c", "0.2"],
+                     ["--var", "delta", "--start", "-2", "--stop", "2", "--count", "3",
+                      "--var2", "gamma2", "--start2", "0.5", "--stop2", "1.5", "--count2", "3"],
+                     id="single-scenario4-sweep4"),
+        pytest.param("two", ["--gamma2", "0.6", "--delta", "0.5"],
+                     ["--var", "phi", "--start", "0", "--stop", "6", "--count", "7"],
+                     id="two-scenario5-sweep5"),
+        pytest.param("two", ["--gamma-c", "0.2", "--mean-n", "0.8", "--phi", "1.1"],
+                     ["--var", "delta", "--start", "-3", "--stop", "3", "--count", "5"],
+                     id="two-scenario6-sweep6"),
+        pytest.param("two", ["--phi", "2.0", "--delta", "0.3"],
+                     ["--var", "gamma2", "--start", "0", "--stop", "2", "--count", "5"],
+                     id="two-scenario7-sweep7"),
+        pytest.param("two", ["--phi", "2.0", "--delta", "0.3"],
+                     ["--var", "gamma_c", "--start", "0", "--stop", "1", "--count", "5"],
+                     id="two-scenario8-sweep8"),
+        pytest.param("two", ["--gamma-c", "0.2", "--gamma2", "0.8"],
+                     ["--var", "phi", "--start", "0", "--stop", "6", "--count", "4",
+                      "--var2", "delta", "--start2", "-3", "--stop2", "3", "--count2", "3"],
+                     id="two-scenario9-sweep9"),
+        pytest.param("two", ["--delta", "0.9"],
+                     ["--var", "phi", "--start", "0", "--stop", "6", "--count", "3",
+                      "--var2", "gamma_c", "--start2", "0", "--stop2", "0.5", "--count2", "3"],
+                     id="two-scenario10-sweep10"),
+        pytest.param("three", ["--theta-prime", "0.4", "--gamma2", "0.7"],
+                     ["--var", "theta", "--start", "0", "--stop", "6", "--count", "5"],
+                     id="three-scenario11-sweep11"),
+        pytest.param("three", ["--theta", "0.4", "--gamma-c", "0.25"],
+                     ["--var", "theta_prime", "--start", "0", "--stop", "6", "--count", "5"],
+                     id="three-scenario12-sweep12"),
+        pytest.param("three", ["--theta", "1.3", "--theta-prime", "2.1", "--gamma-c", "0.1"],
+                     ["--var", "delta", "--start", "-3", "--stop", "3", "--count", "5"],
+                     id="three-scenario13-sweep13"),
+        pytest.param("three", ["--theta", "1.3", "--theta-prime", "2.1", "--mean-n", "1.9"],
+                     ["--var", "gamma2", "--start", "0", "--stop", "2", "--count", "5"],
+                     id="three-scenario14-sweep14"),
+        pytest.param("three", ["--theta", "1.3", "--theta-prime", "2.1", "--delta", "-0.6"],
+                     ["--var", "gamma_c", "--start", "0", "--stop", "1", "--count", "5"],
+                     id="three-scenario15-sweep15"),
+        pytest.param("three", ["--gamma-c", "0.15", "--delta", "0.5"],
+                     ["--var", "theta", "--start", "0", "--stop", "6", "--count", "3",
+                      "--var2", "theta_prime", "--start2", "0", "--stop2", "6", "--count2", "3"],
+                     id="three-scenario16-sweep16"),
+        pytest.param("three", [],
+                     ["--var", "theta", "--start", "0", "--stop", "6", "--count", "3",
+                      "--var2", "theta_prime", "--start2", "0", "--stop2", "6", "--count2", "3"],
+                     id="three-scenario17-sweep17"),
         # both rates swept: one array call with per-point gamma2 and gamma_c
-        ("two", ["--phi", "1.1", "--delta", "0.4"],
-         ["--var", "gamma2", "--start", "0", "--stop", "2", "--count", "4",
-          "--var2", "gamma_c", "--start2", "0", "--stop2", "1", "--count2", "3"]),
-        ("three", ["--theta", "0.9", "--theta-prime", "2.6", "--delta", "-1.2"],
-         ["--var", "gamma_c", "--start", "0", "--stop", "0.8", "--count", "3",
-          "--var2", "gamma2", "--start2", "0.1", "--stop2", "1.9", "--count2", "4"]),
+        pytest.param("two", ["--phi", "1.1", "--delta", "0.4"],
+                     ["--var", "gamma2", "--start", "0", "--stop", "2", "--count", "4",
+                      "--var2", "gamma_c", "--start2", "0", "--stop2", "1", "--count2", "3"],
+                     id="two-scenario18-sweep18"),
+        pytest.param("three", ["--theta", "0.9", "--theta-prime", "2.6", "--delta", "-1.2"],
+                     ["--var", "gamma_c", "--start", "0", "--stop", "0.8", "--count", "3",
+                      "--var2", "gamma2", "--start2", "0.1", "--stop2", "1.9", "--count2", "4"],
+                     id="three-scenario19-sweep19"),
         # packet sweeps: one quadrature per (rates, delta, Omega), the phi
         # values of its points as one array, phi as outer and as inner axis
-        ("packet", ["--gamma-c", "0.1"],
-         ["--var", "phi", "--start", "0", "--stop", "6.283185307179586", "--count", "201"]),
-        ("packet", ["--gamma2", "0.6", "--gamma-c", "0.05"],
-         ["--var", "phi", "--start", "-10", "--stop", "10", "--count", "9",
-          "--var2", "delta", "--start2", "-2", "--stop2", "3", "--count2", "5"]),
-        ("packet", ["--gamma2", "0"],
-         ["--var", "Omega", "--start", "0.05", "--stop", "1", "--count", "4",
-          "--var2", "phi", "--start2", "-3", "--stop2", "3", "--count2", "5"]),
+        pytest.param("packet", ["--gamma-c", "0.1"],
+                     ["--var", "phi", "--start", "0", "--stop", "6.283185307179586",
+                      "--count", "201"],
+                     id="packet-scenario20-sweep20"),
+        pytest.param("packet", ["--gamma2", "0.6", "--gamma-c", "0.05"],
+                     ["--var", "phi", "--start", "-10", "--stop", "10", "--count", "9",
+                      "--var2", "delta", "--start2", "-2", "--stop2", "3", "--count2", "5"],
+                     id="packet-scenario21-sweep21"),
+        pytest.param("packet", ["--gamma2", "0"],
+                     ["--var", "Omega", "--start", "0.05", "--stop", "1", "--count", "4",
+                      "--var2", "phi", "--start2", "-3", "--stop2", "3", "--count2", "5"],
+                     id="packet-scenario22-sweep22"),
     ]
     FLAGS = {"delta": "--delta", "phi": "--phi", "theta": "--theta",
              "theta_prime": "--theta-prime", "gamma2": "--gamma2", "gamma_c": "--gamma-c",

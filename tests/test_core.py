@@ -108,6 +108,14 @@ class TestRouterParams:
         self._rejects_element(NonFinite, "gamma2", bad)
         self._rejects_element(NonFinite, "omega_c", bad)
 
+    @pytest.mark.parametrize("bad, kind", [([0.5, 1.0], "list"), ("0.5", "str")],
+                             ids=["list", "str"])
+    def test_non_numeric_rejected(self, bad, kind):
+        # abs() of a list or str raised an untyped TypeError
+        with pytest.raises(ParameterError) as info:
+            validate(RouterParams(gamma2=bad))
+        assert str(info.value) == f"gamma2 must be a number or a numeric numpy array, got {kind}"
+
     def test_array_rates_validate(self):
         params = RouterParams(gamma1=np.array([0.5, 2.0]), gamma2=np.array([0.0, 1.0]),
                               gamma_c=0.1)
@@ -136,6 +144,14 @@ class TestWavePacket:
     def test_non_finite(self):
         with pytest.raises(NonFinite):
             WavePacket(Channel.R1, mean_n=math.nan)
+
+    @pytest.mark.parametrize("field, bad, kind", [("mean_n", [1.0, 2.0], "list"),
+                                                  ("phase", "0.5", "str")],
+                             ids=["mean_n-list", "phase-str"])
+    def test_non_numeric_rejected(self, field, bad, kind):
+        with pytest.raises(ParameterError) as info:
+            WavePacket(Channel.R1, **{"mean_n": 1.0, field: bad})
+        assert str(info.value) == f"{field} must be a number or a numeric numpy array, got {kind}"
 
     def test_array_fields_broadcast(self):
         p = WavePacket(Channel.R1, mean_n=np.array([[1.0], [2.0]]), phase=np.zeros(3))

@@ -302,9 +302,9 @@ class TestRecurrenceMatchesLoop:
         (RouterParams(gamma2=0.0, omega_c=0.3),
          [WavePacket(Channel.L1, 1.0, Omega=0.025)],
          TimeGrid(-500.0, 511.0, 0.01)),
-        # 400 000 steps in 7 blocks with |R| = 1 - 1e-6: repeated squaring
-        # leaves R^(2^15) about 2^15 eps off, which grows to 1.7e-11 of the
-        # peak by t_end
+        # 400 000 steps with |R| = 1 - 1e-6: in 2^16-step blocks, repeated
+        # squaring left R^(2^15) about 2^15 eps off, which grew to 1.7e-11 of
+        # the peak by t_end
         (RouterParams(gamma1=1e-3, gamma2=0.0, omega_c=0.7),
          [WavePacket(Channel.R1, 1.0, Omega=0.5)],
          TimeGrid(-10.0, 390.0, 1e-3)),
@@ -314,15 +314,19 @@ class TestRecurrenceMatchesLoop:
         self._check(params, _drives(packets, grid), grid)
 
     # a slow cavity detuned from two pulses, one of them across the block
-    # end at t = 64 on the longest grid: 2^16 steps are one block, one more
-    # step starts a second, and 3 * 2^16 + 5 steps end in a block of 5
+    # end at t = 64 on the longest grid: 2^16 steps are 8 whole blocks, one
+    # more step ends in a block of 1, and 3 * 2^16 + 5 steps end in a block
+    # of 5. On the 2^13 + 1-step grid the one block end is a step before
+    # t_end: the second pulse crosses it at 5e-5 of its peak, and the cavity
+    # amplitude carried across it is still 0.4 of its peak
     @pytest.mark.parametrize("grid, t0s", [
         (TimeGrid(-64.0, 64.0, 2.0 ** -9), (-20.0, 40.0)),
         (TimeGrid(-64.0, 64.0 + 2.0 ** -9, 2.0 ** -9), (-20.0, 40.0)),
         (TimeGrid(-192.0, 192.0 + 5 * 2.0 ** -9, 2.0 ** -9), (-140.0, 64.0)),
-    ], ids=["2^16", "2^16+1", "3*2^16+5"])
+        (TimeGrid(-16.0, 16.0 + 2.0 ** -8, 2.0 ** -8), (-4.0, 5.5)),
+    ], ids=["2^16", "2^16+1", "3*2^16+5", "2^13+1"])
     def test_block_boundaries(self, grid, t0s):
-        assert oracle._BLOCK == 1 << 16
+        assert oracle._BLOCK == 1 << 13
         nodes = grid.half_nodes
         drives = {Channel.R1: time_pulse(WavePacket(Channel.R1, 1.0, Omega=0.3), nodes, t0s[0]),
                   Channel.L2: time_pulse(WavePacket(Channel.L2, 2.0, Omega=0.3, phase=1.0),
@@ -352,7 +356,7 @@ class TestOutputFlux:
 
 class TestTimeDomainReport:
     def test_one_pulse_evaluation_per_packet(self, monkeypatch):
-        # the packets share one real envelope: each block of the 8 evaluates
+        # the packets share one real envelope: each block of the 62 evaluates
         # it once, on its half nodes, and no packet's pulse is evaluated
         calls = []
         envelope = oracle._envelope
@@ -372,7 +376,7 @@ class TestTimeDomainReport:
         time_domain_report(params, packets)
         grid = default_grid(params, packets)
         blocks = -(-grid.n_steps // oracle._BLOCK)
-        assert blocks == 8
+        assert blocks == 62
         assert len(calls) == blocks
         assert all(Omega == 0.01 for Omega, _ in calls)
         # t0 = 0, so tau holds the nodes; the node between two blocks is
@@ -385,6 +389,8 @@ class TestTimeDomainReport:
         assert np.array_equal(rebuilt.view(np.int64), grid.half_nodes.view(np.int64))
 
     LOSSY = RouterParams(gamma2=0.4, gamma_c=0.1, omega_c=-0.2)
+    # the ids date from 2^16-step blocks; in 2^13-step blocks TWO_BLOCKS
+    # takes 12 and the default grid of the Omega = 0.01 case 45
     TWO_BLOCKS = TimeGrid(-40.0, 51.0, 0.001)
 
     @pytest.mark.parametrize("params, packets, grid", [
@@ -543,9 +549,10 @@ class TestStreamingMemory:
     def test_narrow_band_report_peak_rss(self, package_env):
         # the Omega = 0.01 pair takes 482 200 steps; holding every half-node
         # sample, the forcing, the trajectory and the doubling's temporaries
-        # at once grew the peak RSS by about 78 MB. The peak is VmHWM, this
-        # process image's own: ru_maxrss starts an exec'd child at the
-        # high-water mark of the process that spawned it
+        # at once grew the peak RSS by about 78 MB; streaming 2^16-step
+        # blocks, by 12.4 MB, and 2^13-step blocks, by 1.6 MB. The peak is
+        # VmHWM, this process image's own: ru_maxrss starts an exec'd child
+        # at the high-water mark of the process that spawned it
         code = """
 from photon_router import Channel, RouterParams, WavePacket, time_domain_report
 def kib(key):
@@ -558,12 +565,13 @@ print(kib("VmHWM") - after_import)
 """
         out = subprocess.run([sys.executable, "-c", code], env=package_env, check=True,
                              capture_output=True, text=True, timeout=120).stdout
-        assert int(out) / 1024 <= 40.0
+        assert int(out) / 1024 <= 8.0
 
     def test_verify_oracle_peak_rss(self, package_env):
         # the plateau check held 482 200 steps of half nodes, samples and
         # trajectory, which grew the suite's peak RSS by about 41 MB; it now
-        # streams the report's blocks
+        # streams the report's blocks: 15.2 MB in 2^16-step blocks, 9.7 MB in
+        # 2^13-step blocks
         code = """
 from photon_router.verify import run_suites
 def kib(key):
@@ -575,7 +583,7 @@ print(kib("VmHWM") - after_import)
 """
         out = subprocess.run([sys.executable, "-c", code], env=package_env, check=True,
                              capture_output=True, text=True, timeout=120).stdout
-        assert int(out) / 1024 <= 30.0
+        assert int(out) / 1024 <= 20.0
 
 
 class TestTimeDomainProperty:
