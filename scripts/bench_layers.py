@@ -26,13 +26,16 @@ point), the --dump-trajectory point and one point command. `scatter` takes its
 amplitudes as one complex (..., 4) array in CHANNELS order. Times are
 medians of repeated calls after one warm-up call. Beside each time,
 `minflt_per_call` records the minor page faults per call, from the
-process's `ru_minflt` over the timed calls.
+process's `ru_minflt` over the timed calls. `minflt_fresh_per_call` records
+them for the two `time_domain_report` layers alone, each in a fresh
+interpreter after one warm-up call.
 
 The layers run in one process in the order above, so a layer's time and
 faults depend on what earlier layers freed: glibc raises its mmap threshold
 to the size of a freed mmapped block, and its trim threshold to twice that,
 and below them a call reuses heap pages instead of faulting in fresh ones.
-Compare a layer across trees, not across positions. Both modes run with OPENBLAS_NUM_THREADS=1: without
+Compare a layer across trees, not across positions; the fresh-interpreter
+counts depend on no earlier layer. Both modes run with OPENBLAS_NUM_THREADS=1: without
 it, a 10 001-point `scatter` sometimes took 8 ms instead of 0.5 ms on a
 2-CPU VM.
 """
@@ -80,6 +83,39 @@ def _quiet(fn):
     return call
 
 
+def _reports() -> dict:
+    """The two `time_domain_report` layers: name -> call."""
+    from photon_router.core import Channel, RouterParams, WavePacket
+    from photon_router.oracle import time_domain_report
+
+    params = RouterParams(gamma2=0.7, gamma_c=0.1)
+    calls = {}
+    for name, Omega in (("time_domain_report", 0.3), ("time_domain_report_omega_0.01", 0.01)):
+        packets = [WavePacket(Channel.R1, 1.0, Omega=Omega),
+                   WavePacket(Channel.L1, 1.0, Omega=Omega, phase=1.0)]
+        calls[name] = lambda packets=packets: time_domain_report(params, packets)
+    return calls
+
+
+def fresh_faults(name: str, calls: int = 10) -> float:
+    """Minor page faults per call of the report layer `name` over `calls`
+    calls after one warm-up call, in this process."""
+    fn = _reports()[name]
+    fn()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(calls):
+        fn()
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / calls
+
+
+def _fresh_faults_child(name: str) -> float:
+    """fresh_faults(name) in a fresh interpreter that imports the
+    photon_router this one would."""
+    out = subprocess.run([sys.executable, __file__, "--fresh-faults", name], check=True,
+                         capture_output=True, text=True).stdout
+    return float(out)
+
+
 def layer_times(tmp: str) -> dict:
     """{"layers_ms": median time of each layer in ms, "minflt_per_call": its
     minor page faults per call} for the photon_router on sys.path.
@@ -90,7 +126,6 @@ def layer_times(tmp: str) -> dict:
 
     from photon_router import cli, verify
     from photon_router.core import Channel, QuadratureUnderResolved, RouterParams, WavePacket
-    from photon_router.oracle import time_domain_report
     from photon_router.scattering import mean_output_two, scatter
     from photon_router.wavepacket import packet_output_numbers
 
@@ -101,8 +136,7 @@ def layer_times(tmp: str) -> dict:
                WavePacket(Channel.L1, 1.0, Omega=0.3, phase=1.0)]
     narrow = [WavePacket(Channel.R1, 1.0, Omega=0.001),
               WavePacket(Channel.L1, 1.0, Omega=0.001, phase=1.0)]
-    slow = [WavePacket(Channel.R1, 1.0, Omega=0.01),
-            WavePacket(Channel.L1, 1.0, Omega=0.01, phase=1.0)]
+    reports = _reports()
 
     def under_resolved():
         with contextlib.suppress(QuadratureUnderResolved):
@@ -130,8 +164,8 @@ def layer_times(tmp: str) -> dict:
         ("scatter_10001_points", lambda: scatter(params, amps, deltas), 0.5, 2000),
         ("packet_output_numbers", lambda: packet_output_numbers(params, packets), 1.0, 500),
         ("packet_under_resolved", under_resolved, 1.0, 200),
-        ("time_domain_report", lambda: time_domain_report(params, packets), 1.0, 200),
-        ("time_domain_report_omega_0.01", lambda: time_domain_report(params, slow), 2.0, 30),
+        ("time_domain_report", reports["time_domain_report"], 1.0, 200),
+        ("time_domain_report_omega_0.01", reports["time_domain_report_omega_0.01"], 2.0, 30),
     ]
     layers += [(f"verify_{name}", _quiet(lambda name=name: verify.run_suites((name,))), 2.0, 50)
                for name in verify.SUITE_NAMES]
@@ -147,6 +181,7 @@ def layer_times(tmp: str) -> dict:
         median, faults = _median_time(fn, seconds, calls)
         result["layers_ms"][name] = 1e3 * median
         result["minflt_per_call"][name] = faults
+    result["minflt_fresh_per_call"] = {name: _fresh_faults_child(name) for name in reports}
     return result
 
 
@@ -189,6 +224,10 @@ def compare(base: Path, rounds: int) -> dict:
             "head_minflt_per_call": statistics.median(
                 r["minflt_per_call"][name] for r in runs["head"]),
         }
+        if name in runs["head"][0]["minflt_fresh_per_call"]:
+            for side in ("base", "head"):
+                layers[name][f"{side}_minflt_fresh_per_call"] = statistics.median(
+                    r["minflt_fresh_per_call"][name] for r in runs[side])
     return {"machine": machine(), "rounds": rounds, "layers": layers}
 
 
@@ -201,7 +240,13 @@ def main() -> None:
                         help="src directory of the checkout to compare against")
     parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--out", type=Path, help="JSON file (default stdout)")
+    # one report layer's faults per call in this fresh interpreter; the
+    # plain mode runs it for each report layer
+    parser.add_argument("--fresh-faults", metavar="LAYER", help=argparse.SUPPRESS)
     args = parser.parse_args()
+    if args.fresh_faults is not None:
+        print(fresh_faults(args.fresh_faults))
+        return
     if args.base is None:
         with tempfile.TemporaryDirectory() as tmp:
             result = {"machine": machine(), **layer_times(tmp)}

@@ -159,25 +159,39 @@ def require(ok, error: type[RouterError], what: str, value) -> None:
     raise error(f"{what}, got {value.ravel()[index].item()!r} at index {index}")
 
 
+_REAL = np.dtype(float)
+
+
 def require_finite(**values) -> None:
     """Raise NonFinite for the first named value holding a NaN or inf.
 
-    Values are scalars or arrays of any broadcastable shapes; ParameterError,
-    naming the value and its type, for any other value, such as a list or str.
+    Values are real scalars or real numeric arrays of any shapes;
+    ParameterError, naming the value and its type, for any other value: a
+    complex number or array, a list, a str.
     """
-    ok = True
-    try:
-        for value in values.values():
-            ok = ok & (abs(value) < math.inf)  # False for NaN too
-    except TypeError:
-        name = next(name for name, v in values.items() if v is value)
-        kind = (f"an array of dtype {value.dtype}" if isinstance(value, np.ndarray)
-                else type(value).__name__)
-        raise ParameterError(
-            f"{name} must be a number or a numeric numpy array, got {kind}") from None
-    if not holds(ok):
+    finite = True
+    for name, value in values.items():
+        if type(value) is float:    # the common case, never complex
+            if not abs(value) < math.inf:   # NaN too
+                finite = False
+            continue
+        # abs() takes complex values, and numpy orders them
+        if isinstance(value, complex) or getattr(value, "dtype", _REAL).kind == "c":
+            raise ParameterError(f"{name} must be real, got {_kind(value)}")
+        try:
+            if not holds(abs(value) < math.inf):
+                finite = False
+        except TypeError:
+            raise ParameterError(f"{name} must be a number or a numeric numpy array, "
+                                 f"got {_kind(value)}") from None
+    if not finite:
         for name, value in values.items():
             require(np.isfinite(value), NonFinite, f"{name} must be finite", value)
+
+
+def _kind(value) -> str:
+    return (f"an array of dtype {value.dtype}" if isinstance(value, np.ndarray)
+            else type(value).__name__)
 
 
 _NO_GUARD = contextlib.nullcontext()

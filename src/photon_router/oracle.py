@@ -13,12 +13,13 @@ which is exactly what this module exists to cross-check.
 
 The integrator is classical fixed-step RK4. The equation is linear with
 constant coefficients, so each step is c[i+1] = R c[i] + B[i] with a fixed
-gain R, and the steps are solved in numpy as that recurrence, by doubling, a
-block of 2^13 steps at a time, the amplitude c0 a block starts from entering
-its first step as R c0. A block's arrays stay in cache, and the allocator
-reuses them from block to block and call to call (see `_BLOCK`). Each power
-R^s the doubling takes is exp(s log R), log R computed from z = h lam without
-rounding R: repeated squaring would leave R^s about s eps off. Fluxes use the
+gain R, and the steps are solved in numpy as that recurrence, a block of 2^13
+steps at a time, in rows of 2^11 steps: counting j and i from a row's start,
+c[j+1] = R^j (R c0 + sum_{i<=j} R^-i B[i]), a prefix sum between two
+scalings, c0 the amplitude the row starts from. A stream allocates its block
+arrays once per call and reuses them for every block (see `_BLOCK`). Each
+power R^k is exp(k log R), log R computed from z = h lam without rounding R:
+repeated multiplication would leave R^k about k eps off. Fluxes use the
 trapezoid rule, effectively exact here because every integrand vanishes at
 the window edges.
 
@@ -73,17 +74,22 @@ _RINGDOWN_RATIO = 1e-8      # |c(t_end)| allowed vs max |c|
 # and verify's plateau check stream). A caller of integrate_cavity holds 32
 # bytes per step for each drive's half-node samples and 16 for the trajectory.
 MAX_STEPS = 2_000_000
-# RK4 steps solved together, in ceil(log2 _BLOCK) passes. A report's block
-# holds one real envelope and one complex forcing on its half nodes, the
-# trajectory and one scratch row, about 0.6 MB: that fits a 2 MB L2 cache,
-# and glibc keeps the freed arrays for the next block or call instead of
-# handing them back to the OS. In 2^16-step blocks (about 5 MB) the
-# Omega = 0.3 report of scripts/bench_layers.py faulted in 260-420 fresh
-# pages per call and its 434 200-step Omega = 0.01 report 3 600; in 2^13-step
-# blocks neither faults, and they take 0.7-0.75 and 15-19 ms instead of
-# 1.0-1.2 and 26-29 ms (2-CPU VM, Python 3.11, numpy 2.4). 2^12 timed the
-# same as 2^13 in twice the blocks; at 2^14 the faults came back.
+# RK4 steps solved together. A stream's block arrays (the half-node numbers
+# and the real envelope on them, the trajectory and one scratch row, about
+# 0.5 MB) fit a 2 MB L2 cache. The stream allocates them once per call and
+# reuses them for every block, so its page faults per call do not grow with
+# the grid: in fresh processes 0-128 per report of scripts/bench_layers.py,
+# at Omega = 0.3 and at Omega = 0.01 (434 200 steps), where fresh arrays per
+# block faulted up to 240 and 2 432 times. In 2^16-step blocks (about 5 MB)
+# the Omega = 0.3 report took 1.0-1.2 ms instead of 0.7-0.75 ms (2-CPU VM,
+# Python 3.11, numpy 2.4); 2^12 timed the same as 2^13 in twice the blocks.
 _BLOCK = 1 << 13
+# Steps per prefix sum. _check_grid keeps h Gamma <= 0.01, so the scaling
+# |R|^-_ROW stays below e^20.5; rows of 2^12 and 2^13 steps timed no faster.
+_ROW = 1 << 11
+# The powers R^k, k < _ROW, are products of two exp tables of _FINE and
+# _ROW / _FINE entries.
+_FINE = 1 << 6
 
 
 @dataclass(frozen=True)
@@ -146,10 +152,11 @@ def default_grid(params: RouterParams, packets: Sequence[WavePacket],
                     dt=dt)
 
 
-def _envelope(Omega: float, tau):
+def _envelope(Omega: float, tau, out=None):
     """The real Gaussian every packet of bandwidth Omega shares, unit flux:
-    (2 Omega^2 / pi)^(1/4) exp(-(Omega tau)^2)."""
-    return (2.0 * Omega ** 2 / np.pi) ** 0.25 * np.exp(-(Omega * tau) ** 2)
+    (2 Omega^2 / pi)^(1/4) exp(-(Omega tau)^2), into `out` if given."""
+    arg = np.negative(np.square(np.multiply(Omega, tau, out=out), out=out), out=out)
+    return np.multiply((2.0 * Omega ** 2 / np.pi) ** 0.25, np.exp(arg, out=out), out=out)
 
 
 def _amplitude(packet: WavePacket) -> complex:
@@ -226,11 +233,30 @@ def _log_gain(z: complex) -> complex:
                        math.atan2(w.imag, 1.0 + w.real))
 
 
+def _powers(log_r: complex) -> np.ndarray:
+    """R^k = exp(k log R) for k = 0 .. _ROW - 1, as products of two short exp
+    tables, k = _FINE q + r. log R splits into hi, its parts rounded to 24
+    bits, and the rest lo, at most 2^-24 of it: k hi is exact, so no power
+    carries the rounding of a large argument k log R. Powers from a rounded
+    k log R put a trajectory at |h Im lam| = 1 4.5e-14 of its peak off a
+    step-by-step RK4 loop, instead of 6.8e-15."""
+    hi = complex(np.complex64(log_r))
+    lo = log_r - hi
+
+    def table(k):
+        return np.exp(hi * k) * np.exp(lo * k)
+
+    coarse, fine = table(_FINE * np.arange(_ROW // _FINE)), table(np.arange(_FINE))
+    return (coarse[:, None] * fine).ravel()
+
+
 def _recurrence(params: RouterParams, grid: TimeGrid) -> Callable:
-    """The RK4 recurrence on a checked grid as a block solver, solve(forcing, c):
-    forcing on the half nodes 2 i0 .. 2 i1 of a block of m <= _BLOCK steps, and
-    c of m + 1 elements, c[0] the amplitude the block starts from; it fills
-    c[1:] with the trajectory at the grid nodes i0 + 1 .. i1.
+    """The RK4 recurrence on a checked grid as a block solver,
+    solve(kick, drive, c): drive on the half nodes 2 i0 .. 2 i1 of a block of
+    m <= _BLOCK steps, which the cavity sees times the number kick, and c of
+    m + 1 elements, c[0] the amplitude the block starts from; it fills c[1:]
+    with the trajectory at the grid nodes i0 + 1 .. i1. The solver's tables
+    and scratch row belong to this call of _recurrence.
     """
     h = grid.step
     # One RK4 step is c[i+1] = R c[i] + B[i]: R from the homogeneous part,
@@ -242,27 +268,30 @@ def _recurrence(params: RouterParams, grid: TimeGrid) -> Callable:
     wh = h / 6.0 * (4.0 + a * (4.0 + 2.0 * a))
     w1 = h / 6.0
     log_r = _log_gain(h * _lam(params))
+    gain = cmath.exp(log_r)
+    up, down = _powers(log_r), _powers(-log_r)
+    tmp = np.empty(min(grid.n_steps, _BLOCK), dtype=complex)
 
-    def solve(forcing: np.ndarray, c: np.ndarray) -> None:
+    def solve(kick, drive: np.ndarray, c: np.ndarray) -> None:
         m = len(c) - 1
         b = c[1:]
+        t = tmp[:m]
         # the scalar goes first: numpy's complex product with the scalar on
         # the right differs in the last bit of some elements
-        tmp = np.empty(m, dtype=complex)
-        np.multiply(w0, forcing[:-1:2], out=b)
-        b += np.multiply(wh, forcing[1::2], out=tmp)
-        b += np.multiply(w1, forcing[2::2], out=tmp)
-        # c0 = c[0] enters the first step, so the scan carries c0 R^(i+1) to
-        # node i + 1; a block starting from 0 keeps its bits
-        if c[0]:
-            b[0] += cmath.exp(log_r) * c[0]
-        # Solve by doubling: after the pass with shift s, b[i] sums R^k B[i-k]
-        # over k < 2s, so after ceil(log2 m) passes each sum reaches back to
-        # the block's start.
-        s = 1
-        while s < m:
-            b[s:] += np.multiply(cmath.exp(s * log_r), b[:-s], out=tmp[:m - s])
-            s *= 2
+        np.multiply(kick * w0, drive[:-1:2], out=b)
+        b += np.multiply(kick * wh, drive[1::2], out=t)
+        b += np.multiply(kick * w1, drive[2::2], out=t)
+        # Row by row, c[j+1] = R^j (R start + sum_{i<=j} R^-i B[i]) with j
+        # and i counted from the row's start: a prefix sum between two
+        # scalings, the row's end the next row's start.
+        start = c[0]
+        for j0 in range(0, m, _ROW):
+            row = b[j0:j0 + _ROW]
+            row *= down[:len(row)]
+            row[0] += gain * start
+            np.cumsum(row, out=row)
+            row *= up[:len(row)]
+            start = row[-1]
 
     return solve
 
@@ -279,6 +308,7 @@ def integrate_cavity(params: RouterParams, drives: Mapping[Channel, np.ndarray],
     validate_scalar(params)
     _check_grid(grid, params)
     samples = _samples(drives, grid)
+    top = 0.0
     for ch, vals in samples.items():
         peak = float(np.max(np.abs(vals)))
         if not peak < math.inf:     # NaN too
@@ -287,7 +317,12 @@ def integrate_cavity(params: RouterParams, drives: Mapping[Channel, np.ndarray],
         if peak > 0.0 and edge > _EDGE_RATIO * peak:
             raise PulseNotContained(
                 f"drive on {ch} is {edge / peak:.2e} of its peak at the window edge")
+        top = max(top, peak)
 
+    # The prefix sums scale a step's forcing by up to |R|^-_ROW < e^20.5 and
+    # add _ROW of them, which would overflow a drive of peak 1e305; drives
+    # near the float range are solved scaled down by a power of two, exactly.
+    scale = 2.0 ** min(0, 960 - math.frexp(top)[1])
     solve = _recurrence(params, grid)
     n = grid.n_steps
     out = np.zeros(n + 1, dtype=complex)
@@ -295,8 +330,10 @@ def integrate_cavity(params: RouterParams, drives: Mapping[Channel, np.ndarray],
         i1 = min(i0 + _BLOCK, n)
         forcing = np.zeros(2 * (i1 - i0) + 1, dtype=complex)
         for ch, vals in samples.items():
-            forcing += (-1j * math.sqrt(params.coupling(ch))) * vals[2 * i0:2 * i1 + 1]
-        solve(forcing, out[i0:i1 + 1])
+            forcing += (-1j * math.sqrt(params.coupling(ch)) * scale) * vals[2 * i0:2 * i1 + 1]
+        solve(1.0, forcing, out[i0:i1 + 1])
+    if scale != 1.0:
+        out *= 1.0 / scale
     return out
 
 
@@ -352,20 +389,30 @@ def _envelope_blocks(params: RouterParams, packets: Sequence[WavePacket], grid: 
     kick = sum(-1j * math.sqrt(params.coupling(p.channel)) * _amplitude(p) for p in packets)
     n = grid.n_steps
     half = (grid.t_end - grid.t_start) / (2 * n)
-    carry = 0j
+    # One set of block arrays serves the whole stream, each block overwriting
+    # the one before, so a consumer reads a block before it asks for the
+    # next. index holds the block's half-node numbers 2 i0 .. 2 i0 + 2 m.
+    m = min(n, _BLOCK)
+    index = np.arange(2 * m + 1, dtype=float)
+    env = np.empty(2 * m + 1)
+    c = np.zeros(m + 1, dtype=complex)
     for i0 in range(0, n, _BLOCK):
-        i1 = min(i0 + _BLOCK, n)
-        # grid.half_nodes[2 i0:2 i1 + 1], computed as np.linspace computes
-        # them, so bit for bit
-        nodes = np.arange(2 * i0, 2 * i1 + 1) * half + grid.t_start
-        if i1 == n:
-            nodes[-1] = grid.t_end
-        env = _envelope(Omega, nodes - t0)
-        c = np.empty(i1 - i0 + 1, dtype=complex)
-        c[0] = carry
-        solve(kick * env, c)
-        yield i0, env, c
-        carry = c[-1]
+        k = min(_BLOCK, n - i0)
+        block_env, block_c = env[:2 * k + 1], c[:k + 1]
+        # every block before the last is whole: c[-1] is the end of the one
+        # before, or 0
+        c[0] = c[-1]
+        # grid.half_nodes[2 i0:2 i0 + 2 k + 1], computed as np.linspace
+        # computes them, so bit for bit; then the envelope in place
+        tau = np.multiply(index[:2 * k + 1], half, out=block_env)
+        tau += grid.t_start
+        if i0 + k == n:
+            tau[-1] = grid.t_end
+        tau -= t0
+        _envelope(Omega, tau, out=block_env)
+        solve(kick, block_env, block_c)
+        yield i0, block_env, block_c
+        index += 2 * _BLOCK
 
 
 def time_domain_report(params: RouterParams, packets: Sequence[WavePacket],
@@ -379,21 +426,21 @@ def time_domain_report(params: RouterParams, packets: Sequence[WavePacket],
     """
     if grid is None:
         grid = default_grid(params, packets, t0)
-    # the trapezoid over the grid is the sum of the trapezoids over the blocks
+    # the trapezoid over the grid is the sum of the trapezoids over the
+    # blocks, each h (sum - half the two ends)
+    h = grid.step
     e = cc = peak = 0.0
     x = 0j
     for _, env, c in _envelope_blocks(params, packets, grid, t0):
-        w = np.full(len(c), grid.step)
-        w[0] *= 0.5
-        w[-1] *= 0.5
         u = env[::2]
-        abs_c = np.abs(c)
-        peak = max(peak, float(np.max(abs_c)))
-        e += float(np.dot(w, u * u))
-        cc += float(np.dot(w, abs_c * abs_c))
-        x += complex(np.dot(w * u, c))
+        u0, u1, c0, c1 = float(u[0]), float(u[-1]), complex(c[0]), complex(c[-1])
+        peak = max(peak, float(np.max(np.abs(c))))
+        e += h * (float(np.dot(u, u)) - 0.5 * (u0 * u0 + u1 * u1))
+        cc += h * (float(np.vdot(c, c).real) - 0.5 * (abs(c0) * abs(c0) + abs(c1) * abs(c1)))
+        x += h * (complex(float(np.dot(u, c.real)), float(np.dot(u, c.imag)))
+                  - 0.5 * (u0 * c0 + u1 * c1))
 
-    end = abs(complex(c[-1]))
+    end = abs(c1)
     if peak > 0.0 and end >= _RINGDOWN_RATIO * peak:
         raise PulseNotContained(f"cavity not rung down: |c(t_end)| = {end / peak:.2e} of max")
     n_in = 0.0

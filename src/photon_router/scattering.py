@@ -80,8 +80,9 @@ def _scattered(params: RouterParams, amplitudes, delta):
     if a.shape[-1:] != (len(CHANNELS),):
         raise ParameterError(
             f"amplitudes need a last axis of the {len(CHANNELS)} channels, got shape {a.shape}")
-    # apart: the channel axis need not broadcast with delta
-    require_finite(amplitudes=a)
+    # apart: the channel axis need not broadcast with delta; the amplitudes
+    # are complex, which require_finite refuses
+    require(np.isfinite(a), NonFinite, "amplitudes must be finite", a)
     require_finite(delta=delta)
     s1, s2 = np.sqrt(params.gamma1), np.sqrt(params.gamma2)
     # finite inputs still overflow at extreme scales (amplitudes near 1e308,

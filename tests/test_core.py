@@ -116,6 +116,24 @@ class TestRouterParams:
             validate(RouterParams(gamma2=bad))
         assert str(info.value) == f"gamma2 must be a number or a numeric numpy array, got {kind}"
 
+    @pytest.mark.parametrize("field", ["gamma1", "gamma2", "gamma_c", "omega_c"])
+    def test_complex_rejected(self, field):
+        # abs() takes complex numbers, so omega_c = 1j validated, and the
+        # other rates failed later with untyped TypeErrors
+        with pytest.raises(ParameterError) as info:
+            validate(RouterParams(**{field: 1j}))
+        assert str(info.value) == f"{field} must be real, got complex"
+
+    @pytest.mark.parametrize("bad, kind", [
+        (np.complex64(0.5), "complex64"), (np.complex128(0.5), "complex128"),
+        (np.array([0.5, 1.0 + 0j]), "an array of dtype complex128")],
+        ids=["complex64", "complex128", "complex-array"])
+    def test_numpy_complex_rejected(self, bad, kind):
+        # numpy orders complex numbers, so these pass a finiteness comparison
+        with pytest.raises(ParameterError) as info:
+            validate(RouterParams(omega_c=bad))
+        assert str(info.value) == f"omega_c must be real, got {kind}"
+
     def test_array_rates_validate(self):
         params = RouterParams(gamma1=np.array([0.5, 2.0]), gamma2=np.array([0.0, 1.0]),
                               gamma_c=0.1)
@@ -152,6 +170,19 @@ class TestWavePacket:
         with pytest.raises(ParameterError) as info:
             WavePacket(Channel.R1, **{"mean_n": 1.0, field: bad})
         assert str(info.value) == f"{field} must be a number or a numeric numpy array, got {kind}"
+
+    @pytest.mark.parametrize("field", ["mean_n", "phase", "Omega"])
+    def test_complex_rejected(self, field):
+        # phase = 1j was accepted, and the packet route returned
+        # n_total = 0.1353 for n_in = 1 on a lossless router
+        with pytest.raises(ParameterError) as info:
+            WavePacket(Channel.R1, **{"mean_n": 1.0, field: 1j})
+        assert str(info.value) == f"{field} must be real, got complex"
+
+    def test_complex_array_rejected(self):
+        with pytest.raises(ParameterError) as info:
+            WavePacket(Channel.R1, mean_n=1.0, phase=np.array([0.0, 1.0], dtype=complex))
+        assert str(info.value) == "phase must be real, got an array of dtype complex128"
 
     def test_array_fields_broadcast(self):
         p = WavePacket(Channel.R1, mean_n=np.array([[1.0], [2.0]]), phase=np.zeros(3))

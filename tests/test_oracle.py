@@ -1,6 +1,7 @@
 """Time-domain integrator: grid rules, RK4 convergence, cross-checks."""
 
 import cmath
+import itertools
 import math
 import re
 import subprocess
@@ -217,6 +218,20 @@ class TestIntegrateCavity:
         with pytest.raises(NonFinite, match="drive on Channel.L2 must be finite"):
             integrate_cavity(RouterParams(), drives, grid)
 
+    @pytest.mark.parametrize("scale", [1e280, 1e305, 1e307])
+    def test_huge_drive_scales(self, scale):
+        # the prefix sums scale the forcing up by as much as e^20.5, which
+        # turned a drive of peak 1e305 into a NaN trajectory; the detuned
+        # cavity at h Gamma = 0.01 needs the largest scaling. The scaled
+        # drive is rounded, so the bits are not the unit drive's.
+        params = RouterParams(gamma2=0.5, gamma_c=0.5, omega_c=3.0)
+        grid = TimeGrid(-25.0, 25.0, 0.005)
+        drives = _drives([WavePacket(Channel.R1, 1.0, Omega=0.5)], grid)
+        unit = integrate_cavity(params, drives, grid)
+        big = integrate_cavity(params, {Channel.R1: scale * drives[Channel.R1]}, grid)
+        assert np.all(np.isfinite(big))
+        assert np.max(np.abs(big / scale - unit)) <= 1e-14 * np.max(np.abs(unit))
+
     @pytest.mark.parametrize("shape", [0, 1, 10001, 20002, (1, 20001)])
     def test_wrong_sample_count_rejected(self, shape):
         # the grid has 10 000 steps, so 20 001 half nodes
@@ -294,7 +309,7 @@ class TestRecurrenceMatchesLoop:
           for i, ch in enumerate(CHANNELS)],
          TimeGrid(-15.0, 25.0, 0.002)),
         # a slow cavity still ringing at t_end: R^(n/2) is far from 0, so
-        # every doubling pass counts
+        # the amplitude carried across every row and block end counts
         (RouterParams(gamma1=0.05, gamma2=0.0, omega_c=0.4),
          [WavePacket(Channel.R1, 1.0, Omega=0.5)],
          TimeGrid(-20.0, 20.0, 0.005)),
@@ -308,8 +323,22 @@ class TestRecurrenceMatchesLoop:
         (RouterParams(gamma1=1e-3, gamma2=0.0, omega_c=0.7),
          [WavePacket(Channel.R1, 1.0, Omega=0.5)],
          TimeGrid(-10.0, 390.0, 1e-3)),
+        # a detuned cavity at the decay limit h Gamma = 0.01, where the
+        # prefix sums scale by the largest |R|^-_ROW, e^20.5
+        (RouterParams(gamma2=0.5, gamma_c=0.5, omega_c=3.0),
+         [WavePacket(Channel.R1, 1.0, Omega=0.5), WavePacket(Channel.L2, 0.5, Omega=0.5)],
+         TimeGrid(-25.0, 25.0, 0.005)),
+        # |h Im lam| = 0.5 and 1 per step on user grids with the drive's
+        # carrier: the powers R^k reach k |Im log R| ~ 1000 rad in a row
+        (RouterParams(gamma2=0.0, omega_c=50.0),
+         [WavePacket(Channel.R1, 1.0, omega0=50.0, Omega=0.5)],
+         TimeGrid(-25.0, 25.0, 0.01)),
+        (RouterParams(gamma2=0.0, omega_c=100.0),
+         [WavePacket(Channel.R1, 1.0, omega0=100.0, Omega=0.5)],
+         TimeGrid(-25.0, 25.0, 0.01)),
     ], ids=["lossless", "lossy-pair", "detuned-three", "lossy-detuned-four",
-            "ringing-at-end", "101100-steps", "slow-400000-steps"])
+            "ringing-at-end", "101100-steps", "slow-400000-steps", "decay-limit",
+            "rotation-0.5", "rotation-1"])
     def test_matches_python_loop(self, params, packets, grid):
         self._check(params, _drives(packets, grid), grid)
 
@@ -331,6 +360,19 @@ class TestRecurrenceMatchesLoop:
         drives = {Channel.R1: time_pulse(WavePacket(Channel.R1, 1.0, Omega=0.3), nodes, t0s[0]),
                   Channel.L2: time_pulse(WavePacket(Channel.L2, 2.0, Omega=0.3, phase=1.0),
                                          nodes, t0s[1])}
+        self._check(RouterParams(gamma1=0.05, gamma2=0.0, omega_c=0.4), drives, grid)
+
+    # inside one block, a slow cavity carries its amplitude across row ends:
+    # 3 rows exactly, and 3 rows and 700 steps
+    @pytest.mark.parametrize("n", [3 * 2048, 3 * 2048 + 700], ids=["3-rows", "3-rows+700"])
+    def test_row_ends_inside_a_block(self, n):
+        assert oracle._ROW == 1 << 11 and n < oracle._BLOCK
+        grid = TimeGrid(-12.0, -12.0 + n * 2.0 ** -8, 2.0 ** -8)
+        assert grid.n_steps == n
+        nodes = grid.half_nodes
+        drives = {Channel.R1: time_pulse(WavePacket(Channel.R1, 1.0, Omega=0.5), nodes, -4.0),
+                  Channel.L2: time_pulse(WavePacket(Channel.L2, 2.0, Omega=0.5, phase=1.0),
+                                         nodes, 3.0)}
         self._check(RouterParams(gamma1=0.05, gamma2=0.0, omega_c=0.4), drives, grid)
 
     @staticmethod
@@ -361,9 +403,11 @@ class TestTimeDomainReport:
         calls = []
         envelope = oracle._envelope
 
-        def counting(Omega, tau):
-            calls.append((Omega, tau))
-            return envelope(Omega, tau)
+        # the stream reuses its node array from block to block, so each
+        # call's nodes are copied
+        def counting(Omega, tau, out=None):
+            calls.append((Omega, tau.copy()))
+            return envelope(Omega, tau, out=out)
 
         def no_pulse(*args, **kwargs):
             raise AssertionError("time_pulse called by time_domain_report")
@@ -452,6 +496,50 @@ class TestTimeDomainReport:
         before, at, after = (abs(abs(c) ** 2 - c_ss) / c_ss for c in traj[idx - 1:idx + 2])
         assert got == at
         assert got not in (before, after)
+
+    def test_streams_keep_their_own_buffers(self):
+        # two streams of different block counts and block sizes, read in
+        # turn, give the bits each gives alone: each call owns its arrays
+        runs = [(self.LOSSY, _pair(1.1), self.TWO_BLOCKS),
+                (RouterParams(gamma2=0.4, omega_c=0.3),
+                 [WavePacket(Channel.R2, 2.0, Omega=0.3, phase=0.5)], TimeGrid(-40.0, 60.0, 0.004))]
+
+        def blocks(stream):
+            return [(i0, env.copy(), c.copy()) for i0, env, c in stream]
+
+        alone = [blocks(oracle._envelope_blocks(p, packets, g, 0.0)) for p, packets, g in runs]
+        streams = [oracle._envelope_blocks(p, packets, g, 0.0) for p, packets, g in runs]
+        interleaved = [[], []]
+        for pair in itertools.zip_longest(*streams):
+            for got, block in zip(interleaved, pair):
+                if block is not None:
+                    i0, env, c = block
+                    got.append((i0, env.copy(), c.copy()))
+        assert [len(b) for b in alone] == [12, 4]
+        for want, got in zip(alone, interleaved):
+            assert len(got) == len(want)
+            for (i0, env, c), (j0, env2, c2) in zip(want, got):
+                assert i0 == j0
+                assert np.array_equal(env.view(np.int64), env2.view(np.int64))
+                assert np.array_equal(c.view(np.int64), c2.view(np.int64))
+
+    def test_verify_plateau_stops_after_its_block(self, monkeypatch):
+        # the plateau node, t = 0 on a 482 200-step grid from t = -1200, lies
+        # in the 30th of 59 blocks; the stream is not read past that block
+        served = []
+        stream = verify._envelope_blocks
+
+        def counting(*args):
+            for block in stream(*args):
+                served.append(block[0])
+                yield block
+
+        monkeypatch.setattr(verify, "_envelope_blocks", counting)
+        verify.run_suites(["oracle"])
+        grid = TimeGrid(-1200.0, 1211.0, 0.005)
+        node = round(1200.0 / grid.step)
+        assert served == list(range(0, node + 1, oracle._BLOCK))
+        assert len(served) < -(-grid.n_steps // oracle._BLOCK)
 
     def test_zero_input(self):
         rep = time_domain_report(
