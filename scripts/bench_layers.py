@@ -27,8 +27,11 @@ amplitudes as one complex (..., 4) array in CHANNELS order. Times are
 medians of repeated calls after one warm-up call. Beside each time,
 `minflt_per_call` records the minor page faults per call, from the
 process's `ru_minflt` over the timed calls. `minflt_fresh_per_call` records
-them for the two `time_domain_report` layers alone, each in a fresh
-interpreter after one warm-up call.
+them for the two `time_domain_report` layers alone, the median over five
+fresh interpreters of the faults per call after one warm-up call. Those
+interpreters run with a fixed environment and hash seed, as the count moves
+with both: one tree read 136 or 144 faults per call with the caller's
+environment, as the hash seed was set or not, and 136 in 20 of 21 fixed ones.
 
 The layers run in one process in the order above, so a layer's time and
 faults depend on what earlier layers freed: glibc raises its mmap threshold
@@ -108,12 +111,18 @@ def fresh_faults(name: str, calls: int = 10) -> float:
     return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / calls
 
 
-def _fresh_faults_child(name: str) -> float:
-    """fresh_faults(name) in a fresh interpreter that imports the
-    photon_router this one would."""
-    out = subprocess.run([sys.executable, __file__, "--fresh-faults", name], check=True,
-                         capture_output=True, text=True).stdout
-    return float(out)
+def _fresh_faults_children(name: str, children: int = 5) -> float:
+    """Median of fresh_faults(name) over fresh interpreters that import the
+    photon_router this one does, each with the same environment."""
+    import photon_router
+
+    env = {"PATH": os.environ.get("PATH", ""), "PYTHONHASHSEED": "0",
+           "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(photon_router.__file__).resolve().parent.parent)}
+    return statistics.median(
+        float(subprocess.run([sys.executable, __file__, "--fresh-faults", name], env=env,
+                             check=True, capture_output=True, text=True).stdout)
+        for _ in range(children))
 
 
 def layer_times(tmp: str) -> dict:
@@ -181,7 +190,7 @@ def layer_times(tmp: str) -> dict:
         median, faults = _median_time(fn, seconds, calls)
         result["layers_ms"][name] = 1e3 * median
         result["minflt_per_call"][name] = faults
-    result["minflt_fresh_per_call"] = {name: _fresh_faults_child(name) for name in reports}
+    result["minflt_fresh_per_call"] = {name: _fresh_faults_children(name) for name in reports}
     return result
 
 

@@ -14,14 +14,14 @@ which is exactly what this module exists to cross-check.
 The integrator is classical fixed-step RK4. The equation is linear with
 constant coefficients, so each step is c[i+1] = R c[i] + B[i] with a fixed
 gain R, and the steps are solved in numpy as that recurrence, a block of 2^13
-steps at a time, in rows of 2^11 steps: counting j and i from a row's start,
-c[j+1] = R^j (R c0 + sum_{i<=j} R^-i B[i]), a prefix sum between two
-scalings, c0 the amplitude the row starts from. A stream allocates its block
-arrays once per call and reuses them for every block (see `_BLOCK`). Each
-power R^k is exp(k log R), log R computed from z = h lam without rounding R:
-repeated multiplication would leave R^k about k eps off. Fluxes use the
-trapezoid rule, effectively exact here because every integrand vanishes at
-the window edges.
+steps at a time, in rows of up to 2^11 steps (see `_ROW`): counting j and i
+from a row's start, c[j+1] = R^j (R c0 + sum_{i<=j} R^-i B[i]), a prefix sum
+between two scalings, c0 the amplitude the row starts from. A stream
+allocates its block arrays once per call and reuses them for every block
+(see `_BLOCK`). Each power R^k is exp(k log R), log R computed from z = h lam
+without rounding R: repeated multiplication would leave R^k about k eps off.
+Fluxes use the trapezoid rule, effectively exact here because every
+integrand vanishes at the window edges.
 
 `integrate_cavity` takes drives as data: each driven channel's mean input
 field sampled at `TimeGrid.half_nodes`, the step ends and midpoints RK4
@@ -84,11 +84,17 @@ MAX_STEPS = 2_000_000
 # the Omega = 0.3 report took 1.0-1.2 ms instead of 0.7-0.75 ms (2-CPU VM,
 # Python 3.11, numpy 2.4); 2^12 timed the same as 2^13 in twice the blocks.
 _BLOCK = 1 << 13
-# Steps per prefix sum. _check_grid keeps h Gamma <= 0.01, so the scaling
-# |R|^-_ROW stays below e^20.5; rows of 2^12 and 2^13 steps timed no faster.
+# Steps per prefix sum at most; rows of 2^12 and 2^13 steps timed no faster.
+# A row of n steps scales a step's forcing by up to |R|^-n, and `_row` halves
+# n until that is at most e^_SPAN. On the grids default_grid makes (h Gamma
+# <= 0.01, at most 0.02 rad per step) rows are _ROW steps, |R|^-_ROW <=
+# e^20.5. RK4 damps large rotations per step, |R| down to about 0.48 at
+# 2.45 rad, where a row of _ROW steps would scale by e^1500; there rows are
+# 32 steps.
 _ROW = 1 << 11
-# The powers R^k, k < _ROW, are products of two exp tables of _FINE and
-# _ROW / _FINE entries.
+_SPAN = 24.0
+# The powers R^k, k < _ROW, are products of two exp tables of up to _FINE
+# and _ROW / _FINE entries.
 _FINE = 1 << 6
 
 
@@ -233,21 +239,30 @@ def _log_gain(z: complex) -> complex:
                        math.atan2(w.imag, 1.0 + w.real))
 
 
-def _powers(log_r: complex) -> np.ndarray:
-    """R^k = exp(k log R) for k = 0 .. _ROW - 1, as products of two short exp
-    tables, k = _FINE q + r. log R splits into hi, its parts rounded to 24
-    bits, and the rest lo, at most 2^-24 of it: k hi is exact, so no power
-    carries the rounding of a large argument k log R. Powers from a rounded
-    k log R put a trajectory at |h Im lam| = 1 4.5e-14 of its peak off a
-    step-by-step RK4 loop, instead of 6.8e-15."""
+def _row(log_r: complex) -> int:
+    """Steps per prefix sum: the largest power of two n <= _ROW with
+    |R|^-n = exp(-n Re log R) <= e^_SPAN."""
+    n = _ROW
+    while n > 1 and -n * log_r.real > _SPAN:
+        n //= 2
+    return n
+
+
+def _powers(log_r: complex, n: int) -> np.ndarray:
+    """R^k = exp(k log R) for k = 0 .. n - 1, n a power of two, as products of
+    two short exp tables, k = fine q + r. log R splits into hi, its parts
+    rounded to 24 bits, and the rest lo, at most 2^-24 of it: k hi is exact,
+    so no power carries the rounding of a large argument k log R. Powers from
+    a rounded k log R put a trajectory at |h Im lam| = 1 4.5e-14 of its peak
+    off a step-by-step RK4 loop, instead of 6.8e-15."""
     hi = complex(np.complex64(log_r))
     lo = log_r - hi
 
     def table(k):
         return np.exp(hi * k) * np.exp(lo * k)
 
-    coarse, fine = table(_FINE * np.arange(_ROW // _FINE)), table(np.arange(_FINE))
-    return (coarse[:, None] * fine).ravel()
+    fine = min(n, _FINE)
+    return (table(fine * np.arange(n // fine))[:, None] * table(np.arange(fine))).ravel()
 
 
 def _recurrence(params: RouterParams, grid: TimeGrid) -> Callable:
@@ -269,7 +284,8 @@ def _recurrence(params: RouterParams, grid: TimeGrid) -> Callable:
     w1 = h / 6.0
     log_r = _log_gain(h * _lam(params))
     gain = cmath.exp(log_r)
-    up, down = _powers(log_r), _powers(-log_r)
+    row = _row(log_r)
+    up, down = _powers(log_r, row), _powers(-log_r, row)
     tmp = np.empty(min(grid.n_steps, _BLOCK), dtype=complex)
 
     def solve(kick, drive: np.ndarray, c: np.ndarray) -> None:
@@ -285,13 +301,13 @@ def _recurrence(params: RouterParams, grid: TimeGrid) -> Callable:
         # and i counted from the row's start: a prefix sum between two
         # scalings, the row's end the next row's start.
         start = c[0]
-        for j0 in range(0, m, _ROW):
-            row = b[j0:j0 + _ROW]
-            row *= down[:len(row)]
-            row[0] += gain * start
-            np.cumsum(row, out=row)
-            row *= up[:len(row)]
-            start = row[-1]
+        for j0 in range(0, m, row):
+            part = b[j0:j0 + row]
+            part *= down[:len(part)]
+            part[0] += gain * start
+            np.cumsum(part, out=part)
+            part *= up[:len(part)]
+            start = part[-1]
 
     return solve
 
@@ -319,8 +335,8 @@ def integrate_cavity(params: RouterParams, drives: Mapping[Channel, np.ndarray],
                 f"drive on {ch} is {edge / peak:.2e} of its peak at the window edge")
         top = max(top, peak)
 
-    # The prefix sums scale a step's forcing by up to |R|^-_ROW < e^20.5 and
-    # add _ROW of them, which would overflow a drive of peak 1e305; drives
+    # The prefix sums scale a step's forcing by up to e^_SPAN < 2^35 and add
+    # up to _ROW of them, which would overflow a drive of peak 1e305; drives
     # near the float range are solved scaled down by a power of two, exactly.
     scale = 2.0 ** min(0, 960 - math.frexp(top)[1])
     solve = _recurrence(params, grid)

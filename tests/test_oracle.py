@@ -219,14 +219,19 @@ class TestIntegrateCavity:
             integrate_cavity(RouterParams(), drives, grid)
 
     @pytest.mark.parametrize("scale", [1e280, 1e305, 1e307])
-    def test_huge_drive_scales(self, scale):
-        # the prefix sums scale the forcing up by as much as e^20.5, which
-        # turned a drive of peak 1e305 into a NaN trajectory; the detuned
-        # cavity at h Gamma = 0.01 needs the largest scaling. The scaled
-        # drive is rounded, so the bits are not the unit drive's.
-        params = RouterParams(gamma2=0.5, gamma_c=0.5, omega_c=3.0)
-        grid = TimeGrid(-25.0, 25.0, 0.005)
-        drives = _drives([WavePacket(Channel.R1, 1.0, Omega=0.5)], grid)
+    @pytest.mark.parametrize("params, packet, grid", [
+        (RouterParams(gamma2=0.5, gamma_c=0.5, omega_c=3.0),
+         WavePacket(Channel.R1, 1.0, Omega=0.5), TimeGrid(-25.0, 25.0, 0.005)),
+        (RouterParams(gamma1=1.0, gamma2=0.0, omega_c=245.0),
+         WavePacket(Channel.R1, 1.0, omega0=245.0, Omega=0.5), TimeGrid(-25.0, 25.0, 0.01)),
+    ], ids=["decay-limit", "rotation-2.45"])
+    def test_huge_drive_scales(self, scale, params, packet, grid):
+        # the prefix sums scale the forcing up by as much as e^24, which
+        # turned a drive of peak 1e305 into a NaN trajectory: e^20.5 for the
+        # detuned cavity at h Gamma = 0.01, e^23.5 in rows of 32 steps at
+        # 2.45 rad per step, where |R| is smallest. The scaled drive is
+        # rounded, so the bits are not the unit drive's.
+        drives = _drives([packet], grid)
         unit = integrate_cavity(params, drives, grid)
         big = integrate_cavity(params, {Channel.R1: scale * drives[Channel.R1]}, grid)
         assert np.all(np.isfinite(big))
@@ -336,9 +341,18 @@ class TestRecurrenceMatchesLoop:
         (RouterParams(gamma2=0.0, omega_c=100.0),
          [WavePacket(Channel.R1, 1.0, omega0=100.0, Omega=0.5)],
          TimeGrid(-25.0, 25.0, 0.01)),
+        # RK4 damps these rotations, |R| = 0.54 at 2.3 rad per step and 0.91
+        # at 2.8, near the stability edge: rows of 2^11 steps scaled by
+        # e^1280 and e^190, and the first overflowed to an all-NaN trajectory
+        (RouterParams(gamma1=1.0, gamma2=0.0, omega_c=230.0),
+         [WavePacket(Channel.R1, 1.0, omega0=230.0, Omega=0.5)],
+         TimeGrid(-25.0, 25.0, 0.01)),
+        (RouterParams(gamma1=1.0, gamma2=0.0, omega_c=280.0),
+         [WavePacket(Channel.R1, 1.0, omega0=280.0, Omega=0.5)],
+         TimeGrid(-25.0, 25.0, 0.01)),
     ], ids=["lossless", "lossy-pair", "detuned-three", "lossy-detuned-four",
             "ringing-at-end", "101100-steps", "slow-400000-steps", "decay-limit",
-            "rotation-0.5", "rotation-1"])
+            "rotation-0.5", "rotation-1", "rotation-2.3", "rotation-2.8"])
     def test_matches_python_loop(self, params, packets, grid):
         self._check(params, _drives(packets, grid), grid)
 
@@ -454,8 +468,12 @@ class TestTimeDomainReport:
         # on resonance with gamma2 = 0 the transmitted R1 output nearly
         # vanishes: its three moment terms cancel
         (RouterParams(gamma2=0.0), [WavePacket(Channel.R1, 1.0, Omega=0.03)], None),
+        # 2.3 rad per step on a user grid, rows of 32 steps: in rows of 2^11
+        # the moments came out NaN with no error
+        (RouterParams(gamma1=1.0, gamma2=0.0, omega_c=230.0),
+         [WavePacket(Channel.R1, 1.0, Omega=0.5)], TimeGrid(-25.0, 75.0, 0.01)),
     ], ids=["2-blocks", "8-blocks", "3-packets", "4-packets", "lossless",
-            "zero-packet", "opposite-phase", "cancelling-moments"])
+            "zero-packet", "opposite-phase", "cancelling-moments", "rotation-2.3"])
     def test_streamed_sums_match_whole_arrays(self, params, packets, grid):
         # the report's per-block moments against output_flux on the whole
         # trajectory, which integrate_cavity solves from the same recurrence
