@@ -45,7 +45,6 @@ from .oracle import (
     TimeGrid,
     default_grid,
     integrate_cavity,
-    output_flux,
     time_domain_report,
     time_pulse,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "mean_output_single",
     "mean_output_three",
     "mean_output_two",
-    "output_flux",
     "packet_output_numbers",
     "port_of_output_channel",
     "report_from_scatter",

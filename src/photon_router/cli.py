@@ -59,7 +59,7 @@ from .core import (
     RouterParams,
     WavePacket,
 )
-from .oracle import default_grid, integrate_cavity, time_pulse
+from .oracle import default_grid, integrate_cavity
 from .scattering import (
     mean_output_single,
     mean_output_three,
@@ -347,9 +347,7 @@ def _emit(out_path: str | None, header: Sequence[str],
 def _dump_trajectory(path: str, params: RouterParams,
                      packets: Sequence[WavePacket]) -> None:
     grid = default_grid(params, packets)
-    nodes = grid.half_nodes
-    trajectory = integrate_cavity(params, {p.channel: time_pulse(p, nodes) for p in packets},
-                                  grid)
+    trajectory = integrate_cavity(params, packets, grid)
     # squared one element at a time: numpy's array square or power differs
     # from the per-element abs(c) ** 2 in the last digit of some values
     abs2 = np.fromiter((h ** 2 for h in np.hypot(trajectory.real, trajectory.imag)),

@@ -117,7 +117,7 @@ class RouterParams:
     `report_from_scatter`, the scattering map on (..., 4) amplitude arrays
     in CHANNELS order) accepts array rates. The packet quadrature and the
     time-domain oracle take one rate set per call and raise ParameterError
-    for arrays.
+    for arrays; their packets' mean_n and phase may be arrays (WavePacket).
     """
 
     gamma1: float = 1.0
@@ -269,9 +269,10 @@ class WavePacket:
     normal doubles.
 
     mean_n and phase are floats or numpy arrays that broadcast together, one
-    packet per element; the packet quadrature evaluates all elements in one
-    call, the time-domain oracle takes scalars only. omega0 and Omega set
-    the quadrature window and stay scalar. Errors name the first bad element.
+    packet per element; the packet quadrature and the time-domain oracle
+    evaluate all elements in one call, and only time_pulse takes scalars
+    alone. omega0 and Omega set the quadrature window and the time grid and
+    stay scalar. Errors name the first bad element.
     """
 
     channel: Channel

@@ -11,6 +11,22 @@ with c(t_start) = 0, and every channel leaves as
 the window gives the same mean output numbers as the frequency-domain route,
 which is exactly what this module exists to cross-check.
 
+The packets of one call share their center omega0 and one real envelope
+env. In the frame rotating at omega0 (omega_c -> omega_c - omega0, carrier
+dropped) packet ch is alpha_ch env, so the cavity sees only kick env with
+kick = sum_ch -i sqrt(gamma_ch) alpha_ch. The equation is linear, so
+c = kick c1, where c1, the unit response, is the cavity driven by env
+alone. The oracle solves c1 once per call, whatever the packets' phases and
+photon numbers, in one stream of blocks (`_envelope_blocks`):
+`integrate_cavity` gathers kick c1 at the grid nodes, times the carrier at
+omega0 != 0, and `time_domain_report` adds the trapezoid moments
+E = int env^2, C1 = int |c1|^2 and X1 = int env c1, from which
+`output_flux` forms n_in = sum_ch |alpha_ch|^2 E and
+N_ch = |alpha_ch|^2 E + gamma_ch |kick|^2 C1 + 2 sqrt(gamma_ch) Im(conj(alpha_ch) kick X1).
+So the packets' mean_n and phase may be arrays that broadcast together: a
+report of their broadcast shape still takes one solve. The report holds no
+array as long as the grid.
+
 The integrator is classical fixed-step RK4. The equation is linear with
 constant coefficients, so each step is c[i+1] = R c[i] + B[i] with a fixed
 gain R, and the steps are solved in numpy as that recurrence, a block of 2^13
@@ -22,23 +38,6 @@ allocates its block arrays once per call and reuses them for every block
 without rounding R: repeated multiplication would leave R^k about k eps off.
 Fluxes use the trapezoid rule, effectively exact here because every
 integrand vanishes at the window edges.
-
-`integrate_cavity` takes drives as data: each driven channel's mean input
-field sampled at `TimeGrid.half_nodes`, the step ends and midpoints RK4
-evaluates, whose step ends are `TimeGrid.times` bit for bit.
-`time_domain_report` takes packets. In the frame rotating at their shared
-center frequency omega0 (omega_c -> omega_c - omega0, carrier dropped) each
-is alpha_ch times one real envelope, so the cavity sees kick * env with
-kick = sum_ch -i sqrt(gamma_ch) alpha_ch. Per block the report evaluates env
-once and adds the trapezoid moments E = int env^2, C = int |c|^2 and
-X = int env c; then n_in = sum_ch |alpha_ch|^2 E and
-N_ch = |alpha_ch|^2 E + gamma_ch C + 2 sqrt(gamma_ch) Im(conj(alpha_ch) X).
-Neither it nor `verify`'s plateau check, which reads one node of the same
-block stream, holds an array as long as the grid.
-
-The oracle integrates one set of packets per call: `default_grid`,
-`time_pulse` and `time_domain_report` raise ParameterError for a packet whose
-mean_n or phase is an array.
 """
 
 from __future__ import annotations
@@ -46,13 +45,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .core import (
     CHANNELS,
-    Channel,
     GridTooCoarse,
     GridTooLarge,
     NonFinite,
@@ -61,18 +59,19 @@ from .core import (
     PulseNotContained,
     RouterParams,
     WavePacket,
+    broadcast_shape,
+    overflow_guard,
     require_scalar,
     validate_scalar,
 )
 from .wavepacket import shared_packet_frame
 
-_EDGE_RATIO = 1e-4          # drive amplitude allowed at window edges, vs peak
 _TAIL_MASS = 1e-10          # allowed envelope mass outside the window
 _RINGDOWN_RATIO = 1e-8      # |c(t_end)| allowed vs max |c|
 # RK4 steps allowed on one grid: about 4x the longest grid the tests, the
 # verify battery and the benchmark integrate (482 200 steps, which the report
-# and verify's plateau check stream). A caller of integrate_cavity holds 32
-# bytes per step for each drive's half-node samples and 16 for the trajectory.
+# and verify's plateau check stream). integrate_cavity holds 16 bytes per
+# step for the trajectory it returns; the report holds no per-step array.
 MAX_STEPS = 2_000_000
 # RK4 steps solved together. A stream's block arrays (the half-node numbers
 # and the real envelope on them, the trajectory and one scratch row, about
@@ -145,8 +144,6 @@ def default_grid(params: RouterParams, packets: Sequence[WavePacket],
                  t0: float = 0.0) -> TimeGrid:
     """Grid covering 12/Omega on both sides of the pulse peak plus ring-down."""
     validate_scalar(params)
-    for p in packets:
-        require_scalar(p, "mean_n", "phase")
     omega0, Omega = shared_packet_frame(packets)
     gtot = params.total_decay
     rotation = abs(params.omega_c - omega0)
@@ -165,9 +162,22 @@ def _envelope(Omega: float, tau, out=None):
     return np.multiply((2.0 * Omega ** 2 / np.pi) ** 0.25, np.exp(arg, out=out), out=out)
 
 
-def _amplitude(packet: WavePacket) -> complex:
-    """alpha = sqrt(mean_n) exp(i phase), the packet's coherent amplitude."""
-    return complex(math.sqrt(packet.mean_n) * np.exp(1j * packet.phase))
+def _amplitude(packet: WavePacket):
+    """alpha = sqrt(mean_n) exp(i phase), the packet's coherent amplitude; an
+    array where mean_n or phase is one."""
+    return np.sqrt(packet.mean_n) * np.exp(1j * packet.phase)
+
+
+def _kick(params: RouterParams, packets: Sequence[WavePacket]) -> tuple[dict, complex]:
+    """The packets' amplitudes by channel and the kick sum_ch -i sqrt(gamma_ch)
+    alpha_ch: Python complex numbers, or arrays of the broadcast shape of the
+    packets' mean_n and phase values."""
+    validate_scalar(params)
+    shape = broadcast_shape("packet mean_n and phase values",
+                            *(x for p in packets for x in (p.mean_n, p.phase)))
+    alphas = {p.channel: _amplitude(p) if shape else complex(_amplitude(p)) for p in packets}
+    kick = sum(-1j * math.sqrt(params.coupling(ch)) * a for ch, a in alphas.items())
+    return alphas, kick
 
 
 def time_pulse(packet: WavePacket, t, t0: float = 0.0):
@@ -206,20 +216,6 @@ def _check_grid(grid: TimeGrid, params: RouterParams) -> None:
         raise GridTooCoarse(
             f"RK4 is unstable on this grid: |R| = {gain:.6g} >= 1 at step "
             f"{grid.step:.3e} with omega_c = {params.omega_c}")
-
-
-def _samples(drives: Mapping[Channel, np.ndarray], grid: TimeGrid) -> dict:
-    """The drives as complex arrays; ParameterError unless each holds one
-    sample per node of grid.half_nodes."""
-    nodes = 2 * grid.n_steps + 1
-    out = {}
-    for ch, vals in drives.items():
-        out[ch] = np.asarray(vals, dtype=complex)
-        if out[ch].shape != (nodes,):
-            raise ParameterError(
-                f"drive on {ch} has shape {out[ch].shape}, need ({nodes},): "
-                "one sample per node of grid.half_nodes")
-    return out
 
 
 def _log_gain(z: complex) -> complex:
@@ -267,11 +263,11 @@ def _powers(log_r: complex, n: int) -> np.ndarray:
 
 def _recurrence(params: RouterParams, grid: TimeGrid) -> Callable:
     """The RK4 recurrence on a checked grid as a block solver,
-    solve(kick, drive, c): drive on the half nodes 2 i0 .. 2 i1 of a block of
-    m <= _BLOCK steps, which the cavity sees times the number kick, and c of
-    m + 1 elements, c[0] the amplitude the block starts from; it fills c[1:]
-    with the trajectory at the grid nodes i0 + 1 .. i1. The solver's tables
-    and scratch row belong to this call of _recurrence.
+    solve(drive, c): drive on the half nodes 2 i0 .. 2 i1 of a block of
+    m <= _BLOCK steps and c of m + 1 elements, c[0] the amplitude the block
+    starts from; it fills c[1:] with the trajectory at the grid nodes
+    i0 + 1 .. i1. The solver's tables and scratch row belong to this call of
+    _recurrence.
     """
     h = grid.step
     # One RK4 step is c[i+1] = R c[i] + B[i]: R from the homogeneous part,
@@ -288,15 +284,13 @@ def _recurrence(params: RouterParams, grid: TimeGrid) -> Callable:
     up, down = _powers(log_r, row), _powers(-log_r, row)
     tmp = np.empty(min(grid.n_steps, _BLOCK), dtype=complex)
 
-    def solve(kick, drive: np.ndarray, c: np.ndarray) -> None:
+    def solve(drive: np.ndarray, c: np.ndarray) -> None:
         m = len(c) - 1
         b = c[1:]
         t = tmp[:m]
-        # the scalar goes first: numpy's complex product with the scalar on
-        # the right differs in the last bit of some elements
-        np.multiply(kick * w0, drive[:-1:2], out=b)
-        b += np.multiply(kick * wh, drive[1::2], out=t)
-        b += np.multiply(kick * w1, drive[2::2], out=t)
+        np.multiply(w0, drive[:-1:2], out=b)
+        b += np.multiply(wh, drive[1::2], out=t)
+        b += np.multiply(w1, drive[2::2], out=t)
         # Row by row, c[j+1] = R^j (R start + sum_{i<=j} R^-i B[i]) with j
         # and i counted from the row's start: a prefix sum between two
         # scalings, the row's end the next row's start.
@@ -312,85 +306,15 @@ def _recurrence(params: RouterParams, grid: TimeGrid) -> Callable:
     return solve
 
 
-def integrate_cavity(params: RouterParams, drives: Mapping[Channel, np.ndarray],
-                     grid: TimeGrid) -> np.ndarray:
-    """RK4 trajectory of the cavity amplitude, c(t_start) = 0.
-
-    drives: channel -> mean input field <o_ch_in(t)> sampled at
-    grid.half_nodes; each must vanish at the window edges.
-    Returns c at the grid.times nodes. Raises NonFinite, naming the channel,
-    for a NaN or inf sample.
-    """
-    validate_scalar(params)
-    _check_grid(grid, params)
-    samples = _samples(drives, grid)
-    top = 0.0
-    for ch, vals in samples.items():
-        peak = float(np.max(np.abs(vals)))
-        if not peak < math.inf:     # NaN too
-            raise NonFinite(f"drive on {ch} must be finite, got peak |sample| = {peak}")
-        edge = max(abs(complex(vals[0])), abs(complex(vals[-1])))
-        if peak > 0.0 and edge > _EDGE_RATIO * peak:
-            raise PulseNotContained(
-                f"drive on {ch} is {edge / peak:.2e} of its peak at the window edge")
-        top = max(top, peak)
-
-    # The prefix sums scale a step's forcing by up to e^_SPAN < 2^35 and add
-    # up to _ROW of them, which would overflow a drive of peak 1e305; drives
-    # near the float range are solved scaled down by a power of two, exactly.
-    scale = 2.0 ** min(0, 960 - math.frexp(top)[1])
-    solve = _recurrence(params, grid)
-    n = grid.n_steps
-    out = np.zeros(n + 1, dtype=complex)
-    for i0 in range(0, n, _BLOCK):
-        i1 = min(i0 + _BLOCK, n)
-        forcing = np.zeros(2 * (i1 - i0) + 1, dtype=complex)
-        for ch, vals in samples.items():
-            forcing += (-1j * math.sqrt(params.coupling(ch)) * scale) * vals[2 * i0:2 * i1 + 1]
-        solve(1.0, forcing, out[i0:i1 + 1])
-    if scale != 1.0:
-        out *= 1.0 / scale
-    return out
-
-
-def output_flux(params: RouterParams, drives: Mapping[Channel, np.ndarray],
-                trajectory: np.ndarray, grid: TimeGrid) -> OutputReport:
-    """Integrated mean output numbers from a cavity trajectory.
-
-    drives are the samples integrate_cavity took, on grid.half_nodes; every
-    other one is the input at a node of grid.times.
-    N_ch = integral |<o_ch_in(t)> - i sqrt(gamma_j) c(t)|^2 dt, trapezoid on
-    grid.times; n_in is the integrated input flux.
-    """
-    validate_scalar(params)
-    inputs = _samples(drives, grid)
-    nodes = grid.n_steps + 1
-    if trajectory.shape != (nodes,):
-        raise ParameterError(
-            f"trajectory has shape {trajectory.shape}, need ({nodes},): one value per grid node")
-    w = np.full(nodes, grid.step)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    n_in = 0.0
-    fluxes = []
-    for ch in CHANNELS:
-        d = inputs[ch][::2] if ch in inputs else np.zeros_like(trajectory)
-        n_in += float(np.dot(w, np.abs(d) ** 2))
-        out_t = d - 1j * math.sqrt(params.coupling(ch)) * trajectory
-        fluxes.append(float(np.dot(w, np.abs(out_t) ** 2)))
-    return OutputReport.from_channel_numbers(fluxes, n_in=n_in)
-
-
 def _envelope_blocks(params: RouterParams, packets: Sequence[WavePacket], grid: TimeGrid,
                      t0: float) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield (i0, env, c) per block of grid: env the packets' envelope on the
-    block's half nodes, c the cavity amplitude in their rotating frame at its
-    nodes i0 .. i0 + m, c[0] the end of the block before. Raises
-    PulseNotContained if the envelope mass outside the window exceeds 1e-10.
+    """Yield (i0, env, c1) per block of grid: env the packets' envelope on the
+    block's half nodes, c1 the unit response, the cavity in their rotating
+    frame driven by env alone, at its nodes i0 .. i0 + m, c1[0] the end of
+    the block before. Raises PulseNotContained if the envelope mass outside
+    the window exceeds 1e-10.
     """
     validate_scalar(params)
-    for p in packets:
-        require_scalar(p, "mean_n", "phase")
     omega0, Omega = shared_packet_frame(packets)
     mass_out = 0.5 * (math.erfc(math.sqrt(2.0) * Omega * (t0 - grid.t_start))
                       + math.erfc(math.sqrt(2.0) * Omega * (grid.t_end - t0)))
@@ -402,7 +326,6 @@ def _envelope_blocks(params: RouterParams, packets: Sequence[WavePacket], grid: 
     validate_scalar(rotated)
     _check_grid(grid, rotated)
     solve = _recurrence(rotated, grid)
-    kick = sum(-1j * math.sqrt(params.coupling(p.channel)) * _amplitude(p) for p in packets)
     n = grid.n_steps
     half = (grid.t_end - grid.t_start) / (2 * n)
     # One set of block arrays serves the whole stream, each block overwriting
@@ -426,19 +349,73 @@ def _envelope_blocks(params: RouterParams, packets: Sequence[WavePacket], grid: 
             tau[-1] = grid.t_end
         tau -= t0
         _envelope(Omega, tau, out=block_env)
-        solve(kick, block_env, block_c)
+        solve(block_env, block_c)
         yield i0, block_env, block_c
         index += 2 * _BLOCK
+
+
+def integrate_cavity(params: RouterParams, packets: Sequence[WavePacket],
+                     grid: TimeGrid | None = None, t0: float = 0.0) -> np.ndarray:
+    """RK4 trajectory of the cavity amplitude the packets drive, c(t_start) = 0.
+
+    The packets' pulses peak at t0; grid defaults to default_grid. Returns c
+    at the grid.times nodes in the lab frame: kick c1 from the unit-response
+    stream, times the carrier exp(-i omega0 (t - t0)) at omega0 != 0. For
+    array mean_n or phase values the result has their broadcast shape, then
+    one axis of nodes. Raises PulseNotContained if the envelope mass outside
+    the window exceeds 1e-10.
+    """
+    if grid is None:
+        grid = default_grid(params, packets, t0)
+    kick = np.expand_dims(_kick(params, packets)[1], -1)
+    out = np.zeros(kick.shape[:-1] + (grid.n_steps + 1,), dtype=complex)
+    for i0, _, c1 in _envelope_blocks(params, packets, grid, t0):
+        # the first node stays 0 exactly, where kick * 0 may be -0.0
+        np.multiply(kick, c1[1:], out=out[..., i0 + 1:i0 + len(c1)])
+    omega0 = packets[0].omega0
+    if omega0 != 0.0:
+        out *= np.exp(-1j * omega0 * (grid.times - t0))
+    return out
+
+
+def output_flux(params: RouterParams, packets: Sequence[WavePacket], e: float, cc: float,
+                x: complex) -> OutputReport:
+    """Mean output numbers of the packets from the trapezoid moments of their
+    unit response c1 over the window: e = E = int env^2, cc = C1 = int |c1|^2
+    and x = X1 = int env c1.
+
+    The cavity is kick c1, so C = int |c|^2 = |kick|^2 C1 and
+    X = int env c = kick X1; then n_in = sum_ch |alpha_ch|^2 E and
+    N_ch = |alpha_ch|^2 E + gamma_ch C + 2 sqrt(gamma_ch) Im(conj(alpha_ch) X).
+    The report has the broadcast shape of the packets' mean_n and phase.
+    """
+    alphas, kick = _kick(params, packets)
+    # a scalar call computes in Python floats, which never warn on overflow
+    with overflow_guard(not np.shape(kick)):
+        size = abs(kick)
+        cc = size * size * cc
+        x = kick * x
+        n_in = 0.0
+        fluxes = [params.coupling(ch) * cc for ch in CHANNELS]
+        for p in packets:
+            direct = p.mean_n * e       # |alpha|^2 E
+            n_in = n_in + direct
+            i = CHANNELS.index(p.channel)
+            fluxes[i] = fluxes[i] + direct + 2.0 * math.sqrt(
+                params.coupling(p.channel)) * (alphas[p.channel].conjugate() * x).imag
+    return OutputReport.from_channel_numbers(fluxes, n_in=n_in)
 
 
 def time_domain_report(params: RouterParams, packets: Sequence[WavePacket],
                        grid: TimeGrid | None = None, t0: float = 0.0) -> OutputReport:
     """Route Gaussian packets through the cavity entirely in the time domain.
 
-    Integrates the cavity in the packet-center frame a block at a time,
-    summing the moments E, C and X as it goes, and returns the integrated
-    output numbers. Raises PulseNotContained if the envelope mass outside
-    the window exceeds 1e-10 or the cavity has not rung down by t_end.
+    Integrates the unit response in the packet-center frame a block at a
+    time, summing the moments E, C1 and X1 as it goes, and returns the
+    integrated output numbers (see output_flux): one solve for every element
+    when the packets' mean_n and phase are arrays. Raises PulseNotContained
+    if the envelope mass outside the window exceeds 1e-10 or the cavity has
+    not rung down by t_end.
     """
     if grid is None:
         grid = default_grid(params, packets, t0)
@@ -449,21 +426,14 @@ def time_domain_report(params: RouterParams, packets: Sequence[WavePacket],
     x = 0j
     for _, env, c in _envelope_blocks(params, packets, grid, t0):
         u = env[::2]
-        u0, u1, c0, c1 = float(u[0]), float(u[-1]), complex(c[0]), complex(c[-1])
+        u0, u1, ca, cb = float(u[0]), float(u[-1]), complex(c[0]), complex(c[-1])
         peak = max(peak, float(np.max(np.abs(c))))
         e += h * (float(np.dot(u, u)) - 0.5 * (u0 * u0 + u1 * u1))
-        cc += h * (float(np.vdot(c, c).real) - 0.5 * (abs(c0) * abs(c0) + abs(c1) * abs(c1)))
+        cc += h * (float(np.vdot(c, c).real) - 0.5 * (abs(ca) * abs(ca) + abs(cb) * abs(cb)))
         x += h * (complex(float(np.dot(u, c.real)), float(np.dot(u, c.imag)))
-                  - 0.5 * (u0 * c0 + u1 * c1))
+                  - 0.5 * (u0 * ca + u1 * cb))
 
-    end = abs(c1)
+    end = abs(cb)
     if peak > 0.0 and end >= _RINGDOWN_RATIO * peak:
         raise PulseNotContained(f"cavity not rung down: |c(t_end)| = {end / peak:.2e} of max")
-    n_in = 0.0
-    fluxes = [params.coupling(ch) * cc for ch in CHANNELS]
-    for p in packets:
-        direct = p.mean_n * e       # |alpha|^2 E; a Python float overflows to inf
-        n_in += direct
-        fluxes[CHANNELS.index(p.channel)] += direct + 2.0 * math.sqrt(
-            params.coupling(p.channel)) * (_amplitude(p).conjugate() * x).imag
-    return OutputReport.from_channel_numbers(fluxes, n_in=n_in)
+    return output_flux(params, packets, e, cc, x)

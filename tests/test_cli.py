@@ -568,8 +568,8 @@ class TestEmitterBytes:
         seen = []
         real_integrate = cli.integrate_cavity
 
-        def spy(params, drives, grid):
-            trajectory = real_integrate(params, drives, grid)
+        def spy(params, packets, grid):
+            trajectory = real_integrate(params, packets, grid)
             seen.append((grid.times, trajectory))
             return trajectory
 

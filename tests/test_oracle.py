@@ -6,6 +6,7 @@ import math
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from photon_router import (
     default_grid,
     integrate_cavity,
     mean_output_two,
-    output_flux,
     packet_output_numbers,
     time_domain_report,
     time_pulse,
@@ -38,9 +38,10 @@ from photon_router import (
 PI = math.pi
 
 
-def _drives(packets: list[WavePacket], grid: TimeGrid) -> dict:
+def _drives(packets: list[WavePacket], grid: TimeGrid, t0: float = 0.0) -> dict:
+    """The packets' pulses on grid.half_nodes, as integrate_cavity_loop takes them."""
     nodes = grid.half_nodes
-    return {p.channel: time_pulse(p, nodes) for p in packets}
+    return {p.channel: time_pulse(p, nodes, t0) for p in packets}
 
 
 def _pair(phi: float, mean_n: float = 1.0, Omega: float = 0.3) -> list[WavePacket]:
@@ -92,8 +93,8 @@ class TestTimeGrid:
 
     @pytest.mark.parametrize("grid", GRIDS, ids=range(len(GRIDS)))
     def test_half_nodes_hold_times(self, grid):
-        # output_flux reads the drive samples at every other half node as
-        # the input on grid.times
+        # the stream evaluates the envelope on the half nodes, and every
+        # other one is the input on grid.times
         half = grid.half_nodes
         assert half.shape == (2 * grid.n_steps + 1,)
         assert np.array_equal(half[::2].view(np.int64), grid.times.view(np.int64))
@@ -109,16 +110,14 @@ class TestTimeGrid:
 class TestGridGuards:
     def test_step_above_decay_limit(self):
         grid = TimeGrid(-100.0, 100.0, 0.02)
-        drives = _drives([WavePacket(Channel.R1, 1.0, Omega=0.05)], grid)
         with pytest.raises(GridTooCoarse):
-            integrate_cavity(RouterParams(), drives, grid)
+            integrate_cavity(RouterParams(), [WavePacket(Channel.R1, 1.0, Omega=0.05)], grid)
 
     def test_too_few_steps(self):
         grid = TimeGrid(0.0, 0.9, 0.001)
-        drives = {Channel.R1: time_pulse(WavePacket(Channel.R1, 1.0, Omega=20.0),
-                                         grid.half_nodes, t0=0.45)}
         with pytest.raises(GridTooCoarse):
-            integrate_cavity(RouterParams(), drives, grid)
+            integrate_cavity(RouterParams(), [WavePacket(Channel.R1, 1.0, Omega=20.0)], grid,
+                             t0=0.45)
 
     @pytest.mark.parametrize("omega_c, gain", [(1000.0, "7.58888"), (1e200, "nan")])
     def test_rk4_unstable_step(self, omega_c, gain):
@@ -126,10 +125,10 @@ class TestGridGuards:
         # outside its stability region, which ended in NaN; at 1e200 R itself
         # overflows to NaN
         grid = TimeGrid(-40.0, 40.0, 0.004)
-        drives = _drives([WavePacket(Channel.R1, 1.0, Omega=0.3)], grid)
         want = f"|R| = {gain} >= 1 at step 4.000e-03 with omega_c = {omega_c}"
         with pytest.raises(GridTooCoarse, match=re.escape(want)):
-            integrate_cavity(RouterParams(omega_c=omega_c), drives, grid)
+            integrate_cavity(RouterParams(omega_c=omega_c),
+                             [WavePacket(Channel.R1, 1.0, Omega=0.3)], grid)
 
     def test_rk4_unstable_user_grid_in_report(self):
         with pytest.raises(GridTooCoarse, match=r"\|R\| = .*omega_c = 1000"):
@@ -192,61 +191,41 @@ class TestTimePulse:
 
 class TestIntegrateCavity:
     def test_no_drive_stays_empty(self):
-        traj = integrate_cavity(RouterParams(), {}, TimeGrid(-10.0, 10.0, 0.004))
+        traj = integrate_cavity(RouterParams(), [WavePacket(Channel.R1, 0.0, Omega=0.3)],
+                                TimeGrid(-40.0, 40.0, 0.004))
         assert np.all(traj == 0j)
 
     def test_destructive_pair_never_excites(self):
+        # the pair's kicks cancel to rounding, and c is kick times the unit
+        # response
         grid = TimeGrid(-40.0, 40.0, 0.004)
-        drives = _drives([WavePacket(Channel.R1, mean_n=1.0, Omega=0.3),
-                          WavePacket(Channel.L1, mean_n=1.0, Omega=0.3, phase=PI)], grid)
-        traj = integrate_cavity(RouterParams(gamma2=0.6, gamma_c=0.2), drives, grid)
+        packets = [WavePacket(Channel.R1, mean_n=1.0, Omega=0.3),
+                   WavePacket(Channel.L1, mean_n=1.0, Omega=0.3, phase=PI)]
+        traj = integrate_cavity(RouterParams(gamma2=0.6, gamma_c=0.2), packets, grid)
         assert float(np.max(np.abs(traj))) <= 1e-12
 
     def test_unconfined_drive_rejected(self):
-        grid = TimeGrid(-10.0, 10.0, 0.004)
-        drives = {Channel.R1: np.ones_like(grid.half_nodes)}
         with pytest.raises(PulseNotContained):
-            integrate_cavity(RouterParams(), drives, grid)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
-    def test_non_finite_sample_rejected(self, bad):
-        # a NaN sample left a NaN trajectory with no error
-        grid = TimeGrid(-40.0, 40.0, 0.004)
-        drives = _drives([WavePacket(Channel.R1, 1.0, Omega=0.3),
-                          WavePacket(Channel.L2, 1.0, Omega=0.3)], grid)
-        drives[Channel.L2][1000] = bad
-        with pytest.raises(NonFinite, match="drive on Channel.L2 must be finite"):
-            integrate_cavity(RouterParams(), drives, grid)
+            integrate_cavity(RouterParams(), [WavePacket(Channel.R1, 1.0, Omega=0.3)],
+                             TimeGrid(-10.0, 10.0, 0.004))
 
     @pytest.mark.parametrize("scale", [1e280, 1e305, 1e307])
     @pytest.mark.parametrize("params, packet, grid", [
         (RouterParams(gamma2=0.5, gamma_c=0.5, omega_c=3.0),
          WavePacket(Channel.R1, 1.0, Omega=0.5), TimeGrid(-25.0, 25.0, 0.005)),
         (RouterParams(gamma1=1.0, gamma2=0.0, omega_c=245.0),
-         WavePacket(Channel.R1, 1.0, omega0=245.0, Omega=0.5), TimeGrid(-25.0, 25.0, 0.01)),
+         WavePacket(Channel.R1, 1.0, Omega=0.5), TimeGrid(-25.0, 25.0, 0.01)),
     ], ids=["decay-limit", "rotation-2.45"])
     def test_huge_drive_scales(self, scale, params, packet, grid):
-        # the prefix sums scale the forcing up by as much as e^24, which
-        # turned a drive of peak 1e305 into a NaN trajectory: e^20.5 for the
-        # detuned cavity at h Gamma = 0.01, e^23.5 in rows of 32 steps at
-        # 2.45 rad per step, where |R| is smallest. The scaled drive is
-        # rounded, so the bits are not the unit drive's.
-        drives = _drives([packet], grid)
-        unit = integrate_cavity(params, drives, grid)
-        big = integrate_cavity(params, {Channel.R1: scale * drives[Channel.R1]}, grid)
+        # the prefix sums scale the forcing up by as much as e^24: e^20.5 for
+        # the detuned cavity at h Gamma = 0.01, e^23.5 in rows of 32 steps at
+        # 2.45 rad per step, where |R| is smallest. They solve the unit
+        # response, so the packets' amplitude, up to sqrt(1e307), enters only
+        # as the kick it is multiplied by
+        unit = integrate_cavity(params, [packet], grid)
+        big = integrate_cavity(params, [replace(packet, mean_n=scale)], grid)
         assert np.all(np.isfinite(big))
-        assert np.max(np.abs(big / scale - unit)) <= 1e-14 * np.max(np.abs(unit))
-
-    @pytest.mark.parametrize("shape", [0, 1, 10001, 20002, (1, 20001)])
-    def test_wrong_sample_count_rejected(self, shape):
-        # the grid has 10 000 steps, so 20 001 half nodes
-        grid = TimeGrid(-20.0, 20.0, 0.004)
-        drives = _drives([WavePacket(Channel.R1, 1.0, Omega=0.3)], grid)
-        drives[Channel.L1] = np.zeros(shape, dtype=complex)
-        with pytest.raises(ParameterError, match="one sample per node of grid.half_nodes"):
-            integrate_cavity(RouterParams(), drives, grid)
-        with pytest.raises(ParameterError, match="one sample per node of grid.half_nodes"):
-            output_flux(RouterParams(), drives, np.zeros(10001, dtype=complex), grid)
+        assert np.max(np.abs(big / math.sqrt(scale) - unit)) <= 1e-14 * np.max(np.abs(unit))
 
     def test_plateau_matches_stationary_response(self):
         # a pulse much longer than the cavity lifetime tracks the
@@ -254,7 +233,7 @@ class TestIntegrateCavity:
         params = RouterParams(omega_c=0.3)
         slow = WavePacket(Channel.R1, mean_n=1.0, Omega=0.01)
         grid = TimeGrid(-1200.0, 1211.0, 0.005)
-        traj = integrate_cavity(params, _drives([slow], grid), grid)
+        traj = integrate_cavity(params, [slow], grid)
         peak_idx = int(np.argmin(np.abs(grid.times)))
         c_ss = cavity_amplitude(params, [complex(time_pulse(slow, 0.0)), 0, 0, 0], 0.3)
         assert abs(traj[peak_idx]) ** 2 == pytest.approx(abs(c_ss) ** 2, rel=1e-4)
@@ -263,10 +242,31 @@ class TestIntegrateCavity:
         params = RouterParams()
         wide = [WavePacket(Channel.R1, mean_n=1.0, Omega=0.5)]
         grids = [TimeGrid(-20.0, 20.0, dt) for dt in (0.005, 0.0025, 0.000625)]
-        c_h, c_h2, c_ref = [integrate_cavity(params, _drives(wide, g), g) for g in grids]
+        c_h, c_h2, c_ref = [integrate_cavity(params, wide, g) for g in grids]
         e1 = float(np.max(np.abs(c_h - c_ref[::8])))
         e2 = float(np.max(np.abs(c_h2[::2] - c_ref[::8])))
         assert math.log2(e1 / e2) >= 3.8
+
+    def test_default_grid(self):
+        params = RouterParams(gamma_c=0.1)
+        packets = _pair(1.1)
+        grid = default_grid(params, packets, t0=2.0)
+        got = integrate_cavity(params, packets, t0=2.0)
+        assert np.array_equal(got, integrate_cavity(params, packets, grid, t0=2.0))
+        assert got.shape == (grid.n_steps + 1,)
+
+    def test_array_call_equals_scalar_calls(self):
+        # c = kick c1: an array of phases and photon numbers shares one solve,
+        # and each row is its scalar call's trajectory, carrier included
+        params = RouterParams(gamma2=0.4, gamma_c=0.1, omega_c=-0.2)
+        mean_n, phis = np.array([[0.0], [2.5]]), np.linspace(-3.0, 7.0, 5)
+        got = integrate_cavity(params, [WavePacket(Channel.R1, mean_n, 0.5, 0.3),
+                                        WavePacket(Channel.L2, 1.0, 0.5, 0.3, phis)])
+        assert got.shape[:2] == (2, 5)
+        for i, j in itertools.product(range(2), range(5)):
+            want = integrate_cavity(params, [WavePacket(Channel.R1, mean_n[i, 0], 0.5, 0.3),
+                                             WavePacket(Channel.L2, 1.0, 0.5, 0.3, phis[j])])
+            assert np.max(np.abs(got[i, j] - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 class TestLogGain:
@@ -295,7 +295,7 @@ class TestLogGain:
 
 class TestRecurrenceMatchesLoop:
     """integrate_cavity solves the RK4 recurrence in numpy; the reference
-    steps the same RK4 algebra in a Python loop."""
+    steps the same RK4 algebra in a Python loop, fed the packets' pulses."""
 
     @pytest.mark.parametrize("params, packets, grid", [
         (RouterParams(), [WavePacket(Channel.R1, 1.0, Omega=0.3)],
@@ -333,48 +333,49 @@ class TestRecurrenceMatchesLoop:
         (RouterParams(gamma2=0.5, gamma_c=0.5, omega_c=3.0),
          [WavePacket(Channel.R1, 1.0, Omega=0.5), WavePacket(Channel.L2, 0.5, Omega=0.5)],
          TimeGrid(-25.0, 25.0, 0.005)),
-        # |h Im lam| = 0.5 and 1 per step on user grids with the drive's
-        # carrier: the powers R^k reach k |Im log R| ~ 1000 rad in a row
-        (RouterParams(gamma2=0.0, omega_c=50.0),
-         [WavePacket(Channel.R1, 1.0, omega0=50.0, Omega=0.5)],
+        # |h Im lam| = 0.5 and 1 per step on user grids, the cavity far from
+        # the packets' center: the powers R^k reach k |Im log R| ~ 1000 rad
+        # in a row
+        (RouterParams(gamma2=0.0, omega_c=50.0), [WavePacket(Channel.R1, 1.0, Omega=0.5)],
          TimeGrid(-25.0, 25.0, 0.01)),
-        (RouterParams(gamma2=0.0, omega_c=100.0),
-         [WavePacket(Channel.R1, 1.0, omega0=100.0, Omega=0.5)],
+        (RouterParams(gamma2=0.0, omega_c=100.0), [WavePacket(Channel.R1, 1.0, Omega=0.5)],
          TimeGrid(-25.0, 25.0, 0.01)),
         # RK4 damps these rotations, |R| = 0.54 at 2.3 rad per step and 0.91
         # at 2.8, near the stability edge: rows of 2^11 steps scaled by
         # e^1280 and e^190, and the first overflowed to an all-NaN trajectory
         (RouterParams(gamma1=1.0, gamma2=0.0, omega_c=230.0),
-         [WavePacket(Channel.R1, 1.0, omega0=230.0, Omega=0.5)],
-         TimeGrid(-25.0, 25.0, 0.01)),
+         [WavePacket(Channel.R1, 1.0, Omega=0.5)], TimeGrid(-25.0, 25.0, 0.01)),
         (RouterParams(gamma1=1.0, gamma2=0.0, omega_c=280.0),
-         [WavePacket(Channel.R1, 1.0, omega0=280.0, Omega=0.5)],
-         TimeGrid(-25.0, 25.0, 0.01)),
+         [WavePacket(Channel.R1, 1.0, Omega=0.5)], TimeGrid(-25.0, 25.0, 0.01)),
+        # packets off omega0 = 0: the stream solves their rotating frame, and
+        # the trajectory carries the carrier
+        (RouterParams(gamma1=0.7, gamma2=1.4, gamma_c=0.1, omega_c=4.0),
+         [WavePacket(Channel.R1, 1.0, omega0=1.5, Omega=0.5, phase=0.3),
+          WavePacket(Channel.L2, 1.5, omega0=1.5, Omega=0.5, phase=-1.0)],
+         TimeGrid(-24.0, 35.0, 0.003)),
     ], ids=["lossless", "lossy-pair", "detuned-three", "lossy-detuned-four",
             "ringing-at-end", "101100-steps", "slow-400000-steps", "decay-limit",
-            "rotation-0.5", "rotation-1", "rotation-2.3", "rotation-2.8"])
+            "rotation-0.5", "rotation-1", "rotation-2.3", "rotation-2.8", "carrier"])
     def test_matches_python_loop(self, params, packets, grid):
-        self._check(params, _drives(packets, grid), grid)
+        self._check(params, packets, grid)
 
-    # a slow cavity detuned from two pulses, one of them across the block
-    # end at t = 64 on the longest grid: 2^16 steps are 8 whole blocks, one
-    # more step ends in a block of 1, and 3 * 2^16 + 5 steps end in a block
-    # of 5. On the 2^13 + 1-step grid the one block end is a step before
-    # t_end: the second pulse crosses it at 5e-5 of its peak, and the cavity
-    # amplitude carried across it is still 0.4 of its peak
-    @pytest.mark.parametrize("grid, t0s", [
-        (TimeGrid(-64.0, 64.0, 2.0 ** -9), (-20.0, 40.0)),
-        (TimeGrid(-64.0, 64.0 + 2.0 ** -9, 2.0 ** -9), (-20.0, 40.0)),
-        (TimeGrid(-192.0, 192.0 + 5 * 2.0 ** -9, 2.0 ** -9), (-140.0, 64.0)),
-        (TimeGrid(-16.0, 16.0 + 2.0 ** -8, 2.0 ** -8), (-4.0, 5.5)),
+    # a slow cavity detuned from a pulse pair across a block end: 2^16 steps
+    # are 8 whole blocks, one more step ends in a block of 1, and
+    # 3 * 2^16 + 5 steps end in a block of 5, the pulses at its block end
+    # t = 64. On the 2^13 + 1-step grid the one block end is a step before
+    # t_end: the pulses cross it at 2e-5 of their peak, and the cavity
+    # amplitude carried across it is still 0.66 of its peak
+    @pytest.mark.parametrize("grid, t0", [
+        (TimeGrid(-64.0, 64.0, 2.0 ** -9), -20.0),
+        (TimeGrid(-64.0, 64.0 + 2.0 ** -9, 2.0 ** -9), -20.0),
+        (TimeGrid(-192.0, 192.0 + 5 * 2.0 ** -9, 2.0 ** -9), 64.0),
+        (TimeGrid(-16.0, 16.0 + 2.0 ** -8, 2.0 ** -8), 5.0),
     ], ids=["2^16", "2^16+1", "3*2^16+5", "2^13+1"])
-    def test_block_boundaries(self, grid, t0s):
+    def test_block_boundaries(self, grid, t0):
         assert oracle._BLOCK == 1 << 13
-        nodes = grid.half_nodes
-        drives = {Channel.R1: time_pulse(WavePacket(Channel.R1, 1.0, Omega=0.3), nodes, t0s[0]),
-                  Channel.L2: time_pulse(WavePacket(Channel.L2, 2.0, Omega=0.3, phase=1.0),
-                                         nodes, t0s[1])}
-        self._check(RouterParams(gamma1=0.05, gamma2=0.0, omega_c=0.4), drives, grid)
+        packets = [WavePacket(Channel.R1, 1.0, Omega=0.3),
+                   WavePacket(Channel.L2, 2.0, Omega=0.3, phase=1.0)]
+        self._check(RouterParams(gamma1=0.05, gamma2=0.0, omega_c=0.4), packets, grid, t0)
 
     # inside one block, a slow cavity carries its amplitude across row ends:
     # 3 rows exactly, and 3 rows and 700 steps
@@ -383,31 +384,27 @@ class TestRecurrenceMatchesLoop:
         assert oracle._ROW == 1 << 11 and n < oracle._BLOCK
         grid = TimeGrid(-12.0, -12.0 + n * 2.0 ** -8, 2.0 ** -8)
         assert grid.n_steps == n
-        nodes = grid.half_nodes
-        drives = {Channel.R1: time_pulse(WavePacket(Channel.R1, 1.0, Omega=0.5), nodes, -4.0),
-                  Channel.L2: time_pulse(WavePacket(Channel.L2, 2.0, Omega=0.5, phase=1.0),
-                                         nodes, 3.0)}
-        self._check(RouterParams(gamma1=0.05, gamma2=0.0, omega_c=0.4), drives, grid)
+        packets = [WavePacket(Channel.R1, 1.0, Omega=0.5),
+                   WavePacket(Channel.L2, 2.0, Omega=0.5, phase=1.0)]
+        self._check(RouterParams(gamma1=0.05, gamma2=0.0, omega_c=0.4), packets, grid, -1.0)
 
     @staticmethod
-    def _check(params, drives, grid):
-        want = integrate_cavity_loop(params, drives, grid)
-        got = integrate_cavity(params, drives, grid)
+    def _check(params, packets, grid, t0=0.0):
+        # RK4 in the lab frame is another discretization than in the frame
+        # rotating at omega0, so the loop steps that frame: the cavity
+        # detuned by omega0, the pulses without carrier; the trajectory then
+        # takes the carrier exp(-i omega0 (t - t0))
+        omega0 = packets[0].omega0
+        rotated = replace(params, omega_c=params.omega_c - omega0)
+        want = integrate_cavity_loop(
+            rotated, _drives([replace(p, omega0=0.0) for p in packets], grid, t0), grid)
+        want *= np.exp(-1j * omega0 * (grid.times - t0))
+        got = integrate_cavity(params, packets, grid, t0)
         assert got.shape == (grid.n_steps + 1,)
         assert got[0] == 0j
         peak = float(np.max(np.abs(want)))
         assert peak > 0.0
         assert float(np.max(np.abs(got - want))) <= 1e-13 * peak
-
-
-class TestOutputFlux:
-    def test_shape_mismatch_rejected(self):
-        grid = TimeGrid(-10.0, 10.0, 0.004)
-        with pytest.raises(ParameterError):
-            output_flux(RouterParams(), {}, np.zeros(17, dtype=complex), grid)
-        # a 0-d trajectory raised IndexError while building the message
-        with pytest.raises(ParameterError, match=r"shape \(\), need \(5001,\)"):
-            output_flux(RouterParams(), {}, np.zeros((), dtype=complex), grid)
 
 
 class TestTimeDomainReport:
@@ -475,16 +472,21 @@ class TestTimeDomainReport:
     ], ids=["2-blocks", "8-blocks", "3-packets", "4-packets", "lossless",
             "zero-packet", "opposite-phase", "cancelling-moments", "rotation-2.3"])
     def test_streamed_sums_match_whole_arrays(self, params, packets, grid):
-        # the report's per-block moments against output_flux on the whole
-        # trajectory, which integrate_cavity solves from the same recurrence
+        # the report's per-block moments of the unit response against the
+        # trapezoid fluxes of the whole trajectory kick c1 and the pulses
         grid = grid or default_grid(params, packets)
         assert grid.n_steps > oracle._BLOCK
-        drives = _drives(packets, grid)
-        want = output_flux(params, drives, integrate_cavity(params, drives, grid), grid)
+        traj = integrate_cavity(params, packets, grid)
+        w = np.full(grid.n_steps + 1, grid.step)
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        inputs = {p.channel: time_pulse(p, grid.times) for p in packets}
+        n_in = sum(float(np.dot(w, np.abs(d) ** 2)) for d in inputs.values())
         got = time_domain_report(params, packets, grid)
-        assert abs(got.n_in - want.n_in) <= 1e-14 * want.n_in
-        for ch in Channel:
-            assert abs(got.n_out[ch] - want.n_out[ch]) <= 1e-14 * want.n_in
+        assert abs(got.n_in - n_in) <= 1e-14 * n_in
+        for ch in CHANNELS:
+            out = inputs.get(ch, 0.0) - 1j * math.sqrt(params.coupling(ch)) * traj
+            assert abs(got.n_out[ch] - float(np.dot(w, np.abs(out) ** 2))) <= 1e-14 * n_in
 
     @pytest.mark.filterwarnings("error")
     def test_huge_mean_n(self):
@@ -500,15 +502,15 @@ class TestTimeDomainReport:
             time_domain_report(params, _pair(1.1, mean_n=1e308))
 
     def test_verify_plateau_reads_node_nearest_zero(self):
-        # verify's plateau check reads c at one node as the report's blocks
-        # stream past: the node argmin |t| picks on the whole grid, and its
-        # bits are integrate_cavity's there
+        # verify's plateau check reads kick c1 at one node as the report's
+        # blocks stream past: the node argmin |t| picks on the whole grid,
+        # and its bits are integrate_cavity's there
         [got] = [r.max_dev for r in verify.run_suites(["oracle"])
                  if r.check == "plateau-vs-steady-state"]
         params = RouterParams(gamma1=1.0, gamma2=1.0, omega_c=0.3)
         slow = WavePacket(Channel.R1, mean_n=1.0, Omega=0.01)
         grid = TimeGrid(-1200.0, 1211.0, 0.005)
-        traj = integrate_cavity(params, _drives([slow], grid), grid)
+        traj = integrate_cavity(params, [slow], grid)
         c_ss = abs(cavity_amplitude(params, [complex(time_pulse(slow, 0.0)), 0, 0, 0], 0.3)) ** 2
         idx = int(np.argmin(np.abs(grid.times)))
         before, at, after = (abs(abs(c) ** 2 - c_ss) / c_ss for c in traj[idx - 1:idx + 2])
@@ -565,6 +567,35 @@ class TestTimeDomainReport:
         assert rep.n_total == 0.0
         assert rep.n_in == pytest.approx(0.0, abs=1e-15)
 
+    def test_zero_kick_reports_zeros(self):
+        # packets with no photons leave the cavity at 0, and the checks on
+        # the unit response pass on a default grid
+        packets = [WavePacket(Channel.R1, 0.0, Omega=0.3),
+                   WavePacket(Channel.L2, np.zeros(3), Omega=0.3, phase=1.0)]
+        rep = time_domain_report(RouterParams(gamma1=0.05, gamma2=0.0), packets)
+        for value in [rep.n_in, rep.n_total, rep.loss, *rep.n_out.values()]:
+            assert np.array_equal(value, np.zeros(3))
+
+    @pytest.mark.parametrize("grid", [TimeGrid(-40.0, 45.0, 0.05), TimeGrid(-1.0, 300.0, 0.05)],
+                             ids=["ringdown", "tail"])
+    def test_zero_kick_checks_the_unit_response(self, grid):
+        # the ring-down and tail checks read the unit response, so packets
+        # with no photons fail them as any other packets do, same message
+        params = RouterParams(gamma1=0.05, gamma2=0.0)
+        with pytest.raises(PulseNotContained) as zero:
+            time_domain_report(params, [WavePacket(Channel.R1, 0.0, Omega=0.3)], grid)
+        with pytest.raises(PulseNotContained) as one:
+            time_domain_report(params, _pair(1.1), grid)
+        assert str(zero.value) == str(one.value)
+
+    @pytest.mark.parametrize("route", [integrate_cavity, time_domain_report],
+                             ids=["integrate_cavity", "time_domain_report"])
+    def test_array_packets_must_broadcast(self, route):
+        packets = [WavePacket(Channel.R1, np.ones(2), Omega=0.3),
+                   WavePacket(Channel.L1, 1.0, Omega=0.3, phase=np.zeros(3))]
+        with pytest.raises(ParameterError, match="^packet mean_n and phase values"):
+            route(RouterParams(), packets)
+
     def test_lossless_conservation(self):
         rep = time_domain_report(RouterParams(gamma2=0.8), _pair(1.1))
         assert abs(rep.loss) <= 1e-6 * rep.n_in
@@ -618,25 +649,42 @@ class TestTimeDomainReport:
         with pytest.raises(ParameterError, match=f"^{field} must be a scalar"):
             time_domain_report(params, _pair(0.0))
 
-    # the oracle integrates one set of packets per call; an array mean_n or
-    # phase is refused with one line naming the field
+    # mean_n and phase may be arrays that broadcast; time_pulse evaluates one
+    # packet's pulse and refuses them
     ARRAY_PACKETS = [
-        ("mean_n", [WavePacket(Channel.R1, mean_n=np.array([1.0, 2.0]), Omega=0.3)]),
-        ("phase", [WavePacket(Channel.R1, mean_n=1.0, Omega=0.3),
-                   WavePacket(Channel.L1, mean_n=1.0, Omega=0.3, phase=np.zeros(2))]),
+        ("mean_n", [WavePacket(Channel.L2, mean_n=1.0, Omega=0.3, phase=0.4),
+                    WavePacket(Channel.R1, mean_n=np.array([0.0, 1.0, 2.5]), Omega=0.3)]),
+        ("phase", [WavePacket(Channel.R1, mean_n=np.array([[0.5], [2.0]]), Omega=0.3),
+                   WavePacket(Channel.L1, mean_n=1.0, Omega=0.3,
+                              phase=np.linspace(-10.0, 10.0, 7))]),
     ]
 
-    @pytest.mark.parametrize("field, packets", ARRAY_PACKETS, ids=["mean_n", "phase"])
-    def test_time_domain_report_refuses_array_packets(self, field, packets):
-        for grid in (None, TimeGrid(-40.0, 60.0, 0.005)):
-            with pytest.raises(ParameterError, match=f"^{field} must be a scalar") as info:
-                time_domain_report(RouterParams(), packets, grid=grid)
-            assert "\n" not in str(info.value)
+    @staticmethod
+    def _check_elements(params, packets, grid):
+        """Each element of the array call within 1e-15 n_in of its scalar call."""
+        rep = time_domain_report(params, packets, grid)
+        shape = np.shape(rep.n_total)
+        assert shape
+        for index in np.ndindex(shape):
+            one = time_domain_report(params, [replace(
+                p, mean_n=float(np.broadcast_to(p.mean_n, shape)[index]),
+                phase=float(np.broadcast_to(p.phase, shape)[index])) for p in packets], grid)
+            for got, want in [(rep.n_in, one.n_in)] + [(rep.n_out[ch], one.n_out[ch])
+                                                       for ch in CHANNELS]:
+                assert abs(np.broadcast_to(got, shape)[index] - want) <= 1e-15 * one.n_in
 
     @pytest.mark.parametrize("field, packets", ARRAY_PACKETS, ids=["mean_n", "phase"])
-    def test_default_grid_refuses_array_packets(self, field, packets):
-        with pytest.raises(ParameterError, match=f"^{field} must be a scalar"):
-            default_grid(RouterParams(), packets)
+    def test_time_domain_report_array_call_equals_scalar_calls(self, field, packets):
+        self._check_elements(RouterParams(gamma2=0.4, gamma_c=0.1, omega_c=-0.2), packets,
+                             TimeGrid(-40.0, 60.0, 0.005))
+
+    @pytest.mark.parametrize("field, packets", ARRAY_PACKETS, ids=["mean_n", "phase"])
+    def test_default_grid_array_call_equals_scalar_calls(self, field, packets):
+        # the grid depends on omega0, Omega and the rates alone
+        params = RouterParams(gamma2=0.4, gamma_c=0.1, omega_c=-0.2)
+        scalar = [WavePacket(p.channel, 1.0, Omega=p.Omega) for p in packets]
+        assert default_grid(params, packets) == default_grid(params, scalar)
+        self._check_elements(params, packets, None)
 
     @pytest.mark.parametrize("field, packets", ARRAY_PACKETS, ids=["mean_n", "phase"])
     def test_time_pulse_refuses_array_packets(self, field, packets):
@@ -645,7 +693,8 @@ class TestTimeDomainReport:
 
     def test_unfinished_ringdown_rejected(self):
         params = RouterParams(gamma1=0.05, gamma2=0.0)
-        with pytest.raises(PulseNotContained):
+        with pytest.raises(PulseNotContained, match=re.escape(
+                "cavity not rung down: |c(t_end)| = 1.37e-01 of max")):
             time_domain_report(
                 params, [WavePacket(Channel.R1, mean_n=1.0, Omega=0.3)],
                 grid=TimeGrid(-40.0, 45.0, 0.05))
