@@ -22,8 +22,9 @@ oracle solves in 3 blocks of up to 2^13) and one at Omega = 0.01 (434 200
 steps, 54 blocks), each `verify` suite, and through the CLI the
 101 x 101 `three` grid, the 201-point packet phase sweep (one quadrature
 for all phases), the 61-point packet detuning sweep (one quadrature per
-point), the --dump-trajectory point and one point command. `scatter` takes its
-amplitudes as one complex (..., 4) array in CHANNELS order. Times are
+point), the --dump-trajectory point and one point command, and the CSV
+emitter alone writing that point's four 19 001-value columns. `scatter`
+takes its amplitudes as one complex (..., 4) array in CHANNELS order. Times are
 medians of repeated calls after one warm-up call. Beside each time,
 `minflt_per_call` records the minor page faults per call, from the
 process's `ru_minflt` over the timed calls. `minflt_fresh_per_call` records
@@ -135,6 +136,7 @@ def layer_times(tmp: str) -> dict:
 
     from photon_router import cli, verify
     from photon_router.core import Channel, QuadratureUnderResolved, RouterParams, WavePacket
+    from photon_router.oracle import default_grid, integrate_cavity
     from photon_router.scattering import mean_output_two, scatter
     from photon_router.wavepacket import packet_output_numbers
 
@@ -146,6 +148,14 @@ def layer_times(tmp: str) -> dict:
     narrow = [WavePacket(Channel.R1, 1.0, Omega=0.001),
               WavePacket(Channel.L1, 1.0, Omega=0.001, phase=1.0)]
     reports = _reports()
+    # the --dump-trajectory point's columns, with abs2_c as the CLI forms it
+    dump_params = RouterParams(gamma_c=0.1)
+    dump_packets = [WavePacket(Channel.R1, 1.0, Omega=0.3),
+                    WavePacket(Channel.L1, 1.0, Omega=0.3, phase=1.5707963267948966)]
+    dump_grid = default_grid(dump_params, dump_packets)
+    trajectory = integrate_cavity(dump_params, dump_packets, dump_grid)
+    trajectory_columns = [dump_grid.times, trajectory.real, trajectory.imag,
+                          np.float_power(np.hypot(trajectory.real, trajectory.imag), 2.0)]
 
     def under_resolved():
         with contextlib.suppress(QuadratureUnderResolved):
@@ -184,6 +194,9 @@ def layer_times(tmp: str) -> dict:
         ("packet_sweep_detuning_61", lambda: cli.main(detuning_sweep), 2.0, 50),
         ("cli_trajectory_dump", lambda: cli.main(dump), 2.0, 50),
         ("cli_point_command", _quiet(lambda: cli.main(point)), 1.0, 5000),
+        ("emit_trajectory_columns",
+         lambda: cli._emit(os.path.join(tmp, "columns.csv"), ("t", "re_c", "im_c", "abs2_c"),
+                           trajectory_columns), 2.0, 50),
     ]
     result = {"layers_ms": {}, "minflt_per_call": {}}
     for name, fn, seconds, calls in layers:

@@ -14,13 +14,16 @@ points as one array (in blocks of 8192), since its line moments do not depend
 on phi; each row again has the bits of the matching point command.
 
 All data commands emit CSV (header always present) to --out or stdout
-(`--out -` is stdout). Floats are written as shortest round-trip decimals
-so identical invocations produce identical bytes. Sweep and point rows and
-the --dump-trajectory file come from one emitter: it formats a block of
-lines at a time, each distinct float of the block once (a swept axis value
-repeats on many lines), and joins the fields with commas. No field ever
-needs CSV quoting: fields are case names, shortest-repr floats and empty
-strings, none holding a comma, quote or newline.
+(`--out -` is stdout). Floats are written as shortest round-trip decimals,
+the bytes of `repr`, so identical invocations produce identical bytes.
+Sweep and point rows and the --dump-trajectory file come from one emitter.
+It writes a block of lines at a time: it formats each distinct float of the
+block once (a swept axis value repeats on many lines) with numpy integer
+arithmetic (`_shortest`), and lays the lines out as the rows of one byte
+matrix. A block of fewer than _KERNEL_LINES lines, as a point command
+writes, formats its floats by `repr` instead. No field ever needs CSV
+quoting: fields are case names, shortest-repr floats and empty strings,
+none holding a comma, quote or newline.
 
 A --config file with key=value lines (# comments allowed) supplies
 scenario values; command-line flags win over the file, the file wins over
@@ -48,6 +51,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _shortest
 from .core import (
     Channel,
     GridTooCoarse,
@@ -101,10 +105,18 @@ _RESULTS = ("N_r1", "N_l1", "N_r2", "N_l2", "N_total", "loss")
 # phi values per packet call: its arrays, about 135 bytes per value, stay
 # below the quadrature's own rows (1.5 MB at most)
 _PHI_BLOCK = 8192
-# lines formatted per block, which bounds the memory of their text; larger
-# blocks, or one copy of all rows, raised the peak memory above that of the
-# row-by-row csv.writer this replaced
-_CHUNK = 512
+# lines formatted per block, which bounds the memory of their byte matrices
+# and of _shortest.chars' integer arrays (a peak of about 2 MB for the
+# dump's 2048 x 4 values); 1024-line blocks cost the 101 x 101 `three` grid
+# about 15% more time, 512-line ones the dump about 15% more
+_CHUNK = 2048
+# blocks of fewer lines are formatted value by value (see _lines): on lines
+# of seven floats, as a one-variable sweep writes, map(repr) took about 4 us
+# a line and _shortest.chars about 190 us a block plus 1.7 us a line, and the
+# two crossed near 90 lines
+_KERNEL_LINES = 96
+# _FILLED[n] marks the first n of a value's WIDTH bytes, a text of length n
+_FILLED = np.arange(_shortest.WIDTH) < np.arange(_shortest.WIDTH + 1)[:, None]
 
 
 class _UsageError(Exception):
@@ -294,20 +306,55 @@ def _rows(case: str, scn: dict, grid: dict, numbers: np.ndarray) -> list:
     return columns + list(numbers)
 
 
-def _strings(block: np.ndarray) -> list[list[str]]:
-    """Shortest round-trip text of each float of the 2-d `block`, row by row.
+def _pieces(columns: Sequence[str | np.ndarray]) -> list:
+    """The parts of every CSV line of `columns`: the text between two float
+    columns (string columns and commas), and each float column as the index
+    of its row in the block."""
+    pieces, text = [], ""
+    for i, col in enumerate(columns):
+        sep = "," if i else ""
+        if isinstance(col, str):
+            text += sep + col
+        else:
+            pieces += [text + sep, len(pieces) // 2]
+            text = ""
+    return pieces + [text + "\n"]
 
-    Each distinct value is formatted once. Values are told apart by their
-    bits, so 0.0 and -0.0 keep their own text. A block of one line (a point
-    command) shares no value between lines, and there np.unique's fixed cost
-    made the median point command about 15% slower, so each value is
-    formatted where it stands.
+
+def _lines(pieces: list, block: np.ndarray) -> str:
+    """The CSV lines of the 2-d float `block`, one line per column of it.
+
+    A block of fewer than _KERNEL_LINES lines, or one holding a NaN or inf
+    (which _shortest.chars does not format), formats each value by repr.
+    Others format each distinct value once (a swept axis value repeats on
+    many lines), told apart by its bits, so 0.0 and -0.0 keep their own
+    text, into rows of bytes by _shortest.chars. Each line is then one row of
+    a byte matrix: the text pieces broadcast down their columns, each float
+    column its value's row, and a mask that drops the padding after each
+    value's text.
     """
-    if block.shape[1] == 1:
-        return [list(map(repr, row)) for row in block.tolist()]
+    if block.shape[1] < _KERNEL_LINES or not np.isfinite(block).all():
+        values = iter(block.tolist())
+        fields = [map(repr, next(values)) if isinstance(piece, int)
+                  else itertools.repeat(piece) for piece in pieces]
+        return "".join(map("".join, zip(*fields)))
     bits, where = np.unique(block.view(np.int64), return_inverse=True)
-    text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-    return text[where.reshape(block.shape)].tolist()
+    text, length = _shortest.chars(bits.view(np.float64))
+    where = where.reshape(block.shape)
+    widths = [_shortest.WIDTH if isinstance(piece, int) else len(piece)
+              for piece in pieces]
+    matrix = np.empty((block.shape[1], sum(widths)), dtype=np.uint8)
+    keep = np.ones(matrix.shape, dtype=bool)
+    end = 0
+    for piece, width in zip(pieces, widths):
+        start, end = end, end + width
+        if isinstance(piece, int):
+            rows = where[piece]
+            matrix[:, start:end] = text.take(rows, axis=0)
+            keep[:, start:end] = _FILLED.take(length.take(rows), axis=0)
+        else:
+            matrix[:, start:end] = np.frombuffer(piece.encode("ascii"), dtype=np.uint8)
+    return matrix.ravel()[keep.ravel()].tobytes().decode("ascii")
 
 
 def _emit(out_path: str | None, header: Sequence[str],
@@ -322,17 +369,12 @@ def _emit(out_path: str | None, header: Sequence[str],
     arrays, which bounds the memory.
     """
     arrays = [col for col in columns if not isinstance(col, str)]
+    pieces = _pieces(columns)
 
     def write(fh):
         fh.write(",".join(header) + "\n")
-        size = len(arrays[0])
-        for start in range(0, size, _CHUNK):
-            text = iter(_strings(np.array([a[start:start + _CHUNK] for a in arrays])))
-            count = min(_CHUNK, size - start)
-            fields = [itertools.repeat(col, count) if isinstance(col, str) else next(text)
-                      for col in columns]
-            fh.write("\n".join(map(",".join, zip(*fields))))
-            fh.write("\n")
+        for start in range(0, len(arrays[0]), _CHUNK):
+            fh.write(_lines(pieces, np.array([a[start:start + _CHUNK] for a in arrays])))
 
     if out_path is None:
         write(sys.stdout)
@@ -348,10 +390,10 @@ def _dump_trajectory(path: str, params: RouterParams,
                      packets: Sequence[WavePacket]) -> None:
     grid = default_grid(params, packets)
     trajectory = integrate_cavity(params, packets, grid)
-    # squared one element at a time: numpy's array square or power differs
-    # from the per-element abs(c) ** 2 in the last digit of some values
-    abs2 = np.fromiter((h ** 2 for h in np.hypot(trajectory.real, trajectory.imag)),
-                       float, count=len(trajectory))
+    # abs(c) ** 2 with the bits of each element's scalar `h ** 2` (the C
+    # library's pow): np.square and np.power(h, 2.0) multiply instead and
+    # differ from it in the last digit of some values
+    abs2 = np.float_power(np.hypot(trajectory.real, trajectory.imag), 2.0)
     _emit(path, ("t", "re_c", "im_c", "abs2_c"),
           [grid.times, trajectory.real, trajectory.imag, abs2])
 

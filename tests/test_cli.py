@@ -546,13 +546,25 @@ class TestEmitterBytes:
         assert target.read_bytes() == reference.encode()
 
     # signed zeros, subnormals and values near the ends of the double range,
-    # cycled so that each chunk holds each of them many times; one line is
-    # formatted value by value, two or more through np.unique
+    # cycled so that each chunk holds each of them many times; a block of
+    # fewer than _KERNEL_LINES lines is formatted value by value by repr,
+    # larger ones through np.unique and _shortest.chars
     EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
-                -1.0000000000000001e-300, 1e300, -1.7976931348623157e308, 0.1, 1.0]
+                -1.0000000000000001e-300, 1e300, -1.7976931348623157e308, 0.1, 1.0,
+                1e-05, 0.0001, 1e16, 9999999999999998.0, -123.456]
 
-    @pytest.mark.parametrize("size", [1, 2, cli._CHUNK - 1, cli._CHUNK, cli._CHUNK + 1,
-                                      4 * cli._CHUNK + 1])
+    @pytest.mark.parametrize("size", [
+        pytest.param(1, id="1"),
+        pytest.param(2, id="2"),
+        pytest.param(cli._KERNEL_LINES - 1, id="kernel_lines_minus_1"),
+        pytest.param(cli._KERNEL_LINES, id="kernel_lines"),
+        pytest.param(cli._CHUNK - 1, id="chunk_minus_1"),
+        pytest.param(cli._CHUNK, id="chunk"),
+        pytest.param(cli._CHUNK + 1, id="chunk_plus_1"),
+        # the last block, below _KERNEL_LINES, goes by repr
+        pytest.param(cli._CHUNK + cli._KERNEL_LINES - 1, id="chunk_plus_kernel_lines_minus_1"),
+        pytest.param(4 * cli._CHUNK + 1, id="four_chunks_plus_1"),
+    ])
     def test_extreme_values(self, capsys, tmp_path, size):
         first = np.resize(np.array(self.EXTREMES), size)
         header = ("name", "a", "empty", "b", "c")
@@ -563,6 +575,19 @@ class TestEmitterBytes:
         assert target.read_bytes() == reference.encode()
         cli._emit(None, header, columns)
         assert capsys.readouterr().out == reference
+
+    @pytest.mark.parametrize("size", [
+        pytest.param(3, id="small_block"),
+        pytest.param(cli._CHUNK + 1, id="large_block"),
+    ])
+    def test_non_finite_values(self, tmp_path, size):
+        # the CLI refuses non-finite results, but the emitter writes any
+        # float as repr does
+        values = np.resize(np.array([1.5, np.inf, -np.inf, np.nan, -0.0]), size)
+        columns = ["x", values, values[::-1]]
+        target = tmp_path / "non_finite.csv"
+        cli._emit(str(target), ("name", "a", "b"), columns)
+        assert target.read_bytes() == csv_text_loop(("name", "a", "b"), columns).encode()
 
     def test_trajectory_dump(self, capsys, monkeypatch, tmp_path):
         seen = []
