@@ -14,7 +14,8 @@
         and faults per call, the head/base time ratio, and the rounds the
         head was faster in.
 
-The layers: one closed-form point, `scatter` on one point and on 10 001
+The layers: one report (`OutputReport.from_channel_numbers` on four
+Python floats), one closed-form point, `scatter` on one point and on 10 001
 detunings, one two-packet quadrature, one two-packet quadrature at
 Omega = 0.001 and cavity detuning 5 up to its QuadratureUnderResolved,
 one `time_domain_report` at Omega = 0.3 (16 600 RK4 steps, which the
@@ -135,7 +136,8 @@ def layer_times(tmp: str) -> dict:
     import numpy as np
 
     from photon_router import cli, verify
-    from photon_router.core import Channel, QuadratureUnderResolved, RouterParams, WavePacket
+    from photon_router.core import (Channel, OutputReport, QuadratureUnderResolved,
+                                     RouterParams, WavePacket)
     from photon_router.oracle import default_grid, integrate_cavity
     from photon_router.scattering import mean_output_two, scatter
     from photon_router.wavepacket import packet_output_numbers
@@ -178,6 +180,8 @@ def layer_times(tmp: str) -> dict:
 
     # (name, call, seconds, max calls)
     layers = [
+        ("report_from_floats",
+         lambda: OutputReport.from_channel_numbers((0.1, 0.2, 0.3, 0.3), 1.0), 0.5, 20000),
         ("closed_form_point", lambda: mean_output_two(params, 1.0, 0.3, 1.1), 0.5, 20000),
         ("scatter_scalar", lambda: scatter(params, amps, 0.3), 0.5, 20000),
         ("scatter_10001_points", lambda: scatter(params, amps, deltas), 0.5, 2000),

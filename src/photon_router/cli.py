@@ -25,6 +25,11 @@ writes, formats its floats by `repr` instead. No field ever needs CSV
 quoting: fields are case names, shortest-repr floats and empty strings,
 none holding a comma, quote or newline.
 
+Parsing: when the first argument names a command, `main` hands the rest to
+that command's parser, as the top-level parser would after a pass of its own
+over them; usage, help and error text are the same either way. Any other
+first argument (none, `-h`, an unknown name) goes to the top-level parser.
+
 A --config file with key=value lines (# comments allowed) supplies
 scenario values; command-line flags win over the file, the file wins over
 built-in defaults.
@@ -144,6 +149,11 @@ class SweepAxis:
         if not self.start < self.stop:
             raise ParameterError(
                 f"sweep start must be < stop, got [{self.start}, {self.stop}]")
+        if not math.isfinite(self.stop - self.start):
+            # np.linspace steps by (stop - start) / (count - 1)
+            raise NonFinite(
+                f"sweep range stop - start overflows double precision, "
+                f"got [{self.start}, {self.stop}]")
         if self.count < 2:
             raise ParameterError(f"sweep count must be >= 2, got {self.count}")
 
@@ -213,6 +223,8 @@ def _merge_scenario(args: argparse.Namespace) -> dict:
 
 def _grid(axes: Sequence[SweepAxis]) -> dict[str, np.ndarray]:
     """Swept scenario values, one flat array per scenario key, first axis outer."""
+    if not axes:
+        return {}
     mesh = np.meshgrid(*(ax.values() for ax in axes), indexing="ij")
     return {_VAR_KEY.get(ax.variable, ax.variable): m.ravel()
             for ax, m in zip(axes, mesh)}
@@ -235,10 +247,8 @@ def _mono_numbers(case: str, scn: dict, grid: dict, size: int) -> np.ndarray:
     at = {key: grid.get(key, scn[key]) for key in _CASE_VARS[case]}
     params = RouterParams(gamma1=scn["gamma1"], gamma2=at["gamma2"], gamma_c=at["gamma_c"])
     rep = _mono_report(case, params, scn["mean_n"], at)
-    numbers = np.empty((len(_RESULTS), size))
-    for row, value in zip(numbers, _report_values(rep)):
-        row[:] = value  # a scalar result (a point command) fills its row
-    return numbers
+    # six arrays of the grid's size, or six scalars for a point command
+    return np.array(_report_values(rep)).reshape(len(_RESULTS), size)
 
 
 def _packet_scenario(scn: dict) -> tuple[RouterParams, list[WavePacket]]:
@@ -445,7 +455,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its command parsers by name.
+
+    Built once per process, as building them costs more than evaluating a
+    point; each parse fills a fresh Namespace, so nothing carries over from
+    one call to the next.
+    """
     parser = _Parser(
         prog="route",
         description="Mean output-photon numbers of the four-port cavity router "
@@ -514,20 +531,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=("all",) + SUITE_NAMES, default="all")
     p.set_defaults(func=_cmd_verify)
 
-    return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # building the parser costs more than evaluating a point; parse_args
-    # returns a fresh Namespace per call, so nothing carries over
-    return build_parser()
+    return parser, sub.choices
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser, commands = _parser()
     try:
-        args = parser.parse_args(argv)
+        if argv and (command := commands.get(argv[0])) is not None:
+            # the top-level parser's result, without its own pass over argv
+            args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+        else:
+            args = parser.parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"route: error: {exc}", file=sys.stderr)

@@ -403,6 +403,21 @@ class TestErrorPaths:
         assert len(lines) == 1
         assert lines[0].startswith("route: error:")
 
+    # stop - start overflows though both bounds are finite: np.linspace
+    # warned twice and returned NaN
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["--var", "delta", "--start=-1.7e308", "--stop", "1.7e308",
+                      "--count", "200"], id="axis1"),
+        pytest.param(["--var", "delta", "--start", "0", "--stop", "1", "--count", "2",
+                      "--var2", "phi", "--start2=-1.7e308", "--stop2", "1.7e308",
+                      "--count2", "3"], id="axis2"),
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_sweep_range_wider_than_largest_double(self, capsys, argv):
+        assert run_cli(capsys, ["sweep", "--case", "two"] + argv) == (
+            2, "", "route: error: sweep range stop - start overflows double precision, "
+                   "got [-1.7e+308, 1.7e+308]\n")
+
     # refused before the sweep's grid and results are allocated
     @pytest.mark.parametrize("argv", [
         pytest.param(["sweep", "--case", "packet", "--var", "phi", "--start", "0",
@@ -452,6 +467,56 @@ class TestErrorPaths:
         assert worst is not None
         assert float(worst.group(2)) > 1e-6
         assert lines[0].endswith("target 1e-06")
+
+
+COMMANDS = ("single", "two", "three", "packet", "sweep", "verify")
+
+
+class TestDispatch:
+    """main hands the arguments after a command name to that command's
+    parser; the top-level parser, which parses them again, must end every
+    argv the same way."""
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            result = main(argv)
+        except SystemExit as exc:   # help
+            result = ("SystemExit", exc.code)
+        out, err = capsys.readouterr()
+        return result, out, err
+
+    @pytest.mark.parametrize("argv", [
+        *(pytest.param([name, flag], id=f"{name}{flag}")
+          for name in COMMANDS for flag in ("-h", "--he")),
+        pytest.param([], id="empty"),
+        pytest.param(["-h"], id="-h"),
+        pytest.param(["--he"], id="--he"),
+        pytest.param(["bogus"], id="bogus"),
+        pytest.param(["--"], id="--"),
+        pytest.param(["two", "--bogus"], id="unknown-flag"),
+        pytest.param(["two", "--gam", "1"], id="ambiguous-flag"),
+        pytest.param(["two", "--gamma1"], id="missing-value"),
+        pytest.param(["two", "--gamma1", "x"], id="bad-value"),
+        pytest.param(["two", "--delta", "-1"], id="negative-value"),
+        pytest.param(["two", "--delta=-1"], id="negative-value-attached"),
+        pytest.param(["two", "--", "--delta", "1"], id="double-dash"),
+        pytest.param(["sweep"], id="sweep-no-flags"),
+        pytest.param(["sweep", "--case", "bogus"], id="sweep-bad-case"),
+        pytest.param(["verify", "--suite", "bogus"], id="verify-bad-suite"),
+        pytest.param(["single", "--delta", "0.5"], id="single"),
+        pytest.param(["two", "--phi", "1.0", "--gamma-c", "0.1"], id="two"),
+        pytest.param(["three", "--theta", "1.0", "--theta-prime", "2.0"], id="three"),
+        pytest.param(["packet", "--phi", "1.0"], id="packet"),
+        pytest.param(["sweep", "--case", "two", "--var", "phi", "--start", "0",
+                      "--stop", "1", "--count", "3"], id="sweep"),
+        pytest.param(["verify", "--suite", "core"], id="verify"),
+    ])
+    def test_same_as_top_level_parser(self, capsys, monkeypatch, argv):
+        direct = self.outcome(capsys, argv)
+        parser = cli._parser()[0]
+        monkeypatch.setattr(cli, "_parser", lambda: (parser, {}))   # every name misses
+        assert self.outcome(capsys, argv) == direct
 
 
 class TestFileOutput:

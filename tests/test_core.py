@@ -1,9 +1,12 @@
 """Port labels, parameter validation, and report bookkeeping."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from photon_router import (
     CHANNELS,
@@ -272,6 +275,44 @@ class TestOutputReport:
         with pytest.raises(NonFinite) as info:
             OutputReport.from_channel_numbers(n_out, n_in=n_in)
         assert str(info.value) == message
+
+    @staticmethod
+    def outcome(numbers, n_in):
+        """The NonFinite message, or the type and bits of each number."""
+        try:
+            rep = OutputReport.from_channel_numbers(numbers, n_in=n_in)
+        except NonFinite as exc:
+            return str(exc)
+        assert rep.n_in is n_in
+        return [(type(v), struct.pack("<d", v))
+                for v in (*rep.n_out.values(), rep.n_total, rep.loss)]
+
+    # float channel numbers as they come: anything, the clamp band at
+    # n_in <= 1 and beyond it, signed zeros, subnormals, sums that overflow
+    NUMBERS = st.one_of(
+        st.floats(),
+        st.floats(-1e-12, 0.0),
+        st.floats(-1e-6, 0.0),
+        st.sampled_from([0.0, -0.0]),
+        st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+        st.floats(1e307, 1.7976931348623157e308),
+    )
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(NUMBERS, min_size=4, max_size=4),
+           st.one_of(NUMBERS, st.floats(0.0, 10.0), st.floats(1e3, 1e7)), st.booleans())
+    @example([-1e-13, 0.5, 0.25, 0.25], 1.0, False)     # clamped
+    @example([-1e-9, 0.5, 0.25, 0.25], 1e4, False)      # clamped at a larger n_in
+    @example([1e16, 1.0, -1e16, 1.0], 2.0, False)       # the sum order shows
+    @example([-0.0, 5e-324, 1e308, 1e308], 1.0, True)   # -0.0, a subnormal, overflow
+    @pytest.mark.filterwarnings("error")
+    def test_floats_take_the_array_codes_bits(self, numbers, n_in, numpy_scalars):
+        """Floats (Python or np.float64) give the bits, types and NonFinite
+        message of the same numbers as 0-d arrays."""
+        if numpy_scalars:
+            numbers, n_in = list(map(np.float64, numbers)), np.float64(n_in)
+        arrays = self.outcome([np.array(x) for x in numbers], np.array(n_in))
+        assert self.outcome(numbers, n_in) == arrays
 
     def test_by_output_port(self):
         rep = OutputReport.from_channel_numbers([0.1, 0.2, 0.3, 0.4], n_in=1.0)
