@@ -25,6 +25,7 @@ from .core import (
     WavePacket,
     channel_of_input_port,
     port_of_output_channel,
+    shared_packet_frame,
     validate,
 )
 from .scattering import (
@@ -36,11 +37,7 @@ from .scattering import (
     scatter,
     two_port_reduction,
 )
-from .wavepacket import (
-    gaussian_spectrum,
-    packet_output_numbers,
-    shared_packet_frame,
-)
+from .wavepacket import gaussian_spectrum, packet_output_numbers
 from .oracle import (
     TimeGrid,
     default_grid,

@@ -116,8 +116,8 @@ class RouterParams:
     `two_port_reduction`, and `cavity_amplitude`, `scatter` and
     `report_from_scatter`, the scattering map on (..., 4) amplitude arrays
     in CHANNELS order) accepts array rates. The packet quadrature and the
-    time-domain oracle take one rate set per call and raise ParameterError
-    for arrays; their packets' mean_n and phase may be arrays (WavePacket).
+    time-domain oracle take one rate set per call (check_packets raises
+    ParameterError for arrays); their packets' mean_n and phase may be arrays.
     """
 
     gamma1: float = 1.0
@@ -250,15 +250,6 @@ def broadcast_shape(what: str, *values) -> tuple:
             f"{what} do not broadcast together, got shapes {shapes}") from None
 
 
-def validate_scalar(params: RouterParams) -> RouterParams:
-    """validate() for the routes that take one rate set per call.
-
-    Raises ParameterError when any field of `params` is an array.
-    """
-    require_scalar(params, "gamma1", "gamma2", "gamma_c", "omega_c")
-    return validate(params)
-
-
 @dataclass(frozen=True)
 class WavePacket:
     """Gaussian coherent wave packet on one channel.
@@ -272,7 +263,8 @@ class WavePacket:
     packet per element; the packet quadrature and the time-domain oracle
     evaluate all elements in one call, and only time_pulse takes scalars
     alone. omega0 and Omega set the quadrature window and the time grid and
-    stay scalar. Errors name the first bad element.
+    stay scalar. Errors name the first bad element; check_packets checks a
+    packet set against the rates.
     """
 
     channel: Channel
@@ -290,6 +282,53 @@ class WavePacket:
         if not 2.0 ** -510 <= self.Omega <= 2.0 ** 510:
             raise ParameterError(
                 f"Omega must be in [2^-510, 2^510] (about 3e-154 to 3e153), got {self.Omega}")
+
+
+def shared_packet_frame(packets: Sequence[WavePacket]) -> tuple[float, float]:
+    """Common (omega0, Omega) of a packet set; rejects mismatched packets."""
+    if not packets:
+        raise ParameterError("at least one wave packet is required")
+    omega0, Omega = packets[0].omega0, packets[0].Omega
+    for p in packets[1:]:
+        if p.omega0 != omega0 or p.Omega != Omega:
+            raise ParameterError(
+                "all packets must share center frequency and bandwidth: "
+                f"({p.omega0}, {p.Omega}) != ({omega0}, {Omega})")
+    seen = set()
+    for p in packets:
+        if p.channel in seen:
+            raise ParameterError(f"duplicate packet channel {p.channel}")
+        seen.add(p.channel)
+    return omega0, Omega
+
+
+def packet_amplitude(packet: WavePacket):
+    """The packet's amplitude sqrt(mean_n) exp(i phase), an array if mean_n or phase is."""
+    return np.sqrt(packet.mean_n) * np.exp(1j * packet.phase)
+
+
+def check_packets(params: RouterParams, packets: Sequence[WavePacket]) -> tuple:
+    """(omega0, Omega, shape, alphas) of packets on one rate set: the check
+    the packet quadrature and the oracle run once per call.
+
+    Raises ParameterError for array rates, packets that do not share their
+    frame or share a channel (shared_packet_frame), and mean_n and phase
+    values that do not broadcast together to `shape`; validate()'s errors;
+    and NonFinite when omega_c - omega0 overflows. alphas maps channels to
+    packet_amplitude, Python complex numbers when shape is ().
+    """
+    require_scalar(params, "gamma1", "gamma2", "gamma_c", "omega_c")
+    validate(params)
+    omega0, Omega = shared_packet_frame(packets)
+    shape = broadcast_shape("packet mean_n and phase values",
+                            *(x for p in packets for x in (p.mean_n, p.phase)))
+    # Python floats overflow to inf without a numpy warning
+    rotation = float(params.omega_c) - float(omega0)
+    require(abs(rotation) < math.inf, NonFinite,
+            "omega_c - omega0 overflows double precision", rotation)
+    alphas = {p.channel: packet_amplitude(p) if shape else complex(packet_amplitude(p))
+              for p in packets}
+    return omega0, Omega, shape, alphas
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,11 @@ with c(t_start) = 0, and every channel leaves as
 the window gives the same mean output numbers as the frequency-domain route,
 which is exactly what this module exists to cross-check.
 
-The packets of one call share their center omega0 and one real envelope
-env. In the frame rotating at omega0 (omega_c -> omega_c - omega0, carrier
-dropped) packet ch is alpha_ch env, so the cavity sees only kick env with
-kick = sum_ch -i sqrt(gamma_ch) alpha_ch. The equation is linear, so
+The packets of one call, checked once by core.check_packets as the
+quadrature checks them, share their center omega0 and one real envelope env,
+peak at t = 0. In the frame rotating at omega0 (omega_c -> omega_c - omega0,
+carrier dropped) packet ch is alpha_ch env, so the cavity sees only kick env
+with kick = sum_ch -i sqrt(gamma_ch) alpha_ch. The equation is linear, so
 c = kick c1, where c1, the unit response, is the cavity driven by env
 alone. The oracle solves c1 once per call, whatever the packets' phases and
 photon numbers, in one stream of blocks (`_envelope_blocks`):
@@ -59,12 +60,11 @@ from .core import (
     PulseNotContained,
     RouterParams,
     WavePacket,
-    broadcast_shape,
+    check_packets,
     overflow_guard,
+    packet_amplitude,
     require_scalar,
-    validate_scalar,
 )
-from .wavepacket import shared_packet_frame
 
 _TAIL_MASS = 1e-10          # allowed envelope mass outside the window
 _RINGDOWN_RATIO = 1e-8      # |c(t_end)| allowed vs max |c|
@@ -133,67 +133,50 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return np.linspace(self.t_start, self.t_end, self.n_steps + 1)
 
-    @property
-    def half_nodes(self) -> np.ndarray:
-        """The 2 n_steps + 1 step ends and midpoints; every other one is a node
-        of `times`, bit for bit."""
-        return np.linspace(self.t_start, self.t_end, 2 * self.n_steps + 1)
+
+def default_grid(params: RouterParams, packets: Sequence[WavePacket]) -> TimeGrid:
+    """Grid covering 12/Omega on both sides of the pulse peak at t = 0 plus
+    ring-down."""
+    return _grid(params, *check_packets(params, packets)[:2])
 
 
-def default_grid(params: RouterParams, packets: Sequence[WavePacket],
-                 t0: float = 0.0) -> TimeGrid:
-    """Grid covering 12/Omega on both sides of the pulse peak plus ring-down."""
-    validate_scalar(params)
-    omega0, Omega = shared_packet_frame(packets)
+def _grid(params: RouterParams, omega0: float, Omega: float) -> TimeGrid:
+    """default_grid for the checked packet frame (omega0, Omega)."""
     gtot = params.total_decay
     rotation = abs(params.omega_c - omega0)
     dt = min(0.01 / gtot, 0.05 / Omega)
     if rotation > 0.0:
         dt = min(dt, 0.02 / rotation)
-    return TimeGrid(t_start=t0 - 12.0 / Omega,
-                    t_end=t0 + 12.0 / Omega + 22.0 / gtot,
-                    dt=dt)
+    return TimeGrid(t_start=-12.0 / Omega, t_end=12.0 / Omega + 22.0 / gtot, dt=dt)
 
 
 def _envelope(Omega: float, tau, out=None):
     """The real Gaussian every packet of bandwidth Omega shares, unit flux:
     (2 Omega^2 / pi)^(1/4) exp(-(Omega tau)^2), into `out` if given."""
-    arg = np.negative(np.square(np.multiply(Omega, tau, out=out), out=out), out=out)
-    return np.multiply((2.0 * Omega ** 2 / np.pi) ** 0.25, np.exp(arg, out=out), out=out)
+    with np.errstate(over="ignore"):  # Omega tau = inf far out: exp(-inf) = 0
+        arg = np.negative(np.square(np.multiply(Omega, tau, out=out), out=out), out=out)
+        return np.multiply((2.0 * Omega ** 2 / np.pi) ** 0.25, np.exp(arg, out=out), out=out)
 
 
-def _amplitude(packet: WavePacket):
-    """alpha = sqrt(mean_n) exp(i phase), the packet's coherent amplitude; an
-    array where mean_n or phase is one."""
-    return np.sqrt(packet.mean_n) * np.exp(1j * packet.phase)
+def _kick(params: RouterParams, alphas: dict):
+    """The kick sum_ch -i sqrt(gamma_ch) alpha_ch of the checked amplitudes."""
+    return sum(-1j * math.sqrt(params.coupling(ch)) * a for ch, a in alphas.items())
 
 
-def _kick(params: RouterParams, packets: Sequence[WavePacket]) -> tuple[dict, complex]:
-    """The packets' amplitudes by channel and the kick sum_ch -i sqrt(gamma_ch)
-    alpha_ch: Python complex numbers, or arrays of the broadcast shape of the
-    packets' mean_n and phase values."""
-    validate_scalar(params)
-    shape = broadcast_shape("packet mean_n and phase values",
-                            *(x for p in packets for x in (p.mean_n, p.phase)))
-    alphas = {p.channel: _amplitude(p) if shape else complex(_amplitude(p)) for p in packets}
-    kick = sum(-1j * math.sqrt(params.coupling(ch)) * a for ch, a in alphas.items())
-    return alphas, kick
+def time_pulse(packet: WavePacket, t):
+    """Mean input field <o_in(t)> of the packet, peak at t = 0 (vectorized over t).
 
-
-def time_pulse(packet: WavePacket, t, t0: float = 0.0):
-    """Mean input field <o_in(t)> of the packet, peak at t0 (vectorized over t).
-
-    alpha (2 Omega^2 / pi)^(1/4) exp(-Omega^2 (t-t0)^2) exp(-i omega0 (t-t0)),
-    the Fourier pair of the Gaussian spectrum; integrates to mean_n in flux.
+    alpha (2 Omega^2 / pi)^(1/4) exp(-Omega^2 t^2) exp(-i omega0 t), the
+    Fourier pair of the Gaussian spectrum; integrates to mean_n in flux.
     The carrier factor is skipped at omega0 = 0, the rotating frame's case.
     """
     require_scalar(packet, "mean_n", "phase")
-    tau = np.asarray(t, dtype=float) - t0
-    pulse = _amplitude(packet) * _envelope(packet.Omega, tau)
+    t = np.asarray(t, dtype=float)
+    pulse = packet_amplitude(packet) * _envelope(packet.Omega, t)
     if packet.omega0 != 0.0:
         # in place: numpy's out-of-place complex product differs from it in
         # the last bit of some elements
-        pulse *= np.exp(-1j * packet.omega0 * tau)
+        pulse *= np.exp(-1j * packet.omega0 * t)
     return pulse
 
 
@@ -306,24 +289,21 @@ def _recurrence(params: RouterParams, grid: TimeGrid) -> Callable:
     return solve
 
 
-def _envelope_blocks(params: RouterParams, packets: Sequence[WavePacket], grid: TimeGrid,
-                     t0: float) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield (i0, env, c1) per block of grid: env the packets' envelope on the
-    block's half nodes, c1 the unit response, the cavity in their rotating
-    frame driven by env alone, at its nodes i0 .. i0 + m, c1[0] the end of
-    the block before. Raises PulseNotContained if the envelope mass outside
-    the window exceeds 1e-10.
-    """
-    validate_scalar(params)
-    omega0, Omega = shared_packet_frame(packets)
-    mass_out = 0.5 * (math.erfc(math.sqrt(2.0) * Omega * (t0 - grid.t_start))
-                      + math.erfc(math.sqrt(2.0) * Omega * (grid.t_end - t0)))
+def _envelope_blocks(params: RouterParams, omega0: float, Omega: float,
+                     grid: TimeGrid) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield (i0, env, c1) per block of grid for the checked packet frame
+    (omega0, Omega): env the envelope, peak at t = 0, on the block's half
+    nodes, c1 the unit response, the cavity in the rotating frame driven by
+    env alone, at its nodes i0 .. i0 + m, c1[0] the end of the block before.
+    Raises PulseNotContained if the envelope mass outside the window exceeds
+    1e-10."""
+    mass_out = 0.5 * (math.erfc(math.sqrt(2.0) * Omega * -grid.t_start)
+                      + math.erfc(math.sqrt(2.0) * Omega * grid.t_end))
     if mass_out > _TAIL_MASS:
         raise PulseNotContained(
             f"envelope mass {mass_out:.2e} outside [{grid.t_start}, {grid.t_end}]")
 
     rotated = replace(params, omega_c=params.omega_c - omega0)
-    validate_scalar(rotated)
     _check_grid(grid, rotated)
     solve = _recurrence(rotated, grid)
     n = grid.n_steps
@@ -341,55 +321,54 @@ def _envelope_blocks(params: RouterParams, packets: Sequence[WavePacket], grid: 
         # every block before the last is whole: c[-1] is the end of the one
         # before, or 0
         c[0] = c[-1]
-        # grid.half_nodes[2 i0:2 i0 + 2 k + 1], computed as np.linspace
-        # computes them, so bit for bit; then the envelope in place
-        tau = np.multiply(index[:2 * k + 1], half, out=block_env)
-        tau += grid.t_start
+        # half nodes 2 i0 .. 2 i0 + 2 k of np.linspace(t_start, t_end, 2 n + 1)
+        # as linspace computes them, so bit for bit; then the envelope in place
+        t = np.multiply(index[:2 * k + 1], half, out=block_env)
+        t += grid.t_start
         if i0 + k == n:
-            tau[-1] = grid.t_end
-        tau -= t0
-        _envelope(Omega, tau, out=block_env)
+            t[-1] = grid.t_end
+        _envelope(Omega, t, out=block_env)
         solve(block_env, block_c)
         yield i0, block_env, block_c
         index += 2 * _BLOCK
 
 
 def integrate_cavity(params: RouterParams, packets: Sequence[WavePacket],
-                     grid: TimeGrid | None = None, t0: float = 0.0) -> np.ndarray:
+                     grid: TimeGrid | None = None) -> np.ndarray:
     """RK4 trajectory of the cavity amplitude the packets drive, c(t_start) = 0.
 
-    The packets' pulses peak at t0; grid defaults to default_grid. Returns c
-    at the grid.times nodes in the lab frame: kick c1 from the unit-response
-    stream, times the carrier exp(-i omega0 (t - t0)) at omega0 != 0. For
-    array mean_n or phase values the result has their broadcast shape, then
-    one axis of nodes. Raises PulseNotContained if the envelope mass outside
-    the window exceeds 1e-10.
+    The packets' pulses peak at t = 0; grid defaults to default_grid.
+    Returns c at the grid.times nodes in the lab frame: kick c1 from the
+    unit-response stream, times the carrier exp(-i omega0 t) at omega0 != 0.
+    For array mean_n or phase values the result has their broadcast shape,
+    then one axis of nodes. Raises PulseNotContained if the envelope mass
+    outside the window exceeds 1e-10.
     """
+    omega0, Omega, _, alphas = check_packets(params, packets)
     if grid is None:
-        grid = default_grid(params, packets, t0)
-    kick = np.expand_dims(_kick(params, packets)[1], -1)
+        grid = _grid(params, omega0, Omega)
+    kick = np.expand_dims(_kick(params, alphas), -1)
     out = np.zeros(kick.shape[:-1] + (grid.n_steps + 1,), dtype=complex)
-    for i0, _, c1 in _envelope_blocks(params, packets, grid, t0):
+    for i0, _, c1 in _envelope_blocks(params, omega0, Omega, grid):
         # the first node stays 0 exactly, where kick * 0 may be -0.0
         np.multiply(kick, c1[1:], out=out[..., i0 + 1:i0 + len(c1)])
-    omega0 = packets[0].omega0
     if omega0 != 0.0:
-        out *= np.exp(-1j * omega0 * (grid.times - t0))
+        out *= np.exp(-1j * omega0 * grid.times)
     return out
 
 
-def output_flux(params: RouterParams, packets: Sequence[WavePacket], e: float, cc: float,
-                x: complex) -> OutputReport:
-    """Mean output numbers of the packets from the trapezoid moments of their
-    unit response c1 over the window: e = E = int env^2, cc = C1 = int |c1|^2
-    and x = X1 = int env c1.
+def output_flux(params: RouterParams, packets: Sequence[WavePacket], alphas: dict, e: float,
+                cc: float, x: complex) -> OutputReport:
+    """Mean output numbers of the packets, of amplitudes alphas, from the
+    trapezoid moments of their unit response c1 over the window:
+    e = E = int env^2, cc = C1 = int |c1|^2 and x = X1 = int env c1.
 
     The cavity is kick c1, so C = int |c|^2 = |kick|^2 C1 and
     X = int env c = kick X1; then n_in = sum_ch |alpha_ch|^2 E and
     N_ch = |alpha_ch|^2 E + gamma_ch C + 2 sqrt(gamma_ch) Im(conj(alpha_ch) X).
     The report has the broadcast shape of the packets' mean_n and phase.
     """
-    alphas, kick = _kick(params, packets)
+    kick = _kick(params, alphas)
     # a scalar call computes in Python floats, which never warn on overflow
     with overflow_guard(not np.shape(kick)):
         size = abs(kick)
@@ -407,7 +386,7 @@ def output_flux(params: RouterParams, packets: Sequence[WavePacket], e: float, c
 
 
 def time_domain_report(params: RouterParams, packets: Sequence[WavePacket],
-                       grid: TimeGrid | None = None, t0: float = 0.0) -> OutputReport:
+                       grid: TimeGrid | None = None) -> OutputReport:
     """Route Gaussian packets through the cavity entirely in the time domain.
 
     Integrates the unit response in the packet-center frame a block at a
@@ -417,14 +396,15 @@ def time_domain_report(params: RouterParams, packets: Sequence[WavePacket],
     if the envelope mass outside the window exceeds 1e-10 or the cavity has
     not rung down by t_end.
     """
+    omega0, Omega, _, alphas = check_packets(params, packets)
     if grid is None:
-        grid = default_grid(params, packets, t0)
+        grid = _grid(params, omega0, Omega)
     # the trapezoid over the grid is the sum of the trapezoids over the
     # blocks, each h (sum - half the two ends)
     h = grid.step
     e = cc = peak = 0.0
     x = 0j
-    for _, env, c in _envelope_blocks(params, packets, grid, t0):
+    for _, env, c in _envelope_blocks(params, omega0, Omega, grid):
         u = env[::2]
         u0, u1, ca, cb = float(u[0]), float(u[-1]), complex(c[0]), complex(c[-1])
         peak = max(peak, float(np.max(np.abs(c))))
@@ -436,4 +416,4 @@ def time_domain_report(params: RouterParams, packets: Sequence[WavePacket],
     end = abs(cb)
     if peak > 0.0 and end >= _RINGDOWN_RATIO * peak:
         raise PulseNotContained(f"cavity not rung down: |c(t_end)| = {end / peak:.2e} of max")
-    return output_flux(params, packets, e, cc, x)
+    return output_flux(params, packets, alphas, e, cc, x)

@@ -84,17 +84,24 @@ def _scattered(params: RouterParams, amplitudes, delta):
     # are complex, which require_finite refuses
     require(np.isfinite(a), NonFinite, "amplitudes must be finite", a)
     require_finite(delta=delta)
-    s1, s2 = np.sqrt(params.gamma1), np.sqrt(params.gamma2)
-    # finite inputs still overflow at extreme scales (amplitudes near 1e308,
-    # or a detuning and gamma_c both near it); the check below raises then
+    # S a is homogeneous of degree 0 in (delta, rates) and c of degree -1/2:
+    # at extreme scales they are scaled by 4^k, and c back by 2^k
+    g1, g2, gc = params.gamma1, params.gamma2, params.gamma_c
+    k = _unit_exponent(delta, g1, g2, gc)
+    if k is not None:
+        k >>= 1
+        delta, g1, g2, gc = (np.ldexp(x, 2 * k) for x in (delta, g1, g2, gc))
+    s1, s2 = np.sqrt(g1), np.sqrt(g2)
+    # amplitudes near 1e308 still overflow; the check below raises then
     with np.errstate(over="ignore", invalid="ignore"):
         c = (-1j * (s1 * (a[..., 0] + a[..., 1]) + s2 * (a[..., 2] + a[..., 3]))
-             / (1j * delta + params.total_decay))
+             / (1j * delta + (g1 + g2 + gc)))
         out = np.empty((len(CHANNELS),) + np.shape(c), dtype=complex)
         for i, s in enumerate((s1, s1, s2, s2)):
             np.subtract(a[..., i], 1j * s * c, out=out[i, ...])
-    # every channel carries c (s1 > 0), so out is finite only where c is
-    require(np.isfinite(out), NonFinite,
+        if k is not None:
+            c = c * np.ldexp(1.0, k)
+    require(np.isfinite(out) & np.isfinite(c), NonFinite,
             "the cavity or output amplitudes overflow double precision", out)
     return c, out
 
@@ -145,6 +152,21 @@ def _mean_n_guard(mean_n):
     return overflow_guard(mean_n < 2.0 ** 1020)
 
 
+def _unit_exponent(delta, *rates):
+    """The exponent, an int or int array, of the power of two _unit_scaled
+    scales by, or None where it scales by nothing."""
+    # in quarters, so that the test cannot overflow: its sum stays below
+    # the largest double
+    size = 0.25 * abs(delta) + sum(0.25 * rate for rate in rates)
+    if holds((size >= 2.0 ** -500) & (size < 2.0 ** 498)):
+        return None
+    with np.errstate(over="ignore"):  # an overflowing sum raises below
+        total = sum(rates)
+    require(total < math.inf, NonFinite, "the total decay rate overflows double precision",
+            total)
+    return -np.frexp(np.maximum(abs(delta), total))[1]
+
+
 def _unit_scaled(delta, *rates):
     """delta and the rates, scaled by a power of two when they are so large
     that a closed form's squares could overflow, or so small that they could
@@ -157,19 +179,9 @@ def _unit_scaled(delta, *rates):
     they give the plain pass-through answer. Raises NonFinite when the rates'
     sum itself overflows.
     """
-    # in quarters, so that the test cannot overflow: its sum stays below
-    # the largest double
-    size = 0.25 * abs(delta) + sum(0.25 * rate for rate in rates)
-    if holds((size >= 2.0 ** -500) & (size < 2.0 ** 498)):
-        return (delta, *rates)
-    with np.errstate(over="ignore"):  # an overflowing sum raises below
-        total = sum(rates)
-    require(total < math.inf, NonFinite, "the total decay rate overflows double precision",
-            total)
-    # ldexp, not a product with 2^-exp: scaling up from a subnormal, that
-    # power itself overflows (2^1073 for 5e-324)
-    exp = -np.frexp(np.maximum(abs(delta), total))[1]
-    return (np.ldexp(delta, exp), *(np.ldexp(rate, exp) for rate in rates))
+    exp = _unit_exponent(delta, *rates)
+    # ldexp: 2^exp itself overflows when scaling up from a subnormal (2^1073)
+    return (delta, *rates) if exp is None else tuple(np.ldexp(x, exp) for x in (delta, *rates))
 
 
 def mean_output_single(params: RouterParams, mean_n: float, delta: float) -> OutputReport:

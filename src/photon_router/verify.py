@@ -22,6 +22,7 @@ from .core import (
     RouterParams,
     WavePacket,
     channel_of_input_port,
+    check_packets,
     port_of_output_channel,
 )
 from .scattering import (
@@ -322,8 +323,8 @@ def _suite_oracle() -> list[CheckResult]:
     # stream, which stops after that node's block; at omega0 = 0 the
     # stream's rotating frame is the lab frame
     peak_idx = round(-grid.t_start / grid.step)
-    kick = _kick(params, [slow])[1]
-    for i0, _, c1 in _envelope_blocks(params, [slow], grid, 0.0):
+    kick = _kick(params, check_packets(params, [slow])[3])
+    for i0, _, c1 in _envelope_blocks(params, slow.omega0, slow.Omega, grid):
         if peak_idx - i0 < len(c1):
             c_peak = kick * complex(c1[peak_idx - i0])
             break

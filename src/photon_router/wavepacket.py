@@ -53,15 +53,14 @@ from .core import (
     CHANNELS,
     NonFinite,
     OutputReport,
-    ParameterError,
     QuadratureUnderResolved,
     RouterParams,
     WavePacket,
-    broadcast_shape,
+    check_packets,
     holds,
     overflow_guard,
+    packet_amplitude,
     require,
-    validate_scalar,
 )
 from .scattering import scatter  # unused here; perfbench/tracing.py patches it by this name
 
@@ -76,12 +75,12 @@ def gaussian_spectrum(packet: WavePacket, omega):
 
     Vectorized over omega. |alpha_omega|^2 peaks at mean_n / sqrt(2 pi Omega^2).
     """
-    return _peak_amplitude(packet) * _envelope(packet.omega0, packet.Omega, omega)
+    return (_peak_amplitude(packet_amplitude(packet), packet.Omega)
+            * _envelope(packet.omega0, packet.Omega, omega))
 
 
-def _peak_amplitude(packet: WavePacket) -> complex:
-    alpha = np.sqrt(packet.mean_n) * np.exp(1j * packet.phase)
-    return alpha * (2.0 * np.pi * packet.Omega ** 2) ** (-0.25)
+def _peak_amplitude(alpha, Omega: float):
+    return alpha * (2.0 * np.pi * Omega ** 2) ** (-0.25)
 
 
 def _envelope(omega0: float, Omega: float, omega):
@@ -89,24 +88,6 @@ def _envelope(omega0: float, Omega: float, omega):
     # the envelope's value; numpy keeps a Python float from raising
     with np.errstate(over="ignore"):
         return np.exp(-np.square(np.subtract(omega, omega0) / (2.0 * Omega)))
-
-
-def shared_packet_frame(packets: Sequence[WavePacket]) -> tuple[float, float]:
-    """Common (omega0, Omega) of a packet set; rejects mismatched packets."""
-    if not packets:
-        raise ParameterError("at least one wave packet is required")
-    omega0, Omega = packets[0].omega0, packets[0].Omega
-    for p in packets[1:]:
-        if p.omega0 != omega0 or p.Omega != Omega:
-            raise ParameterError(
-                "all packets must share center frequency and bandwidth: "
-                f"({p.omega0}, {p.Omega}) != ({omega0}, {Omega})")
-    seen = set()
-    for p in packets:
-        if p.channel in seen:
-            raise ParameterError(f"duplicate packet channel {p.channel}")
-        seen.add(p.channel)
-    return omega0, Omega
 
 
 def _frequency_window(params: RouterParams, omega0: float, Omega: float) -> tuple[float, float]:
@@ -271,20 +252,13 @@ def packet_output_numbers(params: RouterParams, packets: Sequence[WavePacket]) -
     that agrees, and NonFinite if the flux density overflows double
     precision; for arrays both name the first failing element's flat index.
     """
-    validate_scalar(params)
-    omega0, Omega = shared_packet_frame(packets)
-    shape = broadcast_shape("packet mean_n and phase values",
-                            *(x for p in packets for x in (p.mean_n, p.phase)))
+    omega0, Omega, shape, alphas = check_packets(params, packets)
     lo, hi = _frequency_window(params, omega0, Omega)
     n_in = sum(p.mean_n for p in packets)
-    driven = {p.channel: _peak_amplitude(p) for p in packets}
-    if shape:
-        floor = 1e-9 * np.maximum(n_in, 1e-300)
-    else:
-        # a scalar call computes in Python floats, which never warn on
-        # overflow and cost less than numpy scalars
-        floor = 1e-9 * max(n_in, 1e-300)
-        driven = {ch: complex(alpha) for ch, alpha in driven.items()}
+    # a scalar call computes in Python floats and complex numbers, which
+    # never warn on overflow and cost less than numpy scalars
+    driven = {p.channel: _peak_amplitude(alphas[p.channel], p.Omega) for p in packets}
+    floor = 1e-9 * (np.maximum(n_in, 1e-300) if shape else max(n_in, 1e-300))
     peaks = [(alpha.real, alpha.imag)
              for alpha in (driven.get(ch, 0j) for ch in CHANNELS)]
     couplings = [math.sqrt(params.coupling(ch) / params.total_decay) for ch in CHANNELS]

@@ -174,13 +174,13 @@ def packet_output_numbers_full_grid(params, packets, points=4001, rule="simpson"
     and combined into channel numbers in the library's order of operations,
     so that at 4001 points and Simpson the bits match.
     """
-    from photon_router.core import CHANNELS
-    from photon_router.wavepacket import _frequency_window, _peak_amplitude, shared_packet_frame
+    from photon_router.core import CHANNELS, packet_amplitude, shared_packet_frame
+    from photon_router.wavepacket import _frequency_window, _peak_amplitude
 
     omega0, Omega = shared_packet_frame(packets)
     window = _frequency_window(params, omega0, Omega)
     gamma = params.total_decay
-    driven = {p.channel: complex(_peak_amplitude(p)) for p in packets}
+    driven = {p.channel: complex(_peak_amplitude(packet_amplitude(p), p.Omega)) for p in packets}
     peaks = [driven.get(ch, 0j) for ch in CHANNELS]
     couplings = [math.sqrt(params.coupling(ch) / gamma) for ch in CHANNELS]
 
@@ -212,8 +212,8 @@ def packet_output_numbers_scatter(params, packets, points=4001, rule="simpson"):
     the four output amplitudes.
     """
     from photon_router import scatter
-    from photon_router.core import CHANNELS
-    from photon_router.wavepacket import _frequency_window, shared_packet_frame
+    from photon_router.core import CHANNELS, shared_packet_frame
+    from photon_router.wavepacket import _frequency_window
 
     def spectrum(p, omega):
         alpha = np.sqrt(p.mean_n) * np.exp(1j * p.phase)

@@ -292,13 +292,6 @@ class TestSweep:
         _, second, _ = run_cli(capsys, self.SCAN)
         assert first == second
 
-    def test_thread_count_does_not_change_bytes(self, capsys, monkeypatch):
-        monkeypatch.setenv("ROUTER_SIM_THREADS", "1")
-        _, serial, _ = run_cli(capsys, self.SCAN)
-        monkeypatch.setenv("ROUTER_SIM_THREADS", "3")
-        _, threaded, _ = run_cli(capsys, self.SCAN)
-        assert serial == threaded
-
 
 class TestConfig:
     def test_config_feeds_scenario(self, capsys, tmp_path):

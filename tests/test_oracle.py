@@ -38,10 +38,16 @@ from photon_router import (
 PI = math.pi
 
 
-def _drives(packets: list[WavePacket], grid: TimeGrid, t0: float = 0.0) -> dict:
-    """The packets' pulses on grid.half_nodes, as integrate_cavity_loop takes them."""
-    nodes = grid.half_nodes
-    return {p.channel: time_pulse(p, nodes, t0) for p in packets}
+def _half_nodes(grid: TimeGrid) -> np.ndarray:
+    """The grid's 2 n_steps + 1 step ends and midpoints."""
+    return np.linspace(grid.t_start, grid.t_end, 2 * grid.n_steps + 1)
+
+
+def _drives(packets: list[WavePacket], grid: TimeGrid) -> dict:
+    """The packets' pulses on the grid's half nodes, as integrate_cavity_loop
+    takes them."""
+    nodes = _half_nodes(grid)
+    return {p.channel: time_pulse(p, nodes) for p in packets}
 
 
 def _pair(phi: float, mean_n: float = 1.0, Omega: float = 0.3) -> list[WavePacket]:
@@ -80,7 +86,7 @@ class TestTimeGrid:
             TimeGrid(0.0, math.nan, 0.01)
 
     # every grid these tests and the acceptance criteria integrate on
-    GRIDS = [TimeGrid(-100.0, 100.0, 0.02), TimeGrid(0.0, 0.9, 0.001),
+    GRIDS = [TimeGrid(-100.0, 100.0, 0.02), TimeGrid(-0.45, 0.45, 0.001),
              TimeGrid(-40.0, 40.0, 0.004), TimeGrid(-40.0, 45.0, 0.004),
              TimeGrid(-10.0, 10.0, 0.004), TimeGrid(-1200.0, 1211.0, 0.005),
              TimeGrid(-20.0, 20.0, 0.005), TimeGrid(-20.0, 20.0, 0.0025),
@@ -95,7 +101,7 @@ class TestTimeGrid:
     def test_half_nodes_hold_times(self, grid):
         # the stream evaluates the envelope on the half nodes, and every
         # other one is the input on grid.times
-        half = grid.half_nodes
+        half = _half_nodes(grid)
         assert half.shape == (2 * grid.n_steps + 1,)
         assert np.array_equal(half[::2].view(np.int64), grid.times.view(np.int64))
 
@@ -114,10 +120,10 @@ class TestGridGuards:
             integrate_cavity(RouterParams(), [WavePacket(Channel.R1, 1.0, Omega=0.05)], grid)
 
     def test_too_few_steps(self):
-        grid = TimeGrid(0.0, 0.9, 0.001)
-        with pytest.raises(GridTooCoarse):
-            integrate_cavity(RouterParams(), [WavePacket(Channel.R1, 1.0, Omega=20.0)], grid,
-                             t0=0.45)
+        grid = TimeGrid(-0.45, 0.45, 0.001)
+        assert grid.n_steps < 1000
+        with pytest.raises(GridTooCoarse, match="need >= 1000 steps"):
+            integrate_cavity(RouterParams(), [WavePacket(Channel.R1, 1.0, Omega=20.0)], grid)
 
     @pytest.mark.parametrize("omega_c, gain", [(1000.0, "7.58888"), (1e200, "nan")])
     def test_rk4_unstable_step(self, omega_c, gain):
@@ -168,18 +174,23 @@ class TestTimePulse:
     ])
     def test_zero_carrier_matches_formula(self, packet):
         # the omega0 = 0 shortcut drops a factor exp(-1j * 0 * tau) = 1
-        t = np.linspace(-50.0, 50.0, 100_001)
-        tau = t - 0.4
+        t = np.linspace(-50.0, 50.0, 100_001) - 0.4
         alpha = math.sqrt(packet.mean_n) * np.exp(1j * packet.phase)
-        envelope = (2.0 * packet.Omega ** 2 / np.pi) ** 0.25 * np.exp(-(packet.Omega * tau) ** 2)
-        want = alpha * envelope * np.exp(-1j * packet.omega0 * tau)
-        got = time_pulse(packet, t, t0=0.4)
+        envelope = (2.0 * packet.Omega ** 2 / np.pi) ** 0.25 * np.exp(-(packet.Omega * t) ** 2)
+        want = alpha * envelope * np.exp(-1j * packet.omega0 * t)
+        got = time_pulse(packet, t)
         assert np.array_equal(got, want)
         # bit for bit, up to the sign of zero parts where the envelope underflows
         got_parts, want_parts = got.view(np.float64), want.view(np.float64)
         nonzero = want_parts != 0.0
         assert np.array_equal(got_parts[nonzero].view(np.int64),
                               want_parts[nonzero].view(np.int64))
+
+    @pytest.mark.filterwarnings("error")
+    def test_envelope_overflow_is_silent(self):
+        # Omega t overflows to inf, and exp(-inf) = 0 is the envelope's value
+        got = time_pulse(WavePacket(Channel.R1, 1.0, Omega=1e150), np.array([1e200, -1e200]))
+        assert np.array_equal(got, np.zeros(2))
 
     def test_carrier(self):
         base = WavePacket(Channel.R1, mean_n=1.0, Omega=0.3)
@@ -250,9 +261,9 @@ class TestIntegrateCavity:
     def test_default_grid(self):
         params = RouterParams(gamma_c=0.1)
         packets = _pair(1.1)
-        grid = default_grid(params, packets, t0=2.0)
-        got = integrate_cavity(params, packets, t0=2.0)
-        assert np.array_equal(got, integrate_cavity(params, packets, grid, t0=2.0))
+        grid = default_grid(params, packets)
+        got = integrate_cavity(params, packets)
+        assert np.array_equal(got, integrate_cavity(params, packets, grid))
         assert got.shape == (grid.n_steps + 1,)
 
     def test_array_call_equals_scalar_calls(self):
@@ -362,44 +373,46 @@ class TestRecurrenceMatchesLoop:
     # a slow cavity detuned from a pulse pair across a block end: 2^16 steps
     # are 8 whole blocks, one more step ends in a block of 1, and
     # 3 * 2^16 + 5 steps end in a block of 5, the pulses at its block end
-    # t = 64. On the 2^13 + 1-step grid the one block end is a step before
+    # t = 0. On the 2^13 + 1-step grid the one block end is a step before
     # t_end: the pulses cross it at 2e-5 of their peak, and the cavity
-    # amplitude carried across it is still 0.66 of its peak
-    @pytest.mark.parametrize("grid, t0", [
-        (TimeGrid(-64.0, 64.0, 2.0 ** -9), -20.0),
-        (TimeGrid(-64.0, 64.0 + 2.0 ** -9, 2.0 ** -9), -20.0),
-        (TimeGrid(-192.0, 192.0 + 5 * 2.0 ** -9, 2.0 ** -9), 64.0),
-        (TimeGrid(-16.0, 16.0 + 2.0 ** -8, 2.0 ** -8), 5.0),
+    # amplitude carried across it is still 0.66 of its peak. The pulses
+    # peak at t = 0, so each grid starts where the pulses sit on it
+    @pytest.mark.parametrize("grid", [
+        TimeGrid(-44.0, 84.0, 2.0 ** -9),
+        TimeGrid(-44.0, 84.0 + 2.0 ** -9, 2.0 ** -9),
+        TimeGrid(-256.0, 128.0 + 5 * 2.0 ** -9, 2.0 ** -9),
+        TimeGrid(-21.0, 11.0 + 2.0 ** -8, 2.0 ** -8),
     ], ids=["2^16", "2^16+1", "3*2^16+5", "2^13+1"])
-    def test_block_boundaries(self, grid, t0):
+    def test_block_boundaries(self, grid):
         assert oracle._BLOCK == 1 << 13
+        assert grid.n_steps in (1 << 16, (1 << 16) + 1, 3 * (1 << 16) + 5, (1 << 13) + 1)
         packets = [WavePacket(Channel.R1, 1.0, Omega=0.3),
                    WavePacket(Channel.L2, 2.0, Omega=0.3, phase=1.0)]
-        self._check(RouterParams(gamma1=0.05, gamma2=0.0, omega_c=0.4), packets, grid, t0)
+        self._check(RouterParams(gamma1=0.05, gamma2=0.0, omega_c=0.4), packets, grid)
 
     # inside one block, a slow cavity carries its amplitude across row ends:
     # 3 rows exactly, and 3 rows and 700 steps
     @pytest.mark.parametrize("n", [3 * 2048, 3 * 2048 + 700], ids=["3-rows", "3-rows+700"])
     def test_row_ends_inside_a_block(self, n):
         assert oracle._ROW == 1 << 11 and n < oracle._BLOCK
-        grid = TimeGrid(-12.0, -12.0 + n * 2.0 ** -8, 2.0 ** -8)
+        grid = TimeGrid(-11.0, -11.0 + n * 2.0 ** -8, 2.0 ** -8)
         assert grid.n_steps == n
         packets = [WavePacket(Channel.R1, 1.0, Omega=0.5),
                    WavePacket(Channel.L2, 2.0, Omega=0.5, phase=1.0)]
-        self._check(RouterParams(gamma1=0.05, gamma2=0.0, omega_c=0.4), packets, grid, -1.0)
+        self._check(RouterParams(gamma1=0.05, gamma2=0.0, omega_c=0.4), packets, grid)
 
     @staticmethod
-    def _check(params, packets, grid, t0=0.0):
+    def _check(params, packets, grid):
         # RK4 in the lab frame is another discretization than in the frame
         # rotating at omega0, so the loop steps that frame: the cavity
         # detuned by omega0, the pulses without carrier; the trajectory then
-        # takes the carrier exp(-i omega0 (t - t0))
+        # takes the carrier exp(-i omega0 t)
         omega0 = packets[0].omega0
         rotated = replace(params, omega_c=params.omega_c - omega0)
         want = integrate_cavity_loop(
-            rotated, _drives([replace(p, omega0=0.0) for p in packets], grid, t0), grid)
-        want *= np.exp(-1j * omega0 * (grid.times - t0))
-        got = integrate_cavity(params, packets, grid, t0)
+            rotated, _drives([replace(p, omega0=0.0) for p in packets], grid), grid)
+        want *= np.exp(-1j * omega0 * grid.times)
+        got = integrate_cavity(params, packets, grid)
         assert got.shape == (grid.n_steps + 1,)
         assert got[0] == 0j
         peak = float(np.max(np.abs(want)))
@@ -434,14 +447,14 @@ class TestTimeDomainReport:
         assert blocks == 62
         assert len(calls) == blocks
         assert all(Omega == 0.01 for Omega, _ in calls)
-        # t0 = 0, so tau holds the nodes; the node between two blocks is
-        # evaluated twice, as the end of one and the start of the next, and
-        # the blocks rebuild the linspace bits
+        # the pulses peak at t = 0, so tau holds the nodes; the node between
+        # two blocks is evaluated twice, as the end of one and the start of
+        # the next, and the blocks rebuild the linspace bits
         nodes = [tau for _, tau in calls]
         for before, after in zip(nodes, nodes[1:]):
             assert before[-1] == after[0]
         rebuilt = np.concatenate([nodes[0]] + [t[1:] for t in nodes[1:]])
-        assert np.array_equal(rebuilt.view(np.int64), grid.half_nodes.view(np.int64))
+        assert np.array_equal(rebuilt.view(np.int64), _half_nodes(grid).view(np.int64))
 
     LOSSY = RouterParams(gamma2=0.4, gamma_c=0.1, omega_c=-0.2)
     # the ids date from 2^16-step blocks; in 2^13-step blocks TWO_BLOCKS
@@ -520,15 +533,14 @@ class TestTimeDomainReport:
     def test_streams_keep_their_own_buffers(self):
         # two streams of different block counts and block sizes, read in
         # turn, give the bits each gives alone: each call owns its arrays
-        runs = [(self.LOSSY, _pair(1.1), self.TWO_BLOCKS),
-                (RouterParams(gamma2=0.4, omega_c=0.3),
-                 [WavePacket(Channel.R2, 2.0, Omega=0.3, phase=0.5)], TimeGrid(-40.0, 60.0, 0.004))]
+        runs = [(self.LOSSY, 0.3, self.TWO_BLOCKS),
+                (RouterParams(gamma2=0.4, omega_c=0.3), 0.3, TimeGrid(-40.0, 60.0, 0.004))]
 
         def blocks(stream):
             return [(i0, env.copy(), c.copy()) for i0, env, c in stream]
 
-        alone = [blocks(oracle._envelope_blocks(p, packets, g, 0.0)) for p, packets, g in runs]
-        streams = [oracle._envelope_blocks(p, packets, g, 0.0) for p, packets, g in runs]
+        alone = [blocks(oracle._envelope_blocks(p, 0.0, Omega, g)) for p, Omega, g in runs]
+        streams = [oracle._envelope_blocks(p, 0.0, Omega, g) for p, Omega, g in runs]
         interleaved = [[], []]
         for pair in itertools.zip_longest(*streams):
             for got, block in zip(interleaved, pair):
@@ -691,6 +703,15 @@ class TestTimeDomainReport:
         with pytest.raises(ParameterError, match=f"^{field} must be a scalar"):
             time_pulse(packets[-1], np.linspace(-5.0, 5.0, 11))
 
+    @pytest.mark.filterwarnings("error")
+    def test_envelope_overflow_is_silent(self):
+        # Omega t overflows on most of the grid's half nodes, where the
+        # envelope is 0; the report ends in its own error, not in a warning
+        with pytest.raises(PulseNotContained, match="cavity not rung down"):
+            time_domain_report(RouterParams(gamma1=5e-7, gamma2=5e-7),
+                               [WavePacket(Channel.R1, 1.0, Omega=3e153)],
+                               TimeGrid(-1e3, 1e3, 1.0))
+
     def test_unfinished_ringdown_rejected(self):
         params = RouterParams(gamma1=0.05, gamma2=0.0)
         with pytest.raises(PulseNotContained, match=re.escape(
@@ -739,6 +760,67 @@ print(kib("VmHWM") - after_import)
         out = subprocess.run([sys.executable, "-c", code], env=package_env, check=True,
                              capture_output=True, text=True, timeout=120).stdout
         assert int(out) / 1024 <= 20.0
+
+
+class TestPacketSetCheck:
+    """The packet quadrature and the oracle share one check of a packet set,
+    core.check_packets, which each public packet call runs once, first."""
+
+    ROUTES = [packet_output_numbers, default_grid, integrate_cavity, time_domain_report]
+    IDS = ["packet_output_numbers", "default_grid", "integrate_cavity", "time_domain_report"]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("route", ROUTES, ids=IDS)
+    def test_overflowing_detuning(self, route):
+        # omega_c - omega0 overflows: the oracle raised ParameterError for
+        # the grid's dt = 0.02 / inf = 0, the quadrature NonFinite after
+        # numpy's overflow warnings
+        with pytest.raises(NonFinite, match=re.escape(
+                "omega_c - omega0 overflows double precision, got inf")):
+            route(RouterParams(omega_c=1e308), [WavePacket(Channel.R1, 1.0, omega0=-1e308)])
+
+    @pytest.mark.parametrize("route, grid", [
+        (integrate_cavity, None), (integrate_cavity, TimeGrid(-40.0, 51.0, 0.004)),
+        (time_domain_report, None), (time_domain_report, TimeGrid(-40.0, 51.0, 0.004))],
+        ids=["integrate_cavity", "integrate_cavity-grid", "time_domain_report",
+             "time_domain_report-grid"])
+    def test_non_broadcasting_set_raises_before_any_solve(self, monkeypatch, route, grid):
+        # the report with a grid solved the whole stream before its fluxes
+        # found that the packets do not broadcast
+        def no_solve(*args):
+            raise AssertionError("solved before the packet set was checked")
+
+        monkeypatch.setattr(oracle, "_recurrence", no_solve)
+        packets = [WavePacket(Channel.R1, np.ones(2), Omega=0.3),
+                   WavePacket(Channel.L1, 1.0, Omega=0.3, phase=np.zeros(3))]
+        with pytest.raises(ParameterError, match="^packet mean_n and phase values"):
+            route(RouterParams(), packets, grid)
+
+    @pytest.mark.parametrize("route", ROUTES, ids=IDS)
+    def test_one_check_per_call(self, monkeypatch, route):
+        from photon_router import core, wavepacket
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return core.check_packets(*args)
+
+        monkeypatch.setattr(oracle, "check_packets", counting)
+        monkeypatch.setattr(wavepacket, "check_packets", counting)
+        route(RouterParams(gamma_c=0.1), _pair(1.1))
+        assert len(calls) == 1
+
+    def test_oracle_imports_nothing_from_the_quadrature(self):
+        # the oracle cross-checks the quadrature, so it must not share its code
+        import ast
+
+        tree = ast.parse(open(oracle.__file__, encoding="utf-8").read())
+        modules = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        modules += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names]
+        assert "core" in modules
+        assert not [m for m in modules if m and "wavepacket" in m.split(".")]
 
 
 class TestTimeDomainProperty:

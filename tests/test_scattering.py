@@ -490,3 +490,18 @@ class TestReportFromScatter:
         rep_b = mean_output_single(LOSSLESS, 1.0, 0.3)
         for ch in Channel:
             assert rep_a.n_out[ch] == pytest.approx(rep_b.n_out[ch], rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("gamma1", [1e-310, 1e-315, 1e-320, 5e-324])
+    def test_subnormal_rates(self, gamma1):
+        # numpy's complex division by the subnormal i delta + Gamma overflowed,
+        # which raised NonFinite; the map scales (delta, rates) as the closed
+        # forms do, and the resonant cavity reflects port 1 into l1
+        params = RouterParams(gamma1=gamma1, gamma2=0.0)
+        rep = report_from_scatter(params, [1.0, 0, 0, 0], 0.0)
+        mono = mean_output_single(params, 1.0, 0.0)
+        assert (mono.n_r1, mono.n_l1) == (0.0, 1.0)
+        for ch in Channel:
+            assert abs(rep.n_out[ch] - mono.n_out[ch]) <= 1e-15
+        c = cavity_amplitude(params, [1.0, 0, 0, 0], 0.0)
+        assert abs(c - -1j / math.sqrt(gamma1)) <= 1e-15 / math.sqrt(gamma1)
