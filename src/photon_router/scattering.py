@@ -85,17 +85,18 @@ def _scattered(params: RouterParams, amplitudes, delta):
     require(np.isfinite(a), NonFinite, "amplitudes must be finite", a)
     require_finite(delta=delta)
     # S a is homogeneous of degree 0 in (delta, rates) and c of degree -1/2:
-    # at extreme scales they are scaled by 4^k, and c back by 2^k
-    g1, g2, gc = params.gamma1, params.gamma2, params.gamma_c
-    k = _unit_exponent(delta, g1, g2, gc)
+    # at extreme scales delta and Gamma are scaled by 4^k, the rates' roots
+    # by 2^k, and c back by 2^k
+    k = _unit_exponent(delta, params.gamma1, params.gamma2, params.gamma_c)
+    s1, s2, total = np.sqrt(params.gamma1), np.sqrt(params.gamma2), params.total_decay
     if k is not None:
         k >>= 1
-        delta, g1, g2, gc = (np.ldexp(x, 2 * k) for x in (delta, g1, g2, gc))
-    s1, s2 = np.sqrt(g1), np.sqrt(g2)
+        delta, total = np.ldexp(delta, 2 * k), np.ldexp(total, 2 * k)
+        s1, s2 = np.ldexp(s1, k), np.ldexp(s2, k)
     # amplitudes near 1e308 still overflow; the check below raises then
     with np.errstate(over="ignore", invalid="ignore"):
         c = (-1j * (s1 * (a[..., 0] + a[..., 1]) + s2 * (a[..., 2] + a[..., 3]))
-             / (1j * delta + (g1 + g2 + gc)))
+             / (1j * delta + total))
         out = np.empty((len(CHANNELS),) + np.shape(c), dtype=complex)
         for i, s in enumerate((s1, s1, s2, s2)):
             np.subtract(a[..., i], 1j * s * c, out=out[i, ...])

@@ -600,13 +600,23 @@ class TestTimeDomainReport:
             time_domain_report(params, _pair(1.1), grid)
         assert str(zero.value) == str(one.value)
 
-    @pytest.mark.parametrize("route", [integrate_cavity, time_domain_report],
-                             ids=["integrate_cavity", "time_domain_report"])
-    def test_array_packets_must_broadcast(self, route):
+    @pytest.mark.parametrize("route, grid", [
+        (integrate_cavity, None), (time_domain_report, None),
+        (integrate_cavity, TimeGrid(-40.0, 51.0, 0.004)),
+        (time_domain_report, TimeGrid(-40.0, 51.0, 0.004))],
+        ids=["integrate_cavity", "time_domain_report", "integrate_cavity-grid",
+             "time_domain_report-grid"])
+    def test_array_packets_must_broadcast(self, monkeypatch, route, grid):
+        # before any solve: the report on a given grid solved the whole
+        # stream before its fluxes found that the packets do not broadcast
+        def no_solve(*args):
+            raise AssertionError("solved before the packet set was checked")
+
+        monkeypatch.setattr(oracle, "_recurrence", no_solve)
         packets = [WavePacket(Channel.R1, np.ones(2), Omega=0.3),
                    WavePacket(Channel.L1, 1.0, Omega=0.3, phase=np.zeros(3))]
         with pytest.raises(ParameterError, match="^packet mean_n and phase values"):
-            route(RouterParams(), packets)
+            route(RouterParams(), packets, grid)
 
     def test_lossless_conservation(self):
         rep = time_domain_report(RouterParams(gamma2=0.8), _pair(1.1))
@@ -778,23 +788,6 @@ class TestPacketSetCheck:
         with pytest.raises(NonFinite, match=re.escape(
                 "omega_c - omega0 overflows double precision, got inf")):
             route(RouterParams(omega_c=1e308), [WavePacket(Channel.R1, 1.0, omega0=-1e308)])
-
-    @pytest.mark.parametrize("route, grid", [
-        (integrate_cavity, None), (integrate_cavity, TimeGrid(-40.0, 51.0, 0.004)),
-        (time_domain_report, None), (time_domain_report, TimeGrid(-40.0, 51.0, 0.004))],
-        ids=["integrate_cavity", "integrate_cavity-grid", "time_domain_report",
-             "time_domain_report-grid"])
-    def test_non_broadcasting_set_raises_before_any_solve(self, monkeypatch, route, grid):
-        # the report with a grid solved the whole stream before its fluxes
-        # found that the packets do not broadcast
-        def no_solve(*args):
-            raise AssertionError("solved before the packet set was checked")
-
-        monkeypatch.setattr(oracle, "_recurrence", no_solve)
-        packets = [WavePacket(Channel.R1, np.ones(2), Omega=0.3),
-                   WavePacket(Channel.L1, 1.0, Omega=0.3, phase=np.zeros(3))]
-        with pytest.raises(ParameterError, match="^packet mean_n and phase values"):
-            route(RouterParams(), packets, grid)
 
     @pytest.mark.parametrize("route", ROUTES, ids=IDS)
     def test_one_check_per_call(self, monkeypatch, route):

@@ -505,3 +505,14 @@ class TestReportFromScatter:
             assert abs(rep.n_out[ch] - mono.n_out[ch]) <= 1e-15
         c = cavity_amplitude(params, [1.0, 0, 0, 0], 0.0)
         assert abs(c - -1j / math.sqrt(gamma1)) <= 1e-15 / math.sqrt(gamma1)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("delta, gamma2", [(1e200, 1e-120), (1e160, 1e-160), (-1e250, 1e-90)])
+    def test_scaled_map_keeps_tiny_rates(self, delta, gamma2):
+        # far off resonance the map scales delta and Gamma down; a rate far
+        # below them, scaled alike, would turn subnormal and lose its digits,
+        # so its root is scaled instead and c, which it alone drives, is exact
+        params = RouterParams(gamma1=1.0, gamma2=gamma2)
+        c = complex(cavity_amplitude(params, [0, 0, 1.0, 0], delta))
+        want = -1j * math.sqrt(gamma2) / (1j * delta + (1.0 + gamma2))
+        assert abs(c - want) <= 1e-15 * abs(want)
