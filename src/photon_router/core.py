@@ -314,8 +314,9 @@ def check_packets(params: RouterParams, packets: Sequence[WavePacket]) -> tuple:
     Raises ParameterError for array rates, packets that do not share their
     frame or share a channel (shared_packet_frame), and mean_n and phase
     values that do not broadcast together to `shape`; validate()'s errors;
-    and NonFinite when omega_c - omega0 overflows. alphas maps channels to
-    packet_amplitude, Python complex numbers when shape is ().
+    and NonFinite when the total decay rate or omega_c - omega0 overflows.
+    alphas maps channels to packet_amplitude, Python complex numbers when
+    shape is ().
     """
     require_scalar(params, "gamma1", "gamma2", "gamma_c", "omega_c")
     validate(params)
@@ -323,6 +324,9 @@ def check_packets(params: RouterParams, packets: Sequence[WavePacket]) -> tuple:
     shape = broadcast_shape("packet mean_n and phase values",
                             *(x for p in packets for x in (p.mean_n, p.phase)))
     # Python floats overflow to inf without a numpy warning
+    total = float(params.gamma1) + float(params.gamma2) + float(params.gamma_c)
+    require(total < math.inf, NonFinite, "the total decay rate overflows double precision",
+            total)
     rotation = float(params.omega_c) - float(omega0)
     require(abs(rotation) < math.inf, NonFinite,
             "omega_c - omega0 overflows double precision", rotation)

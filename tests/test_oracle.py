@@ -789,6 +789,16 @@ class TestPacketSetCheck:
                 "omega_c - omega0 overflows double precision, got inf")):
             route(RouterParams(omega_c=1e308), [WavePacket(Channel.R1, 1.0, omega0=-1e308)])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("route", ROUTES, ids=IDS)
+    def test_overflowing_total_decay(self, route):
+        # gamma1 + gamma2 overflows: the quadrature reported full
+        # transmission, where a line that wide sends a quarter to each
+        # channel, and the oracle raised ParameterError for dt = 0.01 / inf
+        with pytest.raises(NonFinite, match=re.escape(
+                "the total decay rate overflows double precision, got inf")):
+            route(RouterParams(gamma1=1e308, gamma2=1e308), [WavePacket(Channel.R1, 1.0)])
+
     @pytest.mark.parametrize("route", ROUTES, ids=IDS)
     def test_one_check_per_call(self, monkeypatch, route):
         from photon_router import core, wavepacket
