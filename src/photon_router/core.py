@@ -259,13 +259,12 @@ class WavePacket:
     Omega lies in [2^-510, 2^510], where Omega^2 and 2 pi Omega^2 are
     normal doubles.
 
-    mean_n and phase are floats or numpy arrays that broadcast together, one
-    packet per element; the packet quadrature and the time-domain oracle
-    evaluate all elements in one call, and only time_pulse takes scalars
-    alone. omega0 and Omega set the quadrature window and the time grid and
-    stay scalar. Errors name the first bad element; check_packets checks a
-    packet set against the rates.
-    """
+    mean_n and phase are floats or numpy arrays that broadcast together (see
+    check_packets), one packet per element; the packet quadrature and the
+    time-domain oracle evaluate all elements in one call, and only
+    time_pulse takes scalars alone. omega0 and Omega set the quadrature
+    window and the time grid and stay scalar. Errors name the first bad
+    element."""
 
     channel: Channel
     mean_n: float
@@ -308,16 +307,14 @@ def packet_amplitude(packet: WavePacket):
 
 
 def check_packets(params: RouterParams, packets: Sequence[WavePacket]) -> tuple:
-    """(omega0, Omega, shape, alphas) of packets on one rate set: the check
-    the packet quadrature and the oracle run once per call.
+    """(omega0, Omega, shape, alphas) of packets on one rate set, checked once
+    per call by the packet quadrature and the oracle.
 
-    Raises ParameterError for array rates, packets that do not share their
-    frame or share a channel (shared_packet_frame), and mean_n and phase
-    values that do not broadcast together to `shape`; validate()'s errors;
-    and NonFinite when the total decay rate or omega_c - omega0 overflows.
-    alphas maps channels to packet_amplitude, Python complex numbers when
-    shape is ().
-    """
+    Raises ParameterError for array rates, shared_packet_frame's and
+    validate()'s errors, and mean_n and phase values that do not broadcast
+    together to `shape`; NonFinite when the total decay rate or
+    omega_c - omega0 overflows. alphas maps channels to packet_amplitude,
+    Python complex numbers when shape is ()."""
     require_scalar(params, "gamma1", "gamma2", "gamma_c", "omega_c")
     validate(params)
     omega0, Omega = shared_packet_frame(packets)

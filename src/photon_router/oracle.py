@@ -11,11 +11,11 @@ with c(t_start) = 0, and every channel leaves as
 the window gives the same mean output numbers as the frequency-domain route,
 which is exactly what this module exists to cross-check.
 
-The packets of one call, checked once by core.check_packets as the
-quadrature checks them, share their center omega0 and one real envelope env,
-peak at t = 0. In the frame rotating at omega0 (omega_c -> omega_c - omega0,
-carrier dropped) packet ch is alpha_ch env, so the cavity sees only kick env
-with kick = sum_ch -i sqrt(gamma_ch) alpha_ch. The equation is linear, so
+The packets of one call, checked by core.check_packets, share their center
+omega0 and one real envelope env, peak at t = 0. In the frame rotating at
+omega0 (omega_c -> omega_c - omega0, carrier dropped) packet ch is
+alpha_ch env, so the cavity sees only kick env with
+kick = sum_ch -i sqrt(gamma_ch) alpha_ch. The equation is linear, so
 c = kick c1, where c1, the unit response, is the cavity driven by env
 alone. The oracle solves c1 once per call, whatever the packets' phases and
 photon numbers, in one stream of blocks (`_envelope_blocks`):
@@ -135,8 +135,7 @@ class TimeGrid:
 
 
 def default_grid(params: RouterParams, packets: Sequence[WavePacket]) -> TimeGrid:
-    """Grid covering 12/Omega on both sides of the pulse peak at t = 0 plus
-    ring-down."""
+    """Grid covering 12/Omega each side of the pulse peak at t = 0 plus ring-down."""
     return _grid(params, *check_packets(params, packets)[:2])
 
 
@@ -291,12 +290,11 @@ def _recurrence(params: RouterParams, grid: TimeGrid) -> Callable:
 
 def _envelope_blocks(params: RouterParams, omega0: float, Omega: float,
                      grid: TimeGrid) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield (i0, env, c1) per block of grid for the checked packet frame
-    (omega0, Omega): env the envelope, peak at t = 0, on the block's half
-    nodes, c1 the unit response, the cavity in the rotating frame driven by
-    env alone, at its nodes i0 .. i0 + m, c1[0] the end of the block before.
-    Raises PulseNotContained if the envelope mass outside the window exceeds
-    1e-10."""
+    """Yield (i0, env, c1) per block of grid for the checked frame (omega0,
+    Omega): env the envelope, peak at t = 0, on the block's half nodes, c1
+    the unit response (the cavity in the rotating frame driven by env alone)
+    at nodes i0 .. i0 + m, c1[0] the end of the block before. Raises
+    PulseNotContained if the envelope mass outside the window exceeds 1e-10."""
     mass_out = 0.5 * (math.erfc(math.sqrt(2.0) * Omega * -grid.t_start)
                       + math.erfc(math.sqrt(2.0) * Omega * grid.t_end))
     if mass_out > _TAIL_MASS:

@@ -84,9 +84,8 @@ def _scattered(params: RouterParams, amplitudes, delta):
     # are complex, which require_finite refuses
     require(np.isfinite(a), NonFinite, "amplitudes must be finite", a)
     require_finite(delta=delta)
-    # S a is homogeneous of degree 0 in (delta, rates) and c of degree -1/2:
-    # at extreme scales delta and Gamma are scaled by 4^k, the rates' roots
-    # by 2^k, and c back by 2^k
+    # S a is homogeneous of degree 0 in (delta, rates), c of degree -1/2: at
+    # extreme scales delta and Gamma scale by 4^k, the roots and c by 2^k
     k = _unit_exponent(delta, params.gamma1, params.gamma2, params.gamma_c)
     s1, s2, total = np.sqrt(params.gamma1), np.sqrt(params.gamma2), params.total_decay
     if k is not None:
@@ -154,8 +153,7 @@ def _mean_n_guard(mean_n):
 
 
 def _unit_exponent(delta, *rates):
-    """The exponent, an int or int array, of the power of two _unit_scaled
-    scales by, or None where it scales by nothing."""
+    """_unit_scaled's power-of-two exponent, an int or int array, or None."""
     # in quarters, so that the test cannot overflow: its sum stays below
     # the largest double
     size = 0.25 * abs(delta) + sum(0.25 * rate for rate in rates)

@@ -75,12 +75,8 @@ def gaussian_spectrum(packet: WavePacket, omega):
 
     Vectorized over omega. |alpha_omega|^2 peaks at mean_n / sqrt(2 pi Omega^2).
     """
-    return (_peak_amplitude(packet_amplitude(packet), packet.Omega)
+    return (packet_amplitude(packet) * (2.0 * np.pi * packet.Omega ** 2) ** (-0.25)
             * _envelope(packet.omega0, packet.Omega, omega))
-
-
-def _peak_amplitude(alpha, Omega: float):
-    return alpha * (2.0 * np.pi * Omega ** 2) ** (-0.25)
 
 
 def _envelope(omega0: float, Omega: float, omega):
@@ -257,7 +253,8 @@ def packet_output_numbers(params: RouterParams, packets: Sequence[WavePacket]) -
     n_in = sum(p.mean_n for p in packets)
     # a scalar call computes in Python floats and complex numbers, which
     # never warn on overflow and cost less than numpy scalars
-    driven = {p.channel: _peak_amplitude(alphas[p.channel], p.Omega) for p in packets}
+    peak = (2.0 * np.pi * Omega ** 2) ** (-0.25)
+    driven = {ch: alpha * peak for ch, alpha in alphas.items()}
     floor = 1e-9 * (np.maximum(n_in, 1e-300) if shape else max(n_in, 1e-300))
     peaks = [(alpha.real, alpha.imag)
              for alpha in (driven.get(ch, 0j) for ch in CHANNELS)]

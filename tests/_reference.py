@@ -175,12 +175,13 @@ def packet_output_numbers_full_grid(params, packets, points=4001, rule="simpson"
     so that at 4001 points and Simpson the bits match.
     """
     from photon_router.core import CHANNELS, packet_amplitude, shared_packet_frame
-    from photon_router.wavepacket import _frequency_window, _peak_amplitude
+    from photon_router.wavepacket import _frequency_window
 
     omega0, Omega = shared_packet_frame(packets)
     window = _frequency_window(params, omega0, Omega)
     gamma = params.total_decay
-    driven = {p.channel: complex(_peak_amplitude(packet_amplitude(p), p.Omega)) for p in packets}
+    peak = (2.0 * np.pi * Omega ** 2) ** (-0.25)
+    driven = {p.channel: complex(packet_amplitude(p) * peak) for p in packets}
     peaks = [driven.get(ch, 0j) for ch in CHANNELS]
     couplings = [math.sqrt(params.coupling(ch) / gamma) for ch in CHANNELS]
 
